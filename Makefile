@@ -1,6 +1,8 @@
 # Sapphire build/test/bench entry points.
 #
-#   make test           - vet gate + full test suite
+#   make test           - vet gate + full test suite, then the same for the
+#                         nested benchmark/ module (root ./... does not
+#                         descend into it, so removed API could break it unseen)
 #   make race           - race-detector pass over the concurrency-sensitive packages
 #   make fuzz           - short parser fuzz smoke (same job CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
@@ -35,6 +37,9 @@
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
 #                         CI runs a 64-seed smoke setting)
+#   make loc            - non-test, non-testdata Go lines per package and in
+#                         total, benchmark/ excluded (the count simplification
+#                         PRs are judged by)
 #   make vet            - stock go vet only
 #   make lint           - sapphire-vet: stock go vet plus the repo's own
 #                         contract analyzers (pinlock, atomicfield, errcode,
@@ -79,7 +84,7 @@ SERVING_SLO_THRESHOLD := 0.75
 # step changes (a doubled p99) clear this floor comfortably.
 SERVING_SLO_SLACK_NS := 500000
 
-.PHONY: all test vet lint fmt race fuzz crashtest bench bench-endpoint bench-ci bench-gate bench-baseline build bench-serving bench-serving-ci bench-serving-gate bench-serving-baseline
+.PHONY: all test vet lint fmt loc race fuzz crashtest bench bench-endpoint bench-ci bench-gate bench-baseline build bench-serving bench-serving-ci bench-serving-gate bench-serving-baseline
 
 all: build test
 
@@ -97,6 +102,12 @@ fmt:
 
 test: vet
 	$(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './benchmark/*' -not -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 race:
 	$(GO) test -race ./internal/store/ ./internal/store/persist/ ./internal/sparql/ ./internal/endpoint/ ./internal/federation/

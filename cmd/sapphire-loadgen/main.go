@@ -163,9 +163,9 @@ func remoteTarget(baseURL string, seed int64) (scenario.Target, func()) {
 	memberCfg := datagen.SmallConfig()
 	memberCfg.Seed = seed + 1
 	memberEP := endpoint.NewLocal("flaky-member", datagen.Generate(memberCfg).Store, endpoint.DefaultLimits())
-	flakySrv := httptest.NewServer(endpoint.Handler(
+	flakySrv := httptest.NewServer(endpoint.NewMux(
 		endpoint.NewFlaky(memberEP, scenario.FlakyTimeoutEvery, 0, seed)))
-	flakyClient := endpoint.NewClient(flakySrv.URL,
+	flakyClient := endpoint.NewClient(flakySrv.URL+"/sparql",
 		endpoint.WithRetryPolicy(retry), endpoint.WithUserAgent("sapphire-loadgen/1"))
 
 	fed := federation.New(primary, flakyClient)

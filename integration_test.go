@@ -26,11 +26,11 @@ func TestFullStackOverHTTP(t *testing.T) {
 	local := endpoint.NewLocal("synthetic-dbpedia", d.Store, endpoint.Limits{
 		MaxIntermediateRows: 100000, // generous but present
 	})
-	srv := httptest.NewServer(endpoint.Handler(local))
+	srv := httptest.NewServer(endpoint.NewMux(local))
 	defer srv.Close()
 
 	client := New(Defaults())
-	if err := client.RegisterHTTP(context.Background(), srv.URL); err != nil {
+	if err := client.RegisterHTTP(context.Background(), srv.URL+"/sparql"); err != nil {
 		t.Fatal(err)
 	}
 	if st := client.Stats(); st.LiteralCount == 0 {
@@ -188,10 +188,10 @@ func TestOptionalQueryThroughFederation(t *testing.T) {
 // walks it through the HTTP endpoint path.
 func TestEndToEndStudyQuestionOverHTTP(t *testing.T) {
 	d := datagen.Generate(datagen.SmallConfig())
-	srv := httptest.NewServer(endpoint.Handler(endpoint.NewLocal("remote", d.Store, endpoint.Limits{})))
+	srv := httptest.NewServer(endpoint.NewMux(endpoint.NewLocal("remote", d.Store, endpoint.Limits{})))
 	defer srv.Close()
 	c := New(Defaults())
-	if err := c.RegisterHTTP(context.Background(), srv.URL); err != nil {
+	if err := c.RegisterHTTP(context.Background(), srv.URL+"/sparql"); err != nil {
 		t.Fatal(err)
 	}
 	var m8 qald.Question

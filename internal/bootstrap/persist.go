@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,8 +27,7 @@ import (
 // A cache file that spent 17 hours being earned deserves better than
 // "json: unexpected end of input" after a crashed save or a disk
 // hiccup: Save frames the JSON with a header carrying its length and
-// CRC32C, Load verifies both before trusting a byte (and still accepts
-// the headerless v1 files earlier builds wrote), and SaveFile writes
+// CRC32C, Load verifies both before trusting a byte, and SaveFile writes
 // through a temp file with fsync and an atomic rename so an interrupted
 // save can never destroy the previous good cache.
 
@@ -54,9 +54,14 @@ type savedLit struct {
 const cacheFileVersion = 1
 
 // cacheHeaderFmt is the v2 envelope: a comment-style first line naming
-// the format and carrying the body's CRC32C and byte length. Legacy v1
-// files start directly with '{'.
+// the format and carrying the body's CRC32C and byte length.
 const cacheHeaderFmt = "#sapphire-cache v2 crc32c=%08x bytes=%d\n"
+
+// ErrCacheHeader reports a cache file whose first line is not the v2
+// header — including the headerless v1 files earlier builds wrote, which
+// carry nothing to verify them by. Re-run the initialization to replace
+// such a file.
+var ErrCacheHeader = errors.New("bootstrap: not a #sapphire-cache v2 file")
 
 var cacheCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -107,7 +112,7 @@ func (c *Cache) SaveFile(path string) error {
 	return nil
 }
 
-// saveJSON writes the raw JSON body (the v1 payload).
+// saveJSON writes the raw JSON body.
 func (c *Cache) saveJSON(w io.Writer) error {
 	cf := cacheFile{
 		Version:  cacheFileVersion,
@@ -136,41 +141,33 @@ func (c *Cache) saveJSON(w io.Writer) error {
 }
 
 // Load reads a cache previously written by Save and rebuilds the
-// indexes. v2 files are accepted only if the body matches the header's
-// length and CRC32C — a truncated or bit-flipped cache is an error, not
-// a silently smaller lexicon. Headerless v1 files load unverified for
-// compatibility.
+// indexes. A file is accepted only if it starts with the v2 header
+// (ErrCacheHeader otherwise) and its body matches the header's length
+// and CRC32C — a truncated or bit-flipped cache is an error, not a
+// silently smaller lexicon.
 func Load(r io.Reader) (*Cache, error) {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
+	header, err := br.ReadString('\n')
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("bootstrap: cache header: %w", err)
+	}
+	var wantCRC uint32
+	var wantLen int
+	if _, err := fmt.Sscanf(header, "#sapphire-cache v2 crc32c=%x bytes=%d", &wantCRC, &wantLen); err != nil {
+		return nil, fmt.Errorf("%w (first line %.40q)", ErrCacheHeader, header)
+	}
+	data, err := io.ReadAll(br)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: loading cache: %w", err)
 	}
-	var body io.Reader = br
-	if first[0] == '#' {
-		header, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("bootstrap: cache header: %w", err)
-		}
-		var wantCRC uint32
-		var wantLen int
-		if _, err := fmt.Sscanf(header, "#sapphire-cache v2 crc32c=%x bytes=%d", &wantCRC, &wantLen); err != nil {
-			return nil, fmt.Errorf("bootstrap: unrecognized cache header %q", header)
-		}
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("bootstrap: loading cache: %w", err)
-		}
-		if len(data) != wantLen {
-			return nil, fmt.Errorf("bootstrap: cache body is %d bytes, header says %d (truncated?)", len(data), wantLen)
-		}
-		if got := crc32.Checksum(data, cacheCastagnoli); got != wantCRC {
-			return nil, fmt.Errorf("bootstrap: cache checksum mismatch (got %08x, header says %08x)", got, wantCRC)
-		}
-		body = bytes.NewReader(data)
+	if len(data) != wantLen {
+		return nil, fmt.Errorf("bootstrap: cache body is %d bytes, header says %d (truncated?)", len(data), wantLen)
+	}
+	if got := crc32.Checksum(data, cacheCastagnoli); got != wantCRC {
+		return nil, fmt.Errorf("bootstrap: cache checksum mismatch (got %08x, header says %08x)", got, wantCRC)
 	}
 	var cf cacheFile
-	if err := json.NewDecoder(body).Decode(&cf); err != nil {
+	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, fmt.Errorf("bootstrap: loading cache: %w", err)
 	}
 	if cf.Version != cacheFileVersion {

@@ -3,6 +3,7 @@ package bootstrap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,19 +64,19 @@ func TestCacheFileChecksummed(t *testing.T) {
 	}
 }
 
-func TestCacheLoadsLegacyV1(t *testing.T) {
+func TestCacheRejectsHeaderless(t *testing.T) {
 	c := initTestCache(t)
-	// A v1 file is the bare JSON body earlier builds wrote.
+	// A v1 file is the bare JSON body earlier builds wrote: no length,
+	// no checksum, so nothing to trust it by.
 	var v1 bytes.Buffer
 	if err := c.saveJSON(&v1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&v1)
-	if err != nil {
-		t.Fatalf("legacy v1 cache rejected: %v", err)
+	if _, err := Load(&v1); !errors.Is(err, ErrCacheHeader) {
+		t.Fatalf("headerless cache: err = %v, want ErrCacheHeader", err)
 	}
-	if len(loaded.Predicates) != len(c.Predicates) {
-		t.Fatalf("legacy load: %d predicates, want %d", len(loaded.Predicates), len(c.Predicates))
+	if _, err := Load(strings.NewReader("")); !errors.Is(err, ErrCacheHeader) {
+		t.Fatalf("empty cache: err = %v, want ErrCacheHeader", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"sapphire/internal/rdf"
 	"sapphire/internal/sparql"
@@ -80,10 +79,9 @@ func fromJSONTerm(jt jsonTerm) (rdf.Term, error) {
 }
 
 // EpochHeader carries the endpoint's mutation epoch on every query
-// response from an Epoched endpoint; the /epoch route (and the legacy
-// GET ?epoch probe) reads it without running a query. Federated callers
-// use the epoch to invalidate their caches only when a member's data
-// actually changed.
+// response from an Epoched endpoint; NewMux's /epoch route reads it
+// without running a query. Federated callers use the epoch to
+// invalidate their caches only when a member's data actually changed.
 const EpochHeader = "X-Sapphire-Epoch"
 
 // MaxQueryBytes bounds the request body Handler accepts for a query.
@@ -102,23 +100,16 @@ const MaxQueryBytes = 1 << 20
 // and requests that accept JSON get the structured error envelope (see
 // the code set in errors.go) instead of a plain-text body.
 //
-// Two extensions carry the mutation epoch of Epoched endpoints across
-// the wire: every query response bears the EpochHeader (the epoch read
-// before evaluation, so a cached downstream entry keyed by it can never
-// claim data newer than it serves), and `GET ?epoch` with no query
-// returns the current epoch as a decimal body — the legacy form of the
-// probe that NewMux's /epoch route serves; both stay answered.
-// Non-Epoched endpoints answer the probe with 404.
+// Every query response from an Epoched endpoint bears the EpochHeader
+// (the epoch read before evaluation, so a cached downstream entry keyed
+// by it can never claim data newer than it serves). The epoch probe
+// itself is NewMux's /epoch route; a bare Handler does not answer it.
 func Handler(ep Endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var query string
 		switch r.Method {
 		case http.MethodGet:
 			query = r.URL.Query().Get("query")
-			if query == "" && r.URL.Query().Has("epoch") {
-				serveEpoch(w, r, ep)
-				return
-			}
 		case http.MethodPost:
 			// MaxBytesReader rather than a silent LimitReader: a query
 			// cut at a byte boundary can still parse — as a different
@@ -152,7 +143,7 @@ func Handler(ep Endpoint) http.Handler {
 		// The per-query header probe is skipped for endpoints whose
 		// Epoch is itself a network round trip (a Handler proxying a
 		// Client would otherwise double upstream traffic); the explicit
-		// /epoch and GET ?epoch probes still forward for them.
+		// /epoch probe still forwards for them.
 		var epoch uint64
 		epochKnown := false
 		if _, remote := ep.(remoteEpoched); !remote {
@@ -181,9 +172,8 @@ func bodyErrCode(err error) string {
 	return CodeParse
 }
 
-// serveEpoch answers an epoch probe (the /epoch route and the legacy
-// GET ?epoch form): the decimal epoch as text/plain, or 404 when the
-// endpoint does not report epochs.
+// serveEpoch answers the /epoch probe: the decimal epoch as text/plain,
+// or 404 when the endpoint does not report epochs.
 func serveEpoch(w http.ResponseWriter, r *http.Request, ep Endpoint) {
 	if e, ok := epochOf(r.Context(), ep); ok {
 		w.Header().Set("Content-Type", "text/plain")
@@ -214,17 +204,7 @@ type Client struct {
 	client    *http.Client
 	retrier   *retrier
 	userAgent string
-	// epochMode remembers which epoch probe form the server answered
-	// last (see Client.Epoch): 0 unknown, 1 the routed /epoch sibling,
-	// 2 the legacy GET ?epoch query parameter.
-	epochMode atomic.Int32
 }
-
-const (
-	epochModeUnknown = iota
-	epochModeRouted
-	epochModeLegacy
-)
 
 // NewClient returns a client for the endpoint at rawURL, configured by
 // functional options. With no options it uses the default RetryPolicy:
@@ -245,51 +225,19 @@ func NewClient(rawURL string, opts ...Option) *Client {
 	return c
 }
 
-// NewClientWithPolicy returns a client with an explicit RetryPolicy.
-//
-// Deprecated: use NewClient(rawURL, WithRetryPolicy(p)).
-func NewClientWithPolicy(rawURL string, p RetryPolicy) *Client {
-	return NewClient(rawURL, WithRetryPolicy(p))
-}
-
 // Name implements Endpoint.
 func (c *Client) Name() string { return c.url }
 
-// Epoch implements Epoched by probing the server: first the routed
-// /epoch sibling of the query URL (see NewMux), then the legacy
-// `GET ?epoch` query-parameter form that plain Handler servers answer.
-// Whichever form succeeds is remembered and tried first on subsequent
-// probes, so steady-state traffic pays one request per probe against
-// both new and old servers. ok is false when the server is unreachable,
-// predates the epoch protocol entirely, or wraps a non-Epoched endpoint
-// — callers then fall back to manual cache invalidation.
+// Epoch implements Epoched by probing the /epoch sibling of the query
+// URL (see NewMux): the last path segment (conventionally "sparql") is
+// replaced by "epoch", so http://host:8890/sparql probes
+// http://host:8890/epoch. ok is false when the server is unreachable,
+// serves no /epoch route, or wraps a non-Epoched endpoint — callers then
+// fall back to manual cache invalidation.
 func (c *Client) Epoch(ctx context.Context) (uint64, bool) {
-	probes := [2]struct {
-		mode int32
-		url  string
-	}{
-		{epochModeRouted, c.routedEpochURL()},
-		{epochModeLegacy, c.legacyEpochURL()},
-	}
-	if c.epochMode.Load() == epochModeLegacy {
-		probes[0], probes[1] = probes[1], probes[0]
-	}
-	for _, p := range probes {
-		if e, ok := c.probeEpochURL(ctx, p.url); ok {
-			c.epochMode.Store(p.mode)
-			return e, true
-		}
-	}
-	return 0, false
-}
-
-// routedEpochURL derives the /epoch sibling of the query URL: the last
-// path segment (conventionally "sparql") is replaced by "epoch", so
-// http://host:8890/sparql probes http://host:8890/epoch.
-func (c *Client) routedEpochURL() string {
 	u, err := url.Parse(c.url)
 	if err != nil {
-		return ""
+		return 0, false
 	}
 	path := u.Path
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {
@@ -297,28 +245,11 @@ func (c *Client) routedEpochURL() string {
 	}
 	u.Path = path + "/epoch"
 	u.RawQuery = ""
-	return u.String()
-}
-
-// legacyEpochURL is the pre-mux probe form: the query URL itself with
-// an `epoch` query parameter.
-func (c *Client) legacyEpochURL() string {
-	if strings.Contains(c.url, "?") {
-		return c.url + "&epoch"
-	}
-	return c.url + "?epoch"
-}
-
-// probeEpochURL runs one epoch probe under the per-attempt timeout. The
-// probe's failure mode (ok=false) already has a graceful fallback, so
-// it never retries.
-func (c *Client) probeEpochURL(ctx context.Context, u string) (uint64, bool) {
-	if u == "" {
-		return 0, false
-	}
+	// One attempt under the per-attempt timeout: the failure mode
+	// (ok=false) already has a graceful fallback, so it never retries.
 	ctx, cancel := context.WithTimeout(ctx, c.retrier.policy.perAttempt())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		return 0, false
 	}

@@ -28,7 +28,7 @@ import (
 //
 // Cache invalidation is epoch-driven: members that implement
 // endpoint.Epoched (local endpoints natively, HTTP clients via the
-// `GET ?epoch` probe) report a mutation epoch, and the federation
+// `GET /epoch` probe) report a mutation epoch, and the federation
 // snapshots all member epochs into a fingerprint whenever it checks
 // freshness. A fingerprint change means some member's data moved, and
 // both the pattern memoization and the source-selection cache are
@@ -119,7 +119,7 @@ func (f *Federation) ResetCaches() {
 // valid for — callers hold on to it and refuse to file fetch results
 // once it goes stale (see fetchPattern). Epoch reads happen outside
 // the federation lock: for local members they are one atomic load, for
-// HTTP members one `GET ?epoch` probe (throttled by SetEpochPoll).
+// HTTP members one `GET /epoch` probe (throttled by SetEpochPoll).
 func (f *Federation) checkEpochs(ctx context.Context) string {
 	f.mu.Lock()
 	poll, last, cur := f.epochPoll, f.lastEpochCheck, f.epochFP
@@ -205,7 +205,7 @@ func (f *Federation) Query(ctx context.Context, query string) (*sparql.Results, 
 // Eval executes a parsed query across the federation.
 func (f *Federation) Eval(ctx context.Context, q *sparql.Query) (*sparql.Results, error) {
 	g := &fedGraph{f: f, ctx: ctx, fp: f.checkEpochs(ctx)}
-	res, err := sparql.Eval(g, q, sparql.Options{})
+	res, err := sparql.Eval(sparql.AdaptTerms(g), q, sparql.Options{})
 	if err != nil {
 		return nil, err
 	}

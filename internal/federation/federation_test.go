@@ -168,15 +168,15 @@ func TestEpochDrivenInvalidation(t *testing.T) {
 
 // TestEpochInvalidationOverHTTP runs the same story with the member
 // behind a real HTTP server: the federation's freshness check rides the
-// `GET ?epoch` probe and the member's mutation is observed remotely.
+// `GET /epoch` probe and the member's mutation is observed remotely.
 func TestEpochInvalidationOverHTTP(t *testing.T) {
 	st := store.New()
 	st.MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/c1"),
 		rdf.NewIRI("http://x/cityName"), rdf.NewLangLiteral("Springfield", "en")))
-	srv := httptest.NewServer(endpoint.Handler(endpoint.NewLocal("remote", st, endpoint.Limits{})))
+	srv := httptest.NewServer(endpoint.NewMux(endpoint.NewLocal("remote", st, endpoint.Limits{})))
 	defer srv.Close()
 
-	fed := New(endpoint.NewClient(srv.URL))
+	fed := New(endpoint.NewClient(srv.URL + "/sparql"))
 	ctx := context.Background()
 	q := `SELECT ?cn WHERE { ?c <http://x/cityName> ?cn . }`
 	res, err := fed.Query(ctx, q)
@@ -229,7 +229,7 @@ func TestEpochPollDisabled(t *testing.T) {
 
 // flakyEpoch wraps an endpoint and makes its epoch probe fail on
 // demand, simulating a member whose data is fine but whose `GET
-// ?epoch` times out.
+// /epoch` times out.
 type flakyEpoch struct {
 	*endpoint.Local
 	fail bool

@@ -163,7 +163,7 @@ func FromResults(res *sparql.Results) AnswerSet {
 
 // GoldAnswers executes the gold query against a graph and returns the
 // answer set.
-func GoldAnswers(g sparql.Graph, q Question) (AnswerSet, error) {
+func GoldAnswers(g sparql.IDGraph, q Question) (AnswerSet, error) {
 	parsed, err := sparql.Parse(q.Gold)
 	if err != nil {
 		return nil, fmt.Errorf("qald %s: gold parse: %w", q.ID, err)
@@ -261,7 +261,7 @@ func f1(p, r float64) float64 {
 
 // Evaluate runs a system over the questions and scores it against gold
 // answers computed on the graph.
-func Evaluate(ctx context.Context, sys System, questions []Question, g sparql.Graph) (Row, error) {
+func Evaluate(ctx context.Context, sys System, questions []Question, g sparql.IDGraph) (Row, error) {
 	row := Row{System: sys.Name(), Total: len(questions)}
 	for _, q := range questions {
 		gold, err := GoldAnswers(g, q)

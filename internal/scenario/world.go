@@ -84,8 +84,8 @@ func NewWorld(dataset string, seed int64) (*World, error) {
 	memberCfg := datagen.SmallConfig()
 	memberCfg.Seed = seed + 1
 	memberEP := endpoint.NewLocal("flaky-member", datagen.Generate(memberCfg).Store, endpoint.DefaultLimits())
-	w.flaky = httptest.NewServer(endpoint.Handler(endpoint.NewFlaky(memberEP, FlakyTimeoutEvery, 0, seed)))
-	w.FlakyURL = w.flaky.URL
+	w.flaky = httptest.NewServer(endpoint.NewMux(endpoint.NewFlaky(memberEP, FlakyTimeoutEvery, 0, seed)))
+	w.FlakyURL = w.flaky.URL + "/sparql"
 
 	// Fast backoff: loopback latencies, and the flaky member's injected
 	// timeouts are the thing under test — waiting full production
@@ -98,7 +98,7 @@ func NewWorld(dataset string, seed int64) (*World, error) {
 	}
 	primaryClient := endpoint.NewClient(w.primary.URL+"/sparql",
 		endpoint.WithRetryPolicy(retry), endpoint.WithUserAgent("sapphire-loadgen/1"))
-	flakyClient := endpoint.NewClient(w.flaky.URL,
+	flakyClient := endpoint.NewClient(w.FlakyURL,
 		endpoint.WithRetryPolicy(retry), endpoint.WithUserAgent("sapphire-loadgen/1"))
 
 	fed := federation.New(primaryClient, flakyClient)

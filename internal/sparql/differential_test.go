@@ -23,7 +23,7 @@ import (
 // order included — that equivalence is what the differential battery
 // pins. Single-threaded use only: it re-enters Match from inside Match
 // callbacks, which the store only tolerates without concurrent writers.
-func refEval(g Graph, q *Query) (*Results, error) {
+func refEval(g *store.Store, q *Query) (*Results, error) {
 	pl, err := newPlan(g, q, true)
 	if err != nil {
 		return nil, err
@@ -263,8 +263,9 @@ func diffQueries(rng *rand.Rand, n int, numeric bool) string {
 // the materializing reference disagrees byte-for-byte. Mutations —
 // online Adds and staged bulk commits — interleave with the queries, so
 // equivalence holds at every intermediate store state, not just the
-// final one.
-func diffWorkload(t *testing.T, storeShards, dictShards, workers int, numeric bool) []string {
+// final one. With adapt the evaluator sees the store only through the
+// Term-level adapter (AdaptTerms over Match), the path federations take.
+func diffWorkload(t *testing.T, storeShards, dictShards, workers int, numeric, adapt bool) []string {
 	t.Helper()
 	const base = 24
 	rng := rand.New(rand.NewSource(4242))
@@ -284,7 +285,11 @@ func diffWorkload(t *testing.T, storeShards, dictShards, workers int, numeric bo
 			if err != nil {
 				t.Fatalf("parse %q: %v", qs, err)
 			}
-			got, err := Eval(s, q, Options{Workers: workers})
+			var g IDGraph = s
+			if adapt {
+				g = AdaptTerms(termOnlyGraph{s})
+			}
+			got, err := Eval(g, q, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("eval %q: %v", qs, err)
 			}
@@ -317,15 +322,16 @@ func diffWorkload(t *testing.T, storeShards, dictShards, workers int, numeric bo
 
 // TestDifferentialEquivalence is the evaluator-equivalence battery: the
 // streaming pipeline against the materializing reference, across every
-// (storeShards × dictShards × workers) configuration in {1,8}² × {1,4},
-// with and without numeric literals (toggling the rank-label top-k
-// path), under a seeded workload of every query shape interleaved with
-// online Adds and bulk commits. Beyond streaming == reference per
-// store, every configuration's dump stream must match the (1,1,serial)
-// baseline — neither shard routing nor morsel parallelism may be
-// observable in the output. The morsel size is pinned tiny so the
-// little test store still splits into many morsels per query,
-// exercising out-of-order completion and the ordered merge.
+// (storeShards × dictShards × workers × graph) configuration in
+// {1,8}² × {1,4} × {store, Term adapter}, with and without numeric
+// literals (toggling the rank-label top-k path), under a seeded workload
+// of every query shape interleaved with online Adds and bulk commits.
+// Beyond streaming == reference per store, every configuration's dump
+// stream must match the (1,1,serial) baseline — neither shard routing,
+// morsel parallelism nor the Term adapter may be observable in the
+// output. The morsel size is pinned tiny so the little test store still
+// splits into many morsels per query, exercising out-of-order
+// completion and the ordered merge.
 func TestDifferentialEquivalence(t *testing.T) {
 	defer func(n int) { parallelMorselSize = n }(parallelMorselSize)
 	parallelMorselSize = 3
@@ -335,25 +341,27 @@ func TestDifferentialEquivalence(t *testing.T) {
 			name = "numeric"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := diffWorkload(t, 1, 1, 1, numeric)
+			base := diffWorkload(t, 1, 1, 1, numeric, false)
 			if len(base) == 0 {
 				t.Fatal("workload produced no queries")
 			}
-			for _, ss := range []int{1, 8} {
-				for _, ds := range []int{1, 8} {
-					for _, w := range []int{1, 4} {
-						if ss == 1 && ds == 1 && w == 1 {
-							continue
-						}
-						t.Run(fmt.Sprintf("store%d-dict%d-workers%d", ss, ds, w), func(t *testing.T) {
-							dumps := diffWorkload(t, ss, ds, w, numeric)
-							for i := range dumps {
-								if dumps[i] != base[i] {
-									t.Fatalf("query %d differs from (1,1,serial) baseline:\n%s\n--- baseline ---\n%s",
-										i, dumps[i], base[i])
-								}
+			for _, adapt := range []bool{false, true} {
+				for _, ss := range []int{1, 8} {
+					for _, ds := range []int{1, 8} {
+						for _, w := range []int{1, 4} {
+							if !adapt && ss == 1 && ds == 1 && w == 1 {
+								continue
 							}
-						})
+							t.Run(fmt.Sprintf("store%d-dict%d-workers%d-adapt%v", ss, ds, w, adapt), func(t *testing.T) {
+								dumps := diffWorkload(t, ss, ds, w, numeric, adapt)
+								for i := range dumps {
+									if dumps[i] != base[i] {
+										t.Fatalf("query %d differs from (1,1,serial) baseline:\n%s\n--- baseline ---\n%s",
+											i, dumps[i], base[i])
+									}
+								}
+							})
+						}
 					}
 				}
 			}

@@ -6,10 +6,10 @@
 // and the user-study queries in Appendix B.
 //
 // The pipeline is lexer → parser → AST → planner → streaming operator
-// pipeline. The evaluator runs against any Graph (the in-memory store,
-// or a federation of endpoints) and supports a per-row budget hook so
-// simulated endpoints can enforce timeouts the way real SPARQL
-// endpoints do.
+// pipeline. The evaluator runs against one execution interface, IDGraph
+// (the in-memory store natively, a federation of endpoints through
+// AdaptTerms), and supports a per-row budget hook so simulated endpoints
+// can enforce timeouts the way real SPARQL endpoints do.
 //
 // # The streaming pipeline
 //
@@ -26,24 +26,26 @@
 // Rows stay dictionary IDs end to end; terms materialize only when rows
 // leave the pipeline (or inside filter and order-key evaluation).
 //
-// All graphs run the same pipeline. An IDGraph (the in-memory store)
-// scans in ID space directly; a plain Graph's term-level matches are
-// interned into a query-local dictionary, so joins and DISTINCT still
-// compare integers. Implementations of IDGraph must follow the store's
-// ID contract:
+// # One graph contract, one adapter
+//
+// The pipeline has one scan path: it pins the IDGraph once per
+// evaluation (PinRead) and reads it only through MatchIDsPinned,
+// ScanMorselsPinned and ResolveID, which take no locks under the pin.
+// The two optional capabilities answer "unsupported" by return value:
+// OrderLabels may return a nil label func (ORDER BY then compares
+// terms) and ScanMorselsPinned may return false (Workers > 1 then runs
+// serially). An implementation must follow the store's ID contract:
 //
 //   - The zero ID is the wildcard, mirroring the zero-Term convention
 //     of Match; no term ever has ID 0.
-//   - IDs are dense and append-only for the life of the graph, so
-//     solution rows can carry raw IDs between operators.
+//   - IDs are append-only for the life of the graph, so solution rows
+//     can carry raw IDs between operators.
 //   - The depth-first join issues the next level's scan from inside the
-//     current level's MatchIDs callback. A ReentrantGraph (the store)
-//     declares this safe by exposing PinRead/MatchIDsPinned: the
-//     pipeline pins the read locks once per evaluation and scans
-//     lock-free. A plain IDGraph must tolerate nested MatchIDs calls
-//     outright. ResolveID is documented lock-free either way, so terms
-//     can materialize mid-iteration.
+//     current level's MatchIDsPinned callback, and resolves terms there
+//     too, so neither may take a lock the pin already holds.
 //
-// Remote endpoints and federations implement only Graph and take the
-// localDict path transparently.
+// A graph that can only answer Term-level pattern matches (Graph:
+// remote endpoints, federations) is wrapped with AdaptTerms, which owns
+// a query-local dictionary: its matches are interned on first sight, so
+// joins and DISTINCT still compare integers.
 package sparql

@@ -10,35 +10,115 @@ import (
 	"sapphire/internal/rdf"
 )
 
-// Graph is the triple source the evaluator runs against. The in-memory
-// store satisfies it directly; endpoints and federations adapt to it.
+// IDGraph is the one execution interface the evaluator speaks:
+// dictionary-encoded and always pinned. Joins run over dense uint32 term
+// IDs — integer map probes instead of 4-field struct hashing — and IDs
+// resolve back to terms only when rows leave the pipeline. The zero ID
+// is the wildcard and the unbound sentinel. The in-memory store
+// implements it natively; Term-level graphs (remote endpoints,
+// federations) go through AdaptTerms. The two optional capabilities
+// report "unsupported" by return value, not by a further interface.
+type IDGraph interface {
+	// CardinalityEstimate returns an upper bound on matching triples
+	// (zero terms are wildcards), used for greedy join ordering.
+	CardinalityEstimate(s, p, o rdf.Term) int
+	// Lookup returns the dictionary ID of a term, or false if the term
+	// does not occur in the graph. It is called under the pin, so it may
+	// take only locks that are independent of the ones PinRead holds.
+	Lookup(t rdf.Term) (uint32, bool)
+	// ResolveID returns the term for an ID. It must not take graph
+	// locks: it is called from inside scan callbacks.
+	ResolveID(id uint32) rdf.Term
+	// PinRead acquires the graph's read locks until release is called.
+	// The evaluator pins once per evaluation and scans only through the
+	// pinned methods, because its depth-first join issues the next
+	// level's scan from inside the current level's callback.
+	PinRead() (release func())
+	// MatchIDsPinned streams matching triples as ID tuples until fn
+	// returns false. Under a PinRead session it takes no locks and may
+	// be called from inside its own callbacks.
+	MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool)
+	// ScanMorselsPinned is MatchIDsPinned pre-batched for the parallel
+	// evaluator (parallel.go): the same triples in the same order, in
+	// freshly allocated batches of up to size that the callee may
+	// retain, callable while other goroutines scan through the same pin.
+	// A graph that cannot do that returns false without calling fn, and
+	// the evaluation runs serially.
+	ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool) (supported bool)
+	// OrderLabels exposes per-ID order labels (the store's rank table):
+	// label order equals term order for labeled IDs, 0 means unlabeled.
+	// exact reports whether label order equals the ORDER BY comparator
+	// order for every pair of terms in the graph — false as soon as any
+	// literal parses as a number, since SPARQL orders those by value.
+	// The top-k ORDER BY operator compares labels instead of terms when
+	// exact is true; a nil label means no labels exist.
+	OrderLabels() (label func(id uint32) uint64, exact bool)
+}
+
+// Graph is the Term-level contract AdaptTerms accepts: what a remote
+// endpoint or a federation can answer without a dictionary.
 type Graph interface {
 	// Match streams triples matching the pattern (zero terms are
-	// wildcards) until fn returns false.
+	// wildcards) until fn returns false. It must tolerate being called
+	// from inside its own callback.
 	Match(s, p, o rdf.Term, fn func(rdf.Triple) bool)
 	// CardinalityEstimate returns an upper bound on matching triples,
 	// used for greedy join ordering.
 	CardinalityEstimate(s, p, o rdf.Term) int
 }
 
-// IDGraph is an optional Graph extension for dictionary-encoded stores.
-// When the graph implements it, the evaluator joins over dense uint32
-// term IDs — integer map probes instead of 4-field struct hashing — and
-// resolves IDs back to terms only when rows leave the pipeline. The zero
-// ID is the wildcard, mirroring the zero-Term convention of Match. The
-// in-memory store implements this; remote and federated graphs take the
-// Term-level path through a query-local dictionary instead.
-type IDGraph interface {
-	Graph
-	// Lookup returns the dictionary ID of a term, or false if the term
-	// does not occur in the graph.
-	Lookup(t rdf.Term) (uint32, bool)
-	// ResolveID returns the term for an ID (zero Term for unknown IDs).
-	ResolveID(id uint32) rdf.Term
-	// MatchIDs streams matching triples as ID tuples; zero IDs are
-	// wildcards. Iteration stops early if fn returns false.
-	MatchIDs(s, p, o uint32, fn func(s, p, o uint32) bool)
+// AdaptTerms wraps a Term-level graph as an IDGraph for one evaluation,
+// giving it the same ID-space pipeline the store gets: terms are
+// interned on first sight into a query-local dictionary, IDs dense from
+// 1. Interning is injective, so ID equality is term equality — joins,
+// DISTINCT and projection work unchanged. The dictionary grows with
+// every term seen and is not safe for concurrent use, so make one
+// adapter per Eval call.
+func AdaptTerms(g Graph) IDGraph {
+	return &termAdapter{g: g, ids: make(map[rdf.Term]uint32, 64), terms: make([]rdf.Term, 1, 65)}
 }
+
+type termAdapter struct {
+	g     Graph
+	ids   map[rdf.Term]uint32
+	terms []rdf.Term // terms[0] is the zero Term: wildcard in, unbound out
+}
+
+func (a *termAdapter) intern(t rdf.Term) uint32 {
+	if id, ok := a.ids[t]; ok {
+		return id
+	}
+	id := uint32(len(a.terms))
+	a.ids[t] = id
+	a.terms = append(a.terms, t)
+	return id
+}
+
+func (a *termAdapter) CardinalityEstimate(s, p, o rdf.Term) int {
+	return a.g.CardinalityEstimate(s, p, o)
+}
+
+// Lookup interns: whether a constant occurs is the wrapped graph's
+// Match to answer, not the dictionary's.
+func (a *termAdapter) Lookup(t rdf.Term) (uint32, bool) { return a.intern(t), true }
+
+func (a *termAdapter) ResolveID(id uint32) rdf.Term { return a.terms[id] }
+
+func (a *termAdapter) PinRead() (release func()) { return func() {} }
+
+func (a *termAdapter) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool) {
+	a.g.Match(a.terms[s], a.terms[p], a.terms[o], func(tr rdf.Triple) bool {
+		return fn(a.intern(tr.S), a.intern(tr.P), a.intern(tr.O))
+	})
+}
+
+// ScanMorselsPinned is unsupported: parallel workers would race on the
+// dictionary.
+func (a *termAdapter) ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool) bool {
+	return false
+}
+
+func (a *termAdapter) OrderLabels() (label func(id uint32) uint64, exact bool) { return nil, false }
 
 // Binding maps variable names to terms for one solution row.
 type Binding map[string]rdf.Term
@@ -84,9 +164,10 @@ type Options struct {
 	// goroutines that execute the join chain over morsels of the
 	// driving scan (see parallel.go). 0 selects the process default
 	// (SetDefaultWorkers, itself 1 unless a -parallel flag raised it);
-	// values <= 1 evaluate serially. Parallel evaluation requires a
-	// ReentrantGraph (the in-memory store) and produces byte-identical
-	// results to serial evaluation, row order included.
+	// values <= 1 evaluate serially. Parallel evaluation needs a graph
+	// whose ScanMorselsPinned is supported (the in-memory store) and
+	// produces byte-identical results to serial evaluation, row order
+	// included.
 	Workers int
 
 	// noReorder keeps the textual pattern order instead of the greedy
@@ -143,7 +224,7 @@ func resolveWorkers(w int) int {
 // layout, greedy join order, filter placement — see plan.go) and streams
 // it through the operator pipeline (see iter.go). Rows arrive in plan
 // emission order; ORDER BY is the only modifier that reorders them.
-func Eval(g Graph, q *Query, opts Options) (*Results, error) {
+func Eval(g IDGraph, q *Query, opts Options) (*Results, error) {
 	pl, err := newPlan(g, q, !opts.noReorder)
 	if err != nil {
 		return nil, err

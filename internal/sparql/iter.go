@@ -7,36 +7,6 @@ import (
 	"sapphire/internal/rdf"
 )
 
-// ReentrantGraph is an optional IDGraph extension for stores whose
-// MatchIDs callbacks run under the store's own read locks and therefore
-// must not re-enter the graph. The streaming pipeline's depth-first join
-// issues the next level's scan from inside the current level's callback,
-// so for such stores it pins the read locks once for the whole
-// evaluation and scans through the pinned variant throughout. Lock-free
-// methods (ResolveID) and independently locked ones (Lookup, which takes
-// dictionary locks, not store shard locks) remain callable while pinned.
-type ReentrantGraph interface {
-	IDGraph
-	// PinRead acquires the graph's read locks until release is called.
-	PinRead() (release func())
-	// MatchIDsPinned is MatchIDs under a PinRead session: it takes no
-	// locks and may be called from inside its own callbacks.
-	MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool)
-}
-
-// OrderedGraph is an optional IDGraph extension for stores that maintain
-// per-ID order labels (the store's rank table): label order equals term
-// order for labeled IDs, 0 means unlabeled. exact reports whether label
-// order equals the evaluator's ORDER BY comparator order for every pair
-// of terms in the graph — false as soon as any literal parses as a
-// number, since SPARQL orders those by numeric value, not term order.
-// The top-k ORDER BY operator compares labels instead of terms when
-// exact is true, resolving terms only for the k surviving rows.
-type OrderedGraph interface {
-	IDGraph
-	OrderLabels() (label func(id uint32) uint64, exact bool)
-}
-
 // sink is one operator of the streaming pipeline. Rows are uint32 ID
 // slices indexed by the plan's slot table, with 0 = unbound. A pushed
 // row is borrowed: it is only valid for the duration of the call, so
@@ -51,13 +21,14 @@ type sink interface {
 
 // exec is the shared state of one pipeline execution.
 type exec struct {
-	pl       *plan
-	g        Graph
-	ig       IDGraph                                            // non-nil: ID-level scans
-	matchIDs func(s, p, o uint32, fn func(s, p, o uint32) bool) // MatchIDsPinned when pinned, else MatchIDs
-	ld       *localDict                                         // non-nil: Term-level scans with query-local interning
-	budget   Budget
-	err      error
+	pl     *plan
+	g      IDGraph // pinned by runPlan for the whole evaluation
+	budget Budget
+	err    error
+
+	// The plan's pattern groups and OPTIONAL blocks, compiled once by
+	// runPlan; read-only afterwards, so parallel workers share them.
+	groups, optionals [][]compiledPattern
 
 	fb Binding // reusable scratch for filter evaluation
 }
@@ -74,44 +45,11 @@ func (x *exec) tick() bool {
 	return true
 }
 
-// resolveTerm materializes an ID back into a term.
-func (x *exec) resolveTerm(id uint32) rdf.Term {
-	if x.ig != nil {
-		return x.ig.ResolveID(id)
-	}
-	return x.ld.terms[id]
-}
-
-// localDict gives graphs without an ID API (remote endpoints,
-// federations) the same ID-space pipeline the store gets: terms interned
-// on first sight per query, IDs dense from 1 (0 stays the unbound
-// sentinel). Interning is injective, so ID equality is term equality —
-// joins, DISTINCT and projection work unchanged.
-type localDict struct {
-	ids   map[rdf.Term]uint32
-	terms []rdf.Term
-}
-
-func newLocalDict() *localDict {
-	return &localDict{ids: make(map[rdf.Term]uint32, 64), terms: make([]rdf.Term, 1, 65)}
-}
-
-func (ld *localDict) intern(t rdf.Term) uint32 {
-	if id, ok := ld.ids[t]; ok {
-		return id
-	}
-	id := uint32(len(ld.terms))
-	ld.ids[t] = id
-	ld.terms = append(ld.terms, t)
-	return id
-}
-
 // patPos is one compiled pattern position: a row slot for variables, or
-// a constant (dictionary ID on the ID path, term on the Term path).
+// a constant's dictionary ID.
 type patPos struct {
 	slot int // variable: row column; -1 for constants
 	id   uint32
-	term rdf.Term
 }
 
 // value returns the ID to probe with: the bound slot value (0 = still
@@ -125,20 +63,23 @@ func (p patPos) value(row []uint32) uint32 {
 
 type compiledPattern struct {
 	s, p, o patPos
-	ok      bool // ID path: every constant resolves in the dictionary
+	ok      bool // every constant resolves in the dictionary
 }
 
-// compile prepares patterns for execution: constants are looked up in
-// the dictionary once (an absent constant makes the pattern matchless),
-// variables become row slots.
-func (x *exec) compile(pats []Pattern) []compiledPattern {
-	out := make([]compiledPattern, len(pats))
-	for i, p := range pats {
-		cp := compiledPattern{ok: true}
-		cp.s = x.compilePos(p.S, &cp.ok)
-		cp.p = x.compilePos(p.P, &cp.ok)
-		cp.o = x.compilePos(p.O, &cp.ok)
-		out[i] = cp
+// compile prepares pattern groups for execution: constants are looked
+// up in the dictionary once (an absent constant makes the pattern
+// matchless), variables become row slots.
+func (x *exec) compile(groups [][]Pattern) [][]compiledPattern {
+	out := make([][]compiledPattern, len(groups))
+	for gi, pats := range groups {
+		out[gi] = make([]compiledPattern, len(pats))
+		for i, p := range pats {
+			cp := compiledPattern{ok: true}
+			cp.s = x.compilePos(p.S, &cp.ok)
+			cp.p = x.compilePos(p.P, &cp.ok)
+			cp.o = x.compilePos(p.O, &cp.ok)
+			out[gi][i] = cp
+		}
 	}
 	return out
 }
@@ -147,43 +88,23 @@ func (x *exec) compilePos(n Node, ok *bool) patPos {
 	if n.IsVar() {
 		return patPos{slot: x.pl.slots[n.Var]}
 	}
-	pp := patPos{slot: -1, term: n.Term}
-	if x.ig != nil {
-		id, found := x.ig.Lookup(n.Term)
-		if !found {
-			*ok = false
-		}
-		pp.id = id
+	id, found := x.g.Lookup(n.Term)
+	if !found {
+		*ok = false
 	}
-	return pp
+	return patPos{slot: -1, id: id}
 }
 
 // scanPattern streams the pattern's matches for the current row as ID
 // triples, charging the budget per match. Returns false when production
 // stopped early (downstream satisfied, or budget error in x.err).
 func (x *exec) scanPattern(cp compiledPattern, row []uint32, yield func(ms, mp, mo uint32) bool) bool {
+	if !cp.ok {
+		return true
+	}
 	stopped := false
-	if x.ig != nil {
-		if !cp.ok {
-			return true
-		}
-		x.matchIDs(cp.s.value(row), cp.p.value(row), cp.o.value(row), func(ms, mp, mo uint32) bool {
-			if !x.tick() || !yield(ms, mp, mo) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		return !stopped
-	}
-	termOf := func(p patPos) rdf.Term {
-		if p.slot < 0 {
-			return p.term
-		}
-		return x.ld.terms[row[p.slot]]
-	}
-	x.g.Match(termOf(cp.s), termOf(cp.p), termOf(cp.o), func(tr rdf.Triple) bool {
-		if !x.tick() || !yield(x.ld.intern(tr.S), x.ld.intern(tr.P), x.ld.intern(tr.O)) {
+	x.g.MatchIDsPinned(cp.s.value(row), cp.p.value(row), cp.o.value(row), func(ms, mp, mo uint32) bool {
+		if !x.tick() || !yield(ms, mp, mo) {
 			stopped = true
 			return false
 		}
@@ -332,7 +253,7 @@ func (x *exec) applyFilterStage(st *filterStage, row []uint32) bool {
 	}
 	for _, fv := range st.vars {
 		if fv.slot >= 0 && row[fv.slot] != 0 {
-			b[fv.name] = x.resolveTerm(row[fv.slot])
+			b[fv.name] = x.g.ResolveID(row[fv.slot])
 		}
 	}
 	for _, f := range st.exprs {
@@ -475,7 +396,7 @@ func (op *sliceOp) push(row []uint32) bool {
 func (op *sliceOp) flush() bool { return op.next.flush() }
 
 // collectOp materializes projected rows into Bindings — the only point
-// where the ID path resolves terms for ordinary queries.
+// where ordinary queries resolve IDs to terms.
 type collectOp struct {
 	x    *exec
 	vars []string
@@ -486,7 +407,7 @@ func (op *collectOp) push(row []uint32) bool {
 	nb := make(Binding, len(op.vars))
 	for i, v := range op.vars {
 		if row[i] != 0 {
-			nb[v] = op.x.resolveTerm(row[i])
+			nb[v] = op.x.g.ResolveID(row[i])
 		}
 	}
 	op.rows = append(op.rows, nb)
@@ -518,7 +439,7 @@ func (op *sortAllOp) push(row []uint32) bool {
 	kt := make([]rdf.Term, len(op.keySlots))
 	for i, s := range op.keySlots {
 		if s >= 0 && row[s] != 0 {
-			kt[i] = op.x.resolveTerm(row[s])
+			kt[i] = op.x.g.ResolveID(row[s])
 		}
 	}
 	op.rows = append(op.rows, sortRow{row: cp, terms: kt})
@@ -630,7 +551,7 @@ func (op *topKOp) before(a, b *topkItem) bool {
 func (op *topKOp) term(it *topkItem) rdf.Term {
 	if !it.resolved {
 		if it.id != 0 {
-			it.t = op.x.resolveTerm(it.id)
+			it.t = op.x.g.ResolveID(it.id)
 		}
 		it.resolved = true
 	}
@@ -740,10 +661,8 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 			if s, ok := pl.slots[q.OrderBy[0].Var]; ok {
 				op.keySlot = s
 			}
-			if og, ok := g.(OrderedGraph); ok {
-				if label, exact := og.OrderLabels(); exact {
-					op.label = label // may be nil: term fallback per item
-				}
+			if label, exact := g.OrderLabels(); exact {
+				op.label = label // may be nil: term fallback per item
 			}
 			tail = op
 			spec.topK, spec.k, spec.desc, spec.keySlot, spec.label =
@@ -767,8 +686,7 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 // the base join and the modifier tail: base-stage filters, one left
 // join per OPTIONAL block (each followed by its stage filters), and the
 // end-stage filters. The serial path builds this once; the parallel
-// path builds one per worker (leftJoinOp carries per-row state), all
-// sharing x's compiled filter stages via the exec passed in.
+// path builds one per worker (leftJoinOp carries per-row state).
 func (x *exec) buildRowStages(tail sink) sink {
 	pl := x.pl
 	chain := tail
@@ -779,7 +697,7 @@ func (x *exec) buildRowStages(tail sink) sink {
 		if st := x.newFilterStage(pl.optFilters[j]); st != nil {
 			chain = &filterOp{x: x, st: st, next: chain}
 		}
-		chain = &leftJoinOp{x: x, pats: x.compile(pl.optionals[j]), next: chain}
+		chain = &leftJoinOp{x: x, pats: x.optionals[j], next: chain}
 	}
 	if st := x.newFilterStage(pl.baseFilters); st != nil {
 		chain = &filterOp{x: x, st: st, next: chain}
@@ -817,12 +735,12 @@ func (x *exec) levelFilterStages() []*filterStage {
 // Aggregate queries collect full rows instead of the modifier tail and
 // reuse the grouped-aggregation code path unchanged.
 //
-// With opts.Workers > 1 and a ReentrantGraph, the scan/join stage runs
-// morsel-parallel (see parallel.go): workers execute the per-row stages
-// over morsels of the driving scan and the coordinator feeds the
-// modifier tail in morsel order, so the output is byte-identical to the
-// serial pipeline.
-func runPlan(g Graph, pl *plan, opts Options) (*Results, error) {
+// With opts.Workers > 1 the scan/join stage runs morsel-parallel (see
+// parallel.go): workers execute the per-row stages over morsels of the
+// driving scan and the coordinator feeds the modifier tail in morsel
+// order, so the output is byte-identical to the serial pipeline. Graphs
+// without morsel scans run the serial pipeline instead.
+func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	q := pl.q
 	aggregates := q.HasAggregates()
 	var projVars []string
@@ -849,39 +767,24 @@ func runPlan(g Graph, pl *plan, opts Options) (*Results, error) {
 	}
 
 	workers := resolveWorkers(opts.Workers)
-	rg, reentrant := g.(ReentrantGraph)
-	parallel := workers > 1 && reentrant
-	budget := opts.budgetFor(parallel)
-
-	x := &exec{pl: pl, g: g, budget: budget}
-	if ig, ok := g.(IDGraph); ok {
-		x.ig = ig
-		if reentrant {
-			release := rg.PinRead()
-			defer release()
-			x.matchIDs = rg.MatchIDsPinned
-		} else {
-			// Plain IDGraphs must tolerate nested MatchIDs calls.
-			x.matchIDs = ig.MatchIDs
-		}
-	} else {
-		x.ld = newLocalDict()
-	}
+	x := &exec{pl: pl, g: g, budget: opts.budgetFor(workers > 1)}
+	release := g.PinRead()
+	defer release()
+	//sapphire:allow pinlock Lookup takes only dictionary-shard locks, which no writer holds while it waits for a store shard, so it cannot deadlock against the pin (docs/ARCHITECTURE.md "Lock-free ResolveID"); looking constants up under the pin keeps the whole evaluation on one store state
+	x.groups, x.optionals = x.compile(pl.groups), x.compile(pl.optionals)
 
 	tail, collect, spec := buildTail(x, projVars, aggregates)
 
 	var pr *parallelRun
-	if parallel {
+	if workers > 1 {
 		pr = newParallelRun(x, workers, spec) // nil: shape needs the serial path
 	}
-	if pr != nil {
-		pr.run(tail)
-	} else {
+	if pr == nil || !pr.run(tail) {
 		chain := x.buildRowStages(tail)
 		lf := x.levelFilterStages()
 		row := make([]uint32, pl.width())
-		for _, grp := range pl.groups {
-			if !x.runSeq(x.compile(grp), lf, 0, row, chain) {
+		for _, grp := range x.groups {
+			if !x.runSeq(grp, lf, 0, row, chain) {
 				break
 			}
 		}

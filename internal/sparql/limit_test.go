@@ -253,10 +253,9 @@ func TestUnionLimitStopsSiblingBranches(t *testing.T) {
 }
 
 // countingGraph wraps the store and counts ResolveID calls — the
-// ID-to-term materializations an evaluation performs. All the optional
-// interfaces the pipeline probes for (ReentrantGraph, OrderedGraph) are
-// promoted from the embedded store, so the wrapped graph takes exactly
-// the same execution path.
+// ID-to-term materializations an evaluation performs. The rest of the
+// execution interface is promoted from the embedded store, so the
+// wrapped graph takes exactly the same execution path.
 type countingGraph struct {
 	*store.Store
 	noLabels bool // report no rank table, forcing the term-compare path

@@ -64,9 +64,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// termOnlyGraph strips the store down to the plain Graph interface, so
-// the evaluator takes the query-local-dictionary path with no ID API
-// and no pinning.
+// termOnlyGraph strips the store down to the Term-level Graph contract,
+// so evaluation has to go through AdaptTerms: a query-local dictionary,
+// no pinning, no morsels.
 type termOnlyGraph struct{ s *store.Store }
 
 func (g termOnlyGraph) Match(s, p, o rdf.Term, fn func(rdf.Triple) bool) { g.s.Match(s, p, o, fn) }
@@ -74,22 +74,26 @@ func (g termOnlyGraph) CardinalityEstimate(s, p, o rdf.Term) int {
 	return g.s.CardinalityEstimate(s, p, o)
 }
 
-// TestParallelFallsBackToSerial: Workers > 1 on a graph without the
-// ReentrantGraph pin API must quietly evaluate serially and still be
-// correct — parallelism is an optimization, never a requirement the
-// graph has to meet.
+// The store is the one native implementer of the execution interface;
+// neither package otherwise checks it (store must not import sparql).
+var _ IDGraph = (*store.Store)(nil)
+
+// TestParallelFallsBackToSerial: Workers > 1 on a graph without morsel
+// scans must quietly evaluate serially and still be correct —
+// parallelism is an optimization, never a requirement the graph has to
+// meet.
 func TestParallelFallsBackToSerial(t *testing.T) {
 	s := buildWide(t, 200)
 	for _, src := range parallelShapes {
 		q := MustParse(src)
 		want := rowStrings(eval(t, s, src))
-		res, err := Eval(termOnlyGraph{s}, q, Options{Workers: 8})
+		res, err := Eval(AdaptTerms(termOnlyGraph{s}), q, Options{Workers: 8})
 		if err != nil {
-			t.Fatalf("term-only workers=8 %q: %v", src, err)
+			t.Fatalf("term adapter workers=8 %q: %v", src, err)
 		}
 		got := rowStrings(res)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("term-only graph with workers=8 diverged on %q:\n%v\nwant:\n%v", src, got, want)
+			t.Fatalf("term adapter with workers=8 diverged on %q:\n%v\nwant:\n%v", src, got, want)
 		}
 	}
 }

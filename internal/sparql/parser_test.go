@@ -188,7 +188,7 @@ func TestParseEmptyWhereEvalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Eval(emptyGraph{}, q, Options{}); err == nil {
+	if _, err := Eval(AdaptTerms(emptyGraph{}), q, Options{}); err == nil {
 		t.Error("empty WHERE evaluated without error")
 	}
 }

@@ -52,7 +52,7 @@ func (pl *plan) width() int { return len(pl.varNames) }
 // newPlan validates the query shape, lays out row slots, greedily orders
 // every pattern group, and places the filters. reorder=false keeps the
 // textual pattern order (used to measure what greedy ordering buys).
-func newPlan(g Graph, q *Query, reorder bool) (*plan, error) {
+func newPlan(g IDGraph, q *Query, reorder bool) (*plan, error) {
 	if len(q.Where) == 0 && len(q.UnionGroups) == 0 {
 		return nil, fmt.Errorf("sparql: empty WHERE clause")
 	}
@@ -232,7 +232,7 @@ func groupBinds(grp []Pattern, v string) bool {
 // lets greedy ordering beat estimate-driven planners here. Each
 // pattern's base cardinality is looked up exactly once; only the
 // bound-variable discount is recomputed per round.
-func orderGreedy(g Graph, group []Pattern, bound map[string]bool, reorder bool) []Pattern {
+func orderGreedy(g IDGraph, group []Pattern, bound map[string]bool, reorder bool) []Pattern {
 	out := make([]Pattern, 0, len(group))
 	if !reorder || len(group) == 1 {
 		return append(out, group...)
@@ -284,7 +284,7 @@ func pickNextGreedy(group []Pattern, base []int, used []bool, bound map[string]b
 // loop discounts it by /4 per already-bound variable (a bound variable
 // turns a sweep into a probe; the exact per-binding count is unknowable
 // before the rows exist).
-func patternBaseCost(g Graph, pat Pattern) int {
+func patternBaseCost(g IDGraph, pat Pattern) int {
 	term := func(n Node) rdf.Term {
 		if !n.IsVar() {
 			return n.Term
@@ -306,7 +306,7 @@ func patternBaseCost(g Graph, pat Pattern) int {
 // whose first written pattern is a huge sweep the planner never runs
 // first, while still rejecting queries whose cheapest driving scan is
 // itself too large.
-func AdmissionEstimate(g Graph, q *Query) int {
+func AdmissionEstimate(g IDGraph, q *Query) int {
 	total := 0
 	for _, grp := range patternGroups(q) {
 		if len(grp) == 0 {

@@ -69,6 +69,14 @@
 //	st.CountIDs(s, p, o)               // exact count, O(shards) for all shapes
 //	st.CardinalityEstimateIDs(s, p, o) // same, for cost models
 //
+// The evaluator's whole view of the store is one interface,
+// sparql.IDGraph: Lookup, ResolveID, CardinalityEstimate, OrderLabels,
+// and the pinned regime — PinRead takes every shard read lock once, and
+// MatchIDsPinned / ScanMorselsPinned then scan without locking, so they
+// may nest and run from several goroutines under the one pin. *Store is
+// its only native implementer (internal/sparql's tests assert the
+// conformance; this package must not import sparql).
+//
 // The contract every consumer (and every future index) must respect:
 //
 //   - Wildcard == 0. The zero ID is never assigned to a term; MatchIDs

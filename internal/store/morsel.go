@@ -20,8 +20,10 @@ const DefaultMorselSize = 1024
 // (morsels outlive the callback: they sit in worker queues). Returning
 // false stops enumeration. Must be called under PinRead — it takes no
 // locks of its own, exactly like MatchIDsPinned, so it is safe to run
-// while worker goroutines scan through the same pin.
-func (s *Store) ScanMorselsPinned(sub, pred, obj ID, size int, fn func(batch [][3]ID) bool) {
+// while worker goroutines scan through the same pin. It always reports
+// true: the result exists for graphs that cannot batch scans (see
+// sparql.IDGraph).
+func (s *Store) ScanMorselsPinned(sub, pred, obj ID, size int, fn func(batch [][3]ID) bool) (supported bool) {
 	if size < 1 {
 		size = DefaultMorselSize
 	}
@@ -41,4 +43,5 @@ func (s *Store) ScanMorselsPinned(sub, pred, obj ID, size int, fn func(batch [][
 	if !stopped && len(batch) > 0 {
 		fn(batch)
 	}
+	return true
 }
