@@ -13,11 +13,6 @@
 #   make bench-ci       - pinned short benchmark config (the headline store /
 #                         eval / endpoint benchmarks, 4 repeats) parsed into
 #                         BENCH_pr.json — what the CI bench job runs
-#   make bench-parallel - BenchmarkEvalParallel family at -cpu=1,8: the
-#                         morsel-parallel evaluator against serial on the same
-#                         query shapes (the -cpu=8 rows are the speedup claim;
-#                         on a 1-core box they only measure coordination
-#                         overhead), saved to BENCH_PARALLEL_<yyyy-mm-dd>.txt
 #   make bench-gate     - compare BENCH_pr.json against bench_baseline.json,
 #                         failing on >30% ns/op regression of any headline
 #                         benchmark (sapphire-benchgate)
@@ -43,12 +38,11 @@
 #   make vet            - stock go vet only
 #   make lint           - sapphire-vet: stock go vet plus the repo's own
 #                         contract analyzers (pinlock, atomicfield, errcode,
-#                         pinnedbudget, unchecked — see docs/STATIC_ANALYSIS.md)
+#                         unchecked — see docs/STATIC_ANALYSIS.md)
 
 GO ?= go
 BENCH_OUT := BENCH_$(shell date +%Y-%m-%d).txt
 BENCH_ENDPOINT_OUT := BENCH_ENDPOINT_$(shell date +%Y-%m-%d).txt
-BENCH_PARALLEL_OUT := BENCH_PARALLEL_$(shell date +%Y-%m-%d).txt
 
 # The pinned CI benchmark config: headline benchmarks only, fixed
 # benchtime and repeat count, fixed 1-CPU setting so runner core counts
@@ -62,13 +56,8 @@ BENCH_PARALLEL_OUT := BENCH_PARALLEL_$(shell date +%Y-%m-%d).txt
 # streaming-evaluator rows gate the rank-label top-k ORDER BY
 # (EvalOrderByLimit), in-pipeline FILTER early exit
 # (EvalFilterPushdown), and greedy join ordering (EvalJoinOrder) against
-# their materializing/naive counterpart sub-benchmarks. The
-# EvalParallel rows run at the pinned -cpu=1, so they gate serial-path
-# and coordination-overhead regressions of the morsel-parallel
-# evaluator; the multicore speedup itself is measured by
-# bench-parallel's -cpu=8 rows, which stay informational until the
-# reference box grows cores.
-BENCH_CI_PATTERN := ^(BenchmarkMatchByPredicate|BenchmarkMatchSubjectsMerge|BenchmarkDictInternParallel|BenchmarkEvalTwoHopJoin|BenchmarkEvalOrderByLimit|BenchmarkEvalFilterPushdown|BenchmarkEvalJoinOrder|BenchmarkEvalParallel|BenchmarkCachedQuery|BenchmarkBulkLoad|BenchmarkSnapshotSave|BenchmarkWALAppend|BenchmarkRecovery1M|BenchmarkDurableAdd)$$
+# their materializing/naive counterpart sub-benchmarks.
+BENCH_CI_PATTERN := ^(BenchmarkMatchByPredicate|BenchmarkMatchSubjectsMerge|BenchmarkDictInternParallel|BenchmarkEvalTwoHopJoin|BenchmarkEvalOrderByLimit|BenchmarkEvalFilterPushdown|BenchmarkEvalJoinOrder|BenchmarkCachedQuery|BenchmarkBulkLoad|BenchmarkSnapshotSave|BenchmarkWALAppend|BenchmarkRecovery1M|BenchmarkDurableAdd)$$
 BENCH_CI_PKGS := ./internal/store/ ./internal/sparql/ ./internal/endpoint/ ./internal/store/persist/
 BENCH_CI_FLAGS := -run '^$$' -bench '$(BENCH_CI_PATTERN)' -benchtime=200ms -count=4 -cpu=1 -timeout=20m
 
@@ -123,9 +112,6 @@ bench:
 
 bench-endpoint:
 	$(GO) test -run '^$$' -bench 'Query|Churn' -benchmem -count=3 ./internal/endpoint/ | tee $(BENCH_ENDPOINT_OUT)
-
-bench-parallel:
-	$(GO) test -run '^$$' -bench '^BenchmarkEvalParallel$$' -benchmem -count=3 -cpu=1,8 -timeout=30m ./internal/sparql/ | tee $(BENCH_PARALLEL_OUT)
 
 bench-ci:
 	$(GO) test $(BENCH_CI_FLAGS) $(BENCH_CI_PKGS) | tee BENCH_pr.txt

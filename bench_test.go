@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark maps to one row of the experiment index in
-// DESIGN.md; `go test -bench=. -benchmem` reproduces the full suite and
-// reports the measured quantities via b.ReportMetric.
+// evaluation. Each benchmark mirrors one `cmd/sapphire-bench -exp …`
+// experiment (README.md's evaluation-suite row names the packages);
+// `go test -bench=. -benchmem` reproduces the full suite and reports the
+// measured quantities via b.ReportMetric.
 package sapphire
 
 import (

@@ -1,5 +1,6 @@
 // Command sapphire-bench regenerates the paper's tables and figures on
-// the synthetic substrate (see DESIGN.md's experiment index):
+// the synthetic substrate (README.md's package table lists the
+// evaluation suite behind each experiment):
 //
 //	sapphire-bench -exp all          # everything
 //	sapphire-bench -exp table1       # Table 1 comparison
@@ -20,18 +21,14 @@ import (
 	"time"
 
 	"sapphire/internal/experiments"
-	"sapphire/internal/sparql"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1 | fig8 | fig9 | fig10 | fig11 | usage | init | qcm | qsm | hitratio | ablation | all")
-		scale    = flag.String("scale", "full", "dataset scale: small | full")
-		parallel = flag.Int("parallel", 1,
-			"intra-query parallelism for every evaluation in the experiments (1 = serial; results are identical either way)")
+		exp   = flag.String("exp", "all", "experiment: table1 | fig8 | fig9 | fig10 | fig11 | usage | init | qcm | qsm | hitratio | ablation | all")
+		scale = flag.String("scale", "full", "dataset scale: small | full")
 	)
 	flag.Parse()
-	sparql.SetDefaultWorkers(*parallel)
 
 	sc := experiments.Full
 	if *scale == "small" {

@@ -68,18 +68,14 @@ type File struct {
 // the streaming evaluator's headline paths — rank-label top-k ORDER BY
 // (EvalOrderByLimit), FILTER early exit (EvalFilterPushdown), greedy
 // join ordering (EvalJoinOrder), each gated against its materializing
-// or naive counterpart sub-benchmark, and morsel-parallel evaluation
-// (EvalParallel — at CI's pinned -cpu=1 its rows gate the serial path
-// and the parallel coordination overhead; multicore speedup is
-// bench-parallel's -cpu=8 job, informational until the reference box
-// grows cores) —
+// or naive counterpart sub-benchmark —
 // the endpoint cache hit path (CachedQuery), bulk ingestion (BulkLoad),
 // and the durability path: snapshot encode (SnapshotSave), WAL append
 // under each fsync policy (WALAppend), durable online adds vs the
 // in-memory floor (DurableAdd), and snapshot-restore vs N-Triples
 // re-ingest at 1M triples (Recovery1M — the ratio between its two
 // sub-benchmarks is the restart-speedup claim, so both rows are gated).
-const defaultRequired = "BenchmarkMatchByPredicate,BenchmarkMatchSubjectsMerge,BenchmarkDictInternParallel,BenchmarkEvalTwoHopJoin,BenchmarkEvalOrderByLimit,BenchmarkEvalFilterPushdown,BenchmarkEvalJoinOrder,BenchmarkEvalParallel,BenchmarkCachedQuery,BenchmarkBulkLoad,BenchmarkSnapshotSave,BenchmarkWALAppend,BenchmarkDurableAdd,BenchmarkRecovery1M"
+const defaultRequired = "BenchmarkMatchByPredicate,BenchmarkMatchSubjectsMerge,BenchmarkDictInternParallel,BenchmarkEvalTwoHopJoin,BenchmarkEvalOrderByLimit,BenchmarkEvalFilterPushdown,BenchmarkEvalJoinOrder,BenchmarkCachedQuery,BenchmarkBulkLoad,BenchmarkSnapshotSave,BenchmarkWALAppend,BenchmarkDurableAdd,BenchmarkRecovery1M"
 
 // defaultRequiredSLO gates every serving row the scenario harness
 // emits: Serving/<phase>/{p50,p99,p999,throughput}.

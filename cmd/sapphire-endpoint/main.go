@@ -28,7 +28,6 @@ import (
 
 	"sapphire/internal/datagen"
 	"sapphire/internal/endpoint"
-	"sapphire/internal/sparql"
 	"sapphire/internal/store"
 	"sapphire/internal/store/persist"
 )
@@ -50,16 +49,13 @@ func main() {
 			"durable store directory: recover on start, WAL /add writes, snapshot on shutdown (empty = in-memory only)")
 		snapshotEvery = flag.Int("snapshot-every", 0,
 			"take an automatic snapshot after this many WAL-logged triples (0 = only on shutdown)")
-		fsync    = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
-		parallel = flag.Int("parallel", 1,
-			"intra-query parallelism: join workers per query over morsels of the driving scan (1 = serial; results are identical either way)")
+		fsync = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
 	)
 	flag.Parse()
 
 	// Must run before any store is built; datagen and every other
 	// store.New caller picks up the process default.
 	store.SetDefaultShards(*shards)
-	sparql.SetDefaultWorkers(*parallel)
 
 	cfg := datagen.DefaultConfig()
 	if *scale == "small" {
@@ -114,7 +110,6 @@ func main() {
 		Latency:             *latency,
 		RejectEstimateAbove: *reject,
 		CacheBytes:          *cacheBytes,
-		Workers:             *parallel,
 	})
 	// NewMux mounts the routed serving surface — /sparql, /epoch,
 	// /healthz — and returns a plain ServeMux for the extra routes.

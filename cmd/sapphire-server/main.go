@@ -56,13 +56,10 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 0,
 		"take an automatic snapshot of the -data-dir store after this many WAL-logged triples (0 = only on shutdown)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy for -data-dir: always | interval | off")
-	parallel := flag.Int("parallel", 1,
-		"intra-query parallelism for in-process stores: join workers per query (1 = serial; results are identical either way)")
 	flag.Var(&endpoints, "endpoint", "SPARQL endpoint URL to register (repeatable)")
 	flag.Var(&cachedEndpoints, "cached-endpoint", "URL=cachefile pair registering an endpoint from a saved cache (repeatable)")
 	flag.Parse()
 	store.SetDefaultShards(*shards)
-	sparql.SetDefaultWorkers(*parallel)
 	if len(endpoints)+len(cachedEndpoints) == 0 && *dataDir == "" {
 		log.Fatal("at least one -endpoint, -cached-endpoint, or -data-dir is required")
 	}

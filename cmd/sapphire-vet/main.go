@@ -15,7 +15,7 @@
 //	                  iteration on a single analyzer's output)
 //	-unchecked-pkgs   comma-separated import-path suffixes on which the
 //	                  errcheck-style unchecked Close/Sync analyzer runs
-//	                  (default: the durability path). The other four
+//	                  (default: the durability path). The other three
 //	                  analyzers run on every matched package.
 //	-list             print the analyzer roster and exit
 //

@@ -37,13 +37,13 @@ func TestCleanModulePassesGate(t *testing.T) {
 	}
 }
 
-// TestListFlag pins the roster: all five analyzers are wired in.
+// TestListFlag pins the roster: all four analyzers are wired in.
 func TestListFlag(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"pinlock", "atomicfield", "errcode", "pinnedbudget", "unchecked"} {
+	for _, name := range []string{"pinlock", "atomicfield", "errcode", "unchecked"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
 		}

@@ -18,9 +18,6 @@
 //     literals flowing into a `code` position must belong to the
 //     declared Code* constants, and every declared code must appear in
 //     a status/client mapping switch (internal/endpoint/errors.go).
-//   - pinnedbudget: sparql.Options.Budget may be called from several
-//     goroutines when Workers > 1; only the Options accessor that
-//     serializes it may touch the raw field (internal/sparql/parallel.go).
 //   - unchecked: an ignored Close or Sync error on the durability path
 //     is a silent durability hole (internal/store/persist).
 //
@@ -128,8 +125,8 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in the order sapphire-vet runs
 // it. The unchecked analyzer is scoped by the caller (it only makes
-// sense on durability-critical packages); the other four run
+// sense on durability-critical packages); the other three run
 // everywhere.
 func All() []*Analyzer {
-	return []*Analyzer{PinLock, AtomicField, ErrCode, PinnedBudget}
+	return []*Analyzer{PinLock, AtomicField, ErrCode}
 }

@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// The four contract analyzers against their golden fixtures. Each
-// fixture package contains both violating lines (tagged `// want`) and
+// The four analyzers against their golden fixtures. Each fixture
+// package contains both violating lines (tagged `// want`) and
 // compliant ones that must stay silent; runWant enforces the 1:1 match
 // in both directions.
 
-func TestPinLockGolden(t *testing.T)      { runWant(t, "pinlock", PinLock) }
-func TestAtomicFieldGolden(t *testing.T)  { runWant(t, "atomicfield", AtomicField) }
-func TestErrCodeGolden(t *testing.T)      { runWant(t, "errcode", ErrCode) }
-func TestPinnedBudgetGolden(t *testing.T) { runWant(t, "pinnedbudget", PinnedBudget) }
-func TestUncheckedGolden(t *testing.T)    { runWant(t, "unchecked", Unchecked) }
+func TestPinLockGolden(t *testing.T)     { runWant(t, "pinlock", PinLock) }
+func TestAtomicFieldGolden(t *testing.T) { runWant(t, "atomicfield", AtomicField) }
+func TestErrCodeGolden(t *testing.T)     { runWant(t, "errcode", ErrCode) }
+func TestUncheckedGolden(t *testing.T)   { runWant(t, "unchecked", Unchecked) }
 
 // TestSuppression pins the //sapphire:allow machinery on a fixture
 // with three pinlock violations: one suppressed by a line-above

@@ -17,10 +17,10 @@ import (
 //
 // The check is intraprocedural plus one package-local closure: a banned
 // call is flagged when it appears (a) lexically inside a function
-// literal passed as the callback of a Match/MatchIDs/MatchIDsPinned/
-// ScanMorselsPinned call on a store-like receiver, (b) in a function
-// after a PinRead call whose release has not yet run (a deferred
-// release pins the rest of the function), or (c) behind a call to a
+// literal passed as the callback of a Match/MatchIDs/MatchIDsPinned
+// call on a store-like receiver, (b) in a function after a PinRead
+// call whose release has not yet run (a deferred release pins the
+// rest of the function), or (c) behind a call to a
 // same-package function that transitively commits (a) or (b)'s sin.
 // Cross-package reachability is out of scope — the store's exported
 // surface is the boundary the rule is written against.
@@ -58,13 +58,12 @@ var bannedLockMethods = map[string]bool{
 // callbackEntryMethods start a region whose callback argument runs
 // under shard read locks. The unpinned names only count on a receiver
 // from a package named "store" (remote Graph adapters run their Match
-// callbacks lock-free); the pinned names are unambiguous anywhere, as
-// is any receiver whose method set includes PinRead.
+// callbacks lock-free); the pinned name is unambiguous anywhere, as is
+// any receiver whose method set includes PinRead.
 var callbackEntryMethods = map[string]bool{
-	"Match":             true,
-	"MatchIDs":          true,
-	"MatchIDsPinned":    true,
-	"ScanMorselsPinned": true,
+	"Match":          true,
+	"MatchIDs":       true,
+	"MatchIDsPinned": true,
 }
 
 func isStoreLike(f *types.Func) bool {
@@ -107,12 +106,7 @@ func isCallbackEntry(info *types.Info, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	switch f.Name() {
-	case "MatchIDsPinned", "ScanMorselsPinned":
-		return true
-	default:
-		return isStoreLike(f)
-	}
+	return f.Name() == "MatchIDsPinned" || isStoreLike(f)
 }
 
 // fnSummary is the package-local call-graph node used for the

@@ -35,9 +35,9 @@ func callbackPinnedCount(s *store.Store) {
 	})
 }
 
-func callbackMorselRepin(s *store.Store) {
-	s.ScanMorselsPinned(0, 0, 0, 64, func(batch [][3]uint32) bool {
-		rel := s.PinRead() // want `acquires store/dict locks inside a ScanMorselsPinned callback`
+func callbackPinnedRepin(s *store.Store) {
+	s.MatchIDsPinned(0, 0, 0, func(a, b, c uint32) bool {
+		rel := s.PinRead() // want `acquires store/dict locks inside a MatchIDsPinned callback`
 		rel()
 		return true
 	})

@@ -40,7 +40,3 @@ func (s *Store) ResolveID(id uint32) string { return "" }
 func (s *Store) PinRead() (release func()) { return func() {} }
 
 func (s *Store) MatchIDsPinned(sub, pred, obj uint32, fn func(s, p, o uint32) bool) {}
-
-func (s *Store) ScanMorselsPinned(sub, pred, obj uint32, size int, fn func(batch [][3]uint32) bool) bool {
-	return true
-}

@@ -1,6 +1,7 @@
 // Package datagen generates the deterministic synthetic DBpedia-like
 // dataset that substitutes for the live DBpedia endpoint in all
-// experiments (see DESIGN.md's substitution table). The dataset has an
+// experiments (`sapphire-bench -exp all` regenerates them; README.md's
+// evaluation-suite row names the packages). The dataset has an
 // RDFS class hierarchy, materialized rdf:type edges, English-tagged name
 // literals, numeric typed literals, long "abstract" literals that
 // exercise the 80-character cache cap, and the specific entities the

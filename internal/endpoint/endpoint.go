@@ -119,12 +119,6 @@ type Limits struct {
 	// epoch) until their estimated footprint exceeds this many bytes.
 	// 0 disables caching. See resultCache for the design.
 	CacheBytes int64
-	// Workers is the intra-query parallelism degree passed through to
-	// the evaluator (sparql.Options.Workers): 0 defers to the process
-	// default (the serving commands' -parallel flag), values <= 1
-	// evaluate serially. Results are byte-identical either way; this
-	// only trades cores for latency on a single query.
-	Workers int
 }
 
 // DefaultRejectEstimate is the admission threshold DefaultLimits uses.
@@ -330,9 +324,7 @@ func (l *Local) eval(ctx context.Context, q *sparql.Query) (*sparql.Results, err
 		}
 		return nil
 	}
-	// With Workers > 1 the evaluator serializes Budget calls, so the
-	// closure's counter needs no locking of its own.
-	res, err := sparql.Eval(l.store, q, sparql.Options{Budget: budget, Workers: l.limits.Workers})
+	res, err := sparql.Eval(l.store, q, sparql.Options{Budget: budget})
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
 			l.mu.Lock()

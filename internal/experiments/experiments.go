@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7) on the synthetic substrate. It is shared by the
-// cmd/sapphire-bench binary and the root-level testing.B benchmarks; see
-// DESIGN.md's experiment index for the mapping.
+// cmd/sapphire-bench binary (`-exp table1`, `fig8`, `init`, `qcm`, ...;
+// `-exp all` runs every one) and the root-level testing.B benchmarks.
 package experiments
 
 import (

@@ -165,50 +165,6 @@ func BenchmarkEvalJoinOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalParallel measures morsel-parallel evaluation on
-// wildcard-heavy work: a full two-hop join over every person (the scan
-// fans out to 10k driving rows, each probing two deeper levels), an
-// ORDER BY LIMIT over the full name sweep (per-worker top-k pruning),
-// and a grouped aggregate. Run with -cpu=1,8: at -cpu=1 the workers>1
-// rows measure pure coordination overhead (they cannot be faster than
-// serial on one core); the speedup claim lives in the -cpu=8 rows.
-func BenchmarkEvalParallel(b *testing.B) {
-	s := store.NewSharded(8)
-	typ := rdf.NewIRI(rdf.RDFType)
-	person := rdf.NewIRI("http://x/Person")
-	name := rdf.NewIRI("http://x/name")
-	knows := rdf.NewIRI("http://x/knows")
-	l := store.NewBulkLoader(s)
-	const people = 10_000
-	for i := 0; i < people; i++ {
-		subj := rdf.NewIRI(fmt.Sprintf("http://x/p%d", i))
-		l.MustAdd(rdf.NewTriple(subj, typ, person))
-		l.MustAdd(rdf.NewTriple(subj, name, rdf.NewLangLiteral(fmt.Sprintf("Person %d", i), "en")))
-		l.MustAdd(rdf.NewTriple(subj, knows, rdf.NewIRI(fmt.Sprintf("http://x/p%d", (i+1)%people))))
-	}
-	l.Commit()
-	s.BuildOrderLabels()
-	shapes := []struct{ name, query string }{
-		{"twohop", `SELECT ?n2 WHERE { ?p <http://x/knows> ?q . ?q <http://x/name> ?n2 . }`},
-		{"topk", `SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n LIMIT 10`},
-		{"aggregate", `SELECT (COUNT(?s) AS ?c) WHERE { ?s a <http://x/Person> . ?s <http://x/name> ?n . }`},
-	}
-	for _, shape := range shapes {
-		q := MustParse(shape.query)
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers%d", shape.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Eval(s, q, Options{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkEvalLimit measures the LIMIT/OFFSET pushdown: a single
 // pattern with 10k solutions paged to 10 rows. The pushdown variant
 // stops the join after offset+limit rows; the orderby variant cannot

@@ -28,13 +28,15 @@
 //
 // # One graph contract, one adapter
 //
-// The pipeline has one scan path: it pins the IDGraph once per
-// evaluation (PinRead) and reads it only through MatchIDsPinned,
-// ScanMorselsPinned and ResolveID, which take no locks under the pin.
-// The two optional capabilities answer "unsupported" by return value:
-// OrderLabels may return a nil label func (ORDER BY then compares
-// terms) and ScanMorselsPinned may return false (Workers > 1 then runs
-// serially). An implementation must follow the store's ID contract:
+// The pipeline has one scan path and one driver: a single goroutine
+// pins the IDGraph once per evaluation (PinRead) and reads it only
+// through MatchIDsPinned and ResolveID, which take no locks under the
+// pin. Evaluation is serial by measurement (docs/ARCHITECTURE.md
+// "Serial evaluation"), so the Budget hook counts exactly the rows the
+// depth-first join touches. The one optional capability answers
+// "unsupported" by return value: OrderLabels may return a nil label
+// func, and ORDER BY then compares terms. An implementation must follow
+// the store's ID contract:
 //
 //   - The zero ID is the wildcard, mirroring the zero-Term convention
 //     of Match; no term ever has ID 0.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"sapphire/internal/rdf"
 )
@@ -16,8 +15,8 @@ import (
 // resolve back to terms only when rows leave the pipeline. The zero ID
 // is the wildcard and the unbound sentinel. The in-memory store
 // implements it natively; Term-level graphs (remote endpoints,
-// federations) go through AdaptTerms. The two optional capabilities
-// report "unsupported" by return value, not by a further interface.
+// federations) go through AdaptTerms. The one optional capability
+// reports "unsupported" by return value, not by a further interface.
 type IDGraph interface {
 	// CardinalityEstimate returns an upper bound on matching triples
 	// (zero terms are wildcards), used for greedy join ordering.
@@ -38,13 +37,6 @@ type IDGraph interface {
 	// returns false. Under a PinRead session it takes no locks and may
 	// be called from inside its own callbacks.
 	MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool)
-	// ScanMorselsPinned is MatchIDsPinned pre-batched for the parallel
-	// evaluator (parallel.go): the same triples in the same order, in
-	// freshly allocated batches of up to size that the callee may
-	// retain, callable while other goroutines scan through the same pin.
-	// A graph that cannot do that returns false without calling fn, and
-	// the evaluation runs serially.
-	ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool) (supported bool)
 	// OrderLabels exposes per-ID order labels (the store's rank table):
 	// label order equals term order for labeled IDs, 0 means unlabeled.
 	// exact reports whether label order equals the ORDER BY comparator
@@ -112,12 +104,6 @@ func (a *termAdapter) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) boo
 	})
 }
 
-// ScanMorselsPinned is unsupported: parallel workers would race on the
-// dictionary.
-func (a *termAdapter) ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool) bool {
-	return false
-}
-
 func (a *termAdapter) OrderLabels() (label func(id uint32) uint64, exact bool) { return nil, false }
 
 // Binding maps variable names to terms for one solution row.
@@ -153,71 +139,15 @@ type Budget func() error
 
 // Options configures evaluation.
 type Options struct {
-	// Budget, if non-nil, is called once per intermediate row. With
-	// Workers > 1 it may be called from several goroutines; the
-	// evaluator serializes the calls, so the callback itself needs no
-	// locking, but it must not assume any particular interleaving of
-	// rows.
+	// Budget, if non-nil, is called once per intermediate row — every
+	// scan match and every filter test of the depth-first join — on the
+	// evaluating goroutine, so the callback needs no locking of its own.
 	Budget Budget
-
-	// Workers is the intra-query parallelism degree: the number of
-	// goroutines that execute the join chain over morsels of the
-	// driving scan (see parallel.go). 0 selects the process default
-	// (SetDefaultWorkers, itself 1 unless a -parallel flag raised it);
-	// values <= 1 evaluate serially. Parallel evaluation needs a graph
-	// whose ScanMorselsPinned is supported (the in-memory store) and
-	// produces byte-identical results to serial evaluation, row order
-	// included.
-	Workers int
 
 	// noReorder keeps the textual pattern order instead of the greedy
 	// plan — only reachable in-package, to measure what greedy join
 	// ordering buys (BenchmarkEvalJoinOrder).
 	noReorder bool
-}
-
-// budgetFor returns the budget the evaluator should charge: the raw
-// callback when evaluation is serial, the mutex-serialized wrapper when
-// it is parallel. This accessor is the only sanctioned way to read the
-// Budget field at evaluation time — handing the raw callback to
-// concurrent workers would race (the pinnedbudget analyzer in
-// internal/analysis enforces exactly that).
-func (o *Options) budgetFor(parallel bool) Budget {
-	if parallel && o.Budget != nil {
-		return serializedBudget(o.Budget)
-	}
-	return o.Budget
-}
-
-// defaultWorkers is the process-wide intra-query parallelism default
-// used when Options.Workers is 0, settable once at startup via
-// SetDefaultWorkers (the serving commands wire their -parallel flag to
-// it before taking traffic). It starts at 1: parallelism is opt-in.
-var defaultWorkers atomic.Int32
-
-func init() { defaultWorkers.Store(1) }
-
-// DefaultWorkers returns the worker count Options.Workers == 0 selects.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// SetDefaultWorkers overrides the process default worker count. n < 1
-// is clamped to 1 (serial). Intended for startup flag wiring.
-func SetDefaultWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// resolveWorkers maps an Options.Workers value to the effective degree.
-func resolveWorkers(w int) int {
-	if w == 0 {
-		w = DefaultWorkers()
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // Eval evaluates a query against a graph: it compiles a plan (slot

@@ -3,6 +3,7 @@ package sparql
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -425,5 +426,100 @@ func TestEvalConcurrentWithAdd(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		close(stop)
 		t.Fatal("evaluation deadlocked against concurrent Add")
+	}
+}
+
+// TestParallelConcurrentCommits is the -race stressor for concurrent
+// readers on an 8-shard store: queries run from several goroutines while
+// a writer interleaves online Adds, staged bulk commits and rank-table
+// rebuilds. Every evaluation pins one store state, so queries must never
+// error; the race detector checks the rest (scans vs publication, shared
+// budget, rank table swaps). The watchdog fails fast instead of hanging
+// the suite.
+func TestParallelConcurrentCommits(t *testing.T) {
+	s := store.NewSharded(8)
+	typ := rdf.NewIRI(rdf.RDFType)
+	person := rdf.NewIRI("http://x/Person")
+	name := rdf.NewIRI("http://x/name")
+	knows := rdf.NewIRI("http://x/knows")
+	addSubject := func(add func(rdf.Triple), i int) {
+		subj := rdf.NewIRI(fmt.Sprintf("http://x/p%d", i))
+		add(rdf.NewTriple(subj, typ, person))
+		add(rdf.NewTriple(subj, name, rdf.NewLangLiteral(fmt.Sprintf("Person %d", i), "en")))
+		add(rdf.NewTriple(subj, knows, rdf.NewIRI(fmt.Sprintf("http://x/p%d", i/2))))
+	}
+	for i := 0; i < 400; i++ {
+		addSubject(s.MustAdd, i)
+	}
+	s.BuildOrderLabels()
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		loader := store.NewBulkLoader(s)
+		next := 400
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if round%3 == 0 {
+				for b := 0; b < 5; b++ {
+					addSubject(loader.MustAdd, next)
+					next++
+				}
+				loader.Commit()
+			} else {
+				addSubject(s.MustAdd, next)
+				next++
+			}
+			if round%10 == 0 {
+				s.BuildOrderLabels()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		writer.Wait()
+	}()
+
+	queries := []string{
+		`SELECT ?s ?n WHERE { ?s a <http://x/Person> . ?s <http://x/name> ?n . } LIMIT 50`,
+		`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY DESC(?n) LIMIT 12`,
+		`SELECT DISTINCT ?t WHERE { ?s <http://x/knows> ?t . ?t <http://x/name> ?n . }`,
+		`SELECT (COUNT(?s) AS ?c) WHERE { ?s a <http://x/Person> . }`,
+	}
+	const readers = 4
+	done := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			for i := 0; i < 25; i++ {
+				src := queries[(r+i)%len(queries)]
+				res, err := Eval(s, MustParse(src), Options{Budget: func() error { return nil }})
+				if err != nil {
+					done <- fmt.Errorf("reader %d: %q: %w", r, src, err)
+					return
+				}
+				if res == nil {
+					done <- fmt.Errorf("reader %d: %q: nil results", r, src)
+					return
+				}
+			}
+			done <- nil
+		}(r)
+	}
+	watchdog := time.After(30 * time.Second)
+	for r := 0; r < readers; r++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-watchdog:
+			t.Fatal("evaluation deadlocked against concurrent commits")
+		}
 	}
 }

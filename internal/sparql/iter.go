@@ -26,10 +26,6 @@ type exec struct {
 	budget Budget
 	err    error
 
-	// The plan's pattern groups and OPTIONAL blocks, compiled once by
-	// runPlan; read-only afterwards, so parallel workers share them.
-	groups, optionals [][]compiledPattern
-
 	fb Binding // reusable scratch for filter evaluation
 }
 
@@ -115,10 +111,8 @@ func (x *exec) scanPattern(cp compiledPattern, row []uint32, yield func(ms, mp, 
 
 // levelBind records which row slots one join level binds: the pattern's
 // variable positions that are still unbound when the level starts. It is
-// computed once per level entry and shared between the serial DFS
-// (runSeq) and the parallel workers, which replay the driving level's
-// binding for each morsel triple — a single source of truth for the
-// repeated-variable semantics.
+// computed once per level entry by runSeq and is the single source of
+// truth for the repeated-variable semantics.
 type levelBind struct {
 	su, pu, ou int // slots this level binds; -1 = constant or already bound
 }
@@ -597,28 +591,12 @@ func (op *topKOp) flush() bool {
 	return op.next.flush()
 }
 
-// tailSpec describes the buffering head of the modifier tail to the
-// parallel runner, so each worker can run the equivalent bounded
-// operator per morsel: a top-k pruner when the tail is the bounded
-// ORDER BY heap, a row cap of skip+limit when every produced row
-// reaches the slice unconditionally (no ORDER BY, no DISTINCT, no
-// aggregation — projection never drops rows), unbounded otherwise.
-type tailSpec struct {
-	topK    bool
-	k       int
-	desc    bool
-	keySlot int
-	label   func(uint32) uint64
-	rowCap  int // -1 = unbounded
-}
-
 // buildTail assembles the modifier tail of the pipeline — ORDER BY
 // (top-k heap | stable sort) → project → DISTINCT → OFFSET/LIMIT slice
-// → collect — and returns its entry sink, the terminal collector, and
-// the tailSpec the parallel runner mirrors per morsel. Aggregate
-// queries collect full rows directly (their modifiers apply after
-// grouping).
-func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, tailSpec) {
+// → collect — and returns its entry sink and the terminal collector.
+// Aggregate queries collect full rows directly (their modifiers apply
+// after grouping).
+func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp) {
 	q, pl, g := x.pl.q, x.pl, x.g
 	projSlots := make([]int, len(projVars))
 	identity := len(projVars) == pl.width()
@@ -633,11 +611,10 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 		}
 	}
 
-	spec := tailSpec{rowCap: -1}
 	collect := &collectOp{x: x, vars: projVars}
 	var tail sink = collect
 	if aggregates {
-		return tail, collect, spec
+		return tail, collect
 	}
 	if q.Offset > 0 || q.Limit >= 0 {
 		remain := q.Limit
@@ -645,9 +622,6 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 			remain = -1
 		}
 		tail = &sliceOp{skip: q.Offset, remain: remain, next: tail}
-		if q.Limit >= 0 && len(q.OrderBy) == 0 && !q.Distinct {
-			spec.rowCap = q.Offset + q.Limit
-		}
 	}
 	if q.Distinct {
 		tail = &distinctOp{seen: make(map[string]struct{}), next: tail}
@@ -665,8 +639,6 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 				op.label = label // may be nil: term fallback per item
 			}
 			tail = op
-			spec.topK, spec.k, spec.desc, spec.keySlot, spec.label =
-				true, op.k, op.desc, op.keySlot, op.label
 		} else {
 			op := &sortAllOp{x: x, keys: q.OrderBy, keySlots: make([]int, len(q.OrderBy)), next: tail}
 			for i, k := range q.OrderBy {
@@ -679,49 +651,7 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 			tail = op
 		}
 	}
-	return tail, collect, spec
-}
-
-// buildRowStages wraps tail with the per-row stages that run between
-// the base join and the modifier tail: base-stage filters, one left
-// join per OPTIONAL block (each followed by its stage filters), and the
-// end-stage filters. The serial path builds this once; the parallel
-// path builds one per worker (leftJoinOp carries per-row state).
-func (x *exec) buildRowStages(tail sink) sink {
-	pl := x.pl
-	chain := tail
-	if st := x.newFilterStage(pl.endFilters); st != nil {
-		chain = &filterOp{x: x, st: st, next: chain}
-	}
-	for j := len(pl.optionals) - 1; j >= 0; j-- {
-		if st := x.newFilterStage(pl.optFilters[j]); st != nil {
-			chain = &filterOp{x: x, st: st, next: chain}
-		}
-		chain = &leftJoinOp{x: x, pats: x.optionals[j], next: chain}
-	}
-	if st := x.newFilterStage(pl.baseFilters); st != nil {
-		chain = &filterOp{x: x, st: st, next: chain}
-	}
-	return chain
-}
-
-// levelFilterStages compiles the plan's join-level filters (nil when no
-// level has any). The stages are read-only once built, so the parallel
-// workers share one set.
-func (x *exec) levelFilterStages() []*filterStage {
-	if len(x.pl.levelFilters) == 0 {
-		return nil
-	}
-	any := false
-	lf := make([]*filterStage, len(x.pl.levelFilters))
-	for i, exprs := range x.pl.levelFilters {
-		lf[i] = x.newFilterStage(exprs)
-		any = any || lf[i] != nil
-	}
-	if !any {
-		return nil
-	}
-	return lf
+	return tail, collect
 }
 
 // runPlan assembles the operator chain for the plan and drives it:
@@ -734,12 +664,6 @@ func (x *exec) levelFilterStages() []*filterStage {
 //
 // Aggregate queries collect full rows instead of the modifier tail and
 // reuse the grouped-aggregation code path unchanged.
-//
-// With opts.Workers > 1 the scan/join stage runs morsel-parallel (see
-// parallel.go): workers execute the per-row stages over morsels of the
-// driving scan and the coordinator feeds the modifier tail in morsel
-// order, so the output is byte-identical to the serial pipeline. Graphs
-// without morsel scans run the serial pipeline instead.
 func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	q := pl.q
 	aggregates := q.HasAggregates()
@@ -766,27 +690,44 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 		return &Results{Vars: projVars}, nil
 	}
 
-	workers := resolveWorkers(opts.Workers)
-	x := &exec{pl: pl, g: g, budget: opts.budgetFor(workers > 1)}
+	x := &exec{pl: pl, g: g, budget: opts.Budget}
 	release := g.PinRead()
 	defer release()
 	//sapphire:allow pinlock Lookup takes only dictionary-shard locks, which no writer holds while it waits for a store shard, so it cannot deadlock against the pin (docs/ARCHITECTURE.md "Lock-free ResolveID"); looking constants up under the pin keeps the whole evaluation on one store state
-	x.groups, x.optionals = x.compile(pl.groups), x.compile(pl.optionals)
+	groups, optionals := x.compile(pl.groups), x.compile(pl.optionals)
 
-	tail, collect, spec := buildTail(x, projVars, aggregates)
-
-	var pr *parallelRun
-	if workers > 1 {
-		pr = newParallelRun(x, workers, spec) // nil: shape needs the serial path
+	tail, collect := buildTail(x, projVars, aggregates)
+	chain := tail
+	if st := x.newFilterStage(pl.endFilters); st != nil {
+		chain = &filterOp{x: x, st: st, next: chain}
 	}
-	if pr == nil || !pr.run(tail) {
-		chain := x.buildRowStages(tail)
-		lf := x.levelFilterStages()
-		row := make([]uint32, pl.width())
-		for _, grp := range x.groups {
-			if !x.runSeq(grp, lf, 0, row, chain) {
-				break
-			}
+	for j := len(optionals) - 1; j >= 0; j-- {
+		if st := x.newFilterStage(pl.optFilters[j]); st != nil {
+			chain = &filterOp{x: x, st: st, next: chain}
+		}
+		chain = &leftJoinOp{x: x, pats: optionals[j], next: chain}
+	}
+	if st := x.newFilterStage(pl.baseFilters); st != nil {
+		chain = &filterOp{x: x, st: st, next: chain}
+	}
+
+	var lf []*filterStage // per join level; nil when no level has any
+	if len(pl.levelFilters) > 0 {
+		any := false
+		lf = make([]*filterStage, len(pl.levelFilters))
+		for i, exprs := range pl.levelFilters {
+			lf[i] = x.newFilterStage(exprs)
+			any = any || lf[i] != nil
+		}
+		if !any {
+			lf = nil
+		}
+	}
+
+	row := make([]uint32, pl.width())
+	for _, grp := range groups {
+		if !x.runSeq(grp, lf, 0, row, chain) {
+			break
 		}
 	}
 	if x.err != nil {

@@ -72,8 +72,8 @@
 // The evaluator's whole view of the store is one interface,
 // sparql.IDGraph: Lookup, ResolveID, CardinalityEstimate, OrderLabels,
 // and the pinned regime — PinRead takes every shard read lock once, and
-// MatchIDsPinned / ScanMorselsPinned then scan without locking, so they
-// may nest and run from several goroutines under the one pin. *Store is
+// MatchIDsPinned then scans without locking, so the evaluator's
+// depth-first join may nest scans inside scan callbacks. *Store is
 // its only native implementer (internal/sparql's tests assert the
 // conformance; this package must not import sparql).
 //
