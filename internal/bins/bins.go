@@ -4,6 +4,11 @@
 // bins in [|t|, |t|+γ] and the QSM's similarity search only touches bins
 // in [|l|−α, |l|+β]. Scans are parallelized over P workers using the
 // load-balancing task assignment of Algorithm 1.
+//
+// The similarity search under its default (nil) measure puts
+// similarity.JaroWinklerBound ahead of Jaro-Winkler: a literal bounded
+// below θ cannot match and is not scored, so the matches are those of
+// scoring every literal. An explicit measure scores every literal.
 package bins
 
 import (
@@ -172,10 +177,13 @@ type SimilarityMatch struct {
 // SearchSimilar scans bins [lo, hi] with p workers and returns all
 // literals whose similarity to target (under measure m, Jaro-Winkler when
 // nil) is at least theta, sorted by descending score. This is the literal
-// alternative search of Algorithm 2 (line 9).
+// alternative search of Algorithm 2 (line 9). When m is nil, literals
+// that Jaro-Winkler's upper bound places below theta are skipped
+// unscored.
 func (b *Bins) SearchSimilar(target string, lo, hi, p int, theta float64, m similarity.Measure) []SimilarityMatch {
+	var bound similarity.JaroWinklerBound // the zero value skips nothing
 	if m == nil {
-		m = similarity.JaroWinkler
+		m, bound = similarity.JaroWinkler, similarity.NewJaroWinklerBound(target)
 	}
 	sel := b.Select(lo, hi)
 	type scored struct {
@@ -192,6 +200,10 @@ func (b *Bins) SearchSimilar(target string, lo, hi, p int, theta float64, m simi
 			var local []scored
 			for _, task := range ts {
 				for _, l := range sel[task.Bin][task.From:task.To] {
+					// The slack absorbs rounding in the bound.
+					if bound.Max(l) < theta-1e-9 {
+						continue
+					}
 					if s := m(target, l); s >= theta {
 						local = append(local, scored{l, s})
 					}

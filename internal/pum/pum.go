@@ -5,11 +5,18 @@
 // 6.2) that proposes alternative query terms (Algorithm 2) and relaxed
 // query structures (Algorithm 3) after a query executes, prefetching
 // their answers so accepting a suggestion feels instantaneous.
+//
+// The literal alternative search (Algorithm 2 line 9) is one bounded
+// SearchSimilar over the residual bins and one over the suffix tree's
+// literals, which New indexes by length. Under the default measure both
+// skip literals Jaro-Winkler's upper bound places below θ, and only the
+// alternatives prefetch and relaxation can select become queries.
 package pum
 
 import (
 	"context"
 
+	"sapphire/internal/bins"
 	"sapphire/internal/bootstrap"
 	"sapphire/internal/federation"
 	"sapphire/internal/lexicon"
@@ -33,7 +40,8 @@ type Config struct {
 	// Workers is P, the parallel scan width (paper: number of cores).
 	Workers int
 	// Measure scores term similarity; nil means Jaro-Winkler, the
-	// paper's choice. Swappable for the ablation experiments.
+	// paper's choice, with its upper bound skipping hopeless literals.
+	// Swappable for the ablation experiments.
 	Measure similarity.Measure
 	// Relax configures the Steiner-tree structure relaxation.
 	Relax steiner.Config
@@ -51,7 +59,6 @@ func DefaultConfig() Config {
 		Alpha:         2,
 		Beta:          3,
 		Workers:       8,
-		Measure:       similarity.JaroWinkler,
 		Relax:         steiner.DefaultConfig(),
 		MaxCandidates: 20,
 	}
@@ -64,6 +71,14 @@ type PUM struct {
 	fed   *federation.Federation
 	lex   *lexicon.Lexicon
 	cfg   Config
+	// score is cfg.Measure, Jaro-Winkler when nil, for the predicate
+	// searches; the literal search hands cfg.Measure to bins as it is.
+	score similarity.Measure
+	// predDisplay[i] is the display name of cache.Predicates[i].
+	predDisplay []string
+	// treeLits bins the suffix tree's literals by length; with the
+	// residual bins, which it does not overlap, it holds every literal.
+	treeLits *bins.Bins
 }
 
 // New assembles a PUM. A nil lexicon falls back to the built-in one; a
@@ -75,10 +90,21 @@ func New(cache *bootstrap.Cache, fed *federation.Federation, lex *lexicon.Lexico
 	if cfg.K == 0 {
 		cfg = DefaultConfig()
 	}
-	if cfg.Measure == nil {
-		cfg.Measure = similarity.JaroWinkler
+	score := cfg.Measure
+	if score == nil {
+		score = similarity.JaroWinkler
 	}
-	return &PUM{cache: cache, fed: fed, lex: lex, cfg: cfg}
+	display := make([]string, len(cache.Predicates))
+	for i, pred := range cache.Predicates {
+		display[i] = displayOf(pred)
+	}
+	var significant []string
+	for _, l := range cache.Literals() {
+		if cache.InSuffixTree(l) {
+			significant = append(significant, l)
+		}
+	}
+	return &PUM{cache: cache, fed: fed, lex: lex, cfg: cfg, score: score, predDisplay: display, treeLits: bins.New(significant)}
 }
 
 // Cache exposes the underlying endpoint cache (for experiments).

@@ -109,12 +109,12 @@ func (p *PUM) AlternativePredicates(display string) []PredAlt {
 	lexica := p.lex.Lexica(display)
 	best := make(map[rdf.Term]float64)
 	for _, verb := range lexica {
-		for _, cand := range p.cache.Predicates {
-			d := displayOf(cand)
+		for i, cand := range p.cache.Predicates {
+			d := p.predDisplay[i]
 			if d == display {
 				continue
 			}
-			if s := p.cfg.Measure(verb, d); s >= p.cfg.Theta && s > best[cand] {
+			if s := p.score(verb, d); s >= p.cfg.Theta && s > best[cand] {
 				best[cand] = s
 			}
 		}
@@ -139,10 +139,15 @@ func (p *PUM) predicateAlternatives(q *sparql.Query) []Suggestion {
 		}
 		cur := pat.P.Term
 		curDisplay := displayOf(cur)
+		kept := 0
 		for _, r := range p.AlternativePredicates(curDisplay) {
 			if r.Pred == cur {
 				continue
 			}
+			if kept == p.selectable() {
+				break
+			}
+			kept++
 			nq := q.Clone()
 			nq.Where[ti].P = sparql.NewTermNode(r.Pred)
 			out = append(out, Suggestion{
@@ -158,10 +163,17 @@ func (p *PUM) predicateAlternatives(q *sparql.Query) []Suggestion {
 	return out
 }
 
+// selectable is how many alternatives of one triple pattern can be
+// used, so only that many are built into queries. selectCandidates
+// stable-sorts the candidates by score and keeps the first
+// MaxCandidates of each kind, and a pattern's alternatives arrive best
+// first, so one ranked past MaxCandidates among its own pattern's is
+// never selected; Relax's seedGroups reads only a pattern's top K−1
+// literal alternatives.
+func (p *PUM) selectable() int { return max(p.cfg.MaxCandidates, p.cfg.K-1) }
+
 // literalAlternatives finds replacement literals for every literal object
-// in the query by similarity search over the residual bins of length
-// [|l|−α, |l|+β] plus the significant literals in the suffix tree
-// (Algorithm 2 line 9).
+// in the query (Algorithm 2 line 9).
 func (p *PUM) literalAlternatives(q *sparql.Query) []Suggestion {
 	var out []Suggestion
 	for ti, pat := range q.Where {
@@ -169,34 +181,15 @@ func (p *PUM) literalAlternatives(q *sparql.Query) []Suggestion {
 			continue
 		}
 		cur := pat.O.Term
-		lo := len([]rune(cur.Value)) - p.cfg.Alpha
-		hi := len([]rune(cur.Value)) + p.cfg.Beta
-		matches := p.cache.Bins.SearchSimilar(cur.Value, lo, hi, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)
-		// The significant literals live in the suffix tree, not the
-		// bins; include them in the alternative search so the most
-		// important literals are never invisible to the QSM.
-		for _, lex := range p.cache.Literals() {
-			if !p.cache.InSuffixTree(lex) {
-				continue
-			}
-			n := len([]rune(lex))
-			if n < lo || n > hi {
-				continue
-			}
-			if s := p.cfg.Measure(cur.Value, lex); s >= p.cfg.Theta {
-				matches = append(matches, bins.SimilarityMatch{Literal: lex, Score: s})
-			}
-		}
-		sort.Slice(matches, func(i, j int) bool {
-			if matches[i].Score != matches[j].Score {
-				return matches[i].Score > matches[j].Score
-			}
-			return matches[i].Literal < matches[j].Literal
-		})
-		for _, m := range matches {
+		kept := 0
+		for _, m := range p.similarLiterals(cur.Value) {
 			if m.Literal == cur.Value {
 				continue
 			}
+			if kept == p.selectable() {
+				break
+			}
+			kept++
 			term, ok := p.cache.LiteralTerm(m.Literal)
 			if !ok {
 				term = rdf.NewLangLiteral(m.Literal, "en")
@@ -216,6 +209,24 @@ func (p *PUM) literalAlternatives(q *sparql.Query) []Suggestion {
 	return out
 }
 
+// similarLiterals returns the cached literals of length [|l|−α, |l|+β]
+// at least θ similar to l, best first, ties by literal. The significant
+// literals live in the suffix tree, not the bins; searching them too
+// keeps the most important literals visible to the QSM.
+func (p *PUM) similarLiterals(l string) []bins.SimilarityMatch {
+	n := len([]rune(l))
+	lo, hi := n-p.cfg.Alpha, n+p.cfg.Beta
+	matches := p.cache.Bins.SearchSimilar(l, lo, hi, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)
+	matches = append(matches, p.treeLits.SearchSimilar(l, lo, hi, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)...)
+	sort.Slice(matches, func(i, j int) bool {
+		if matches[i].Score != matches[j].Score {
+			return matches[i].Score > matches[j].Score
+		}
+		return matches[i].Literal < matches[j].Literal
+	})
+	return matches
+}
+
 // prefetch executes candidate queries (capped at MaxCandidates per kind,
 // best score first) and keeps the ones that return answers, storing the
 // results for instantaneous acceptance. Execution is concurrent — the
@@ -223,18 +234,7 @@ func (p *PUM) literalAlternatives(q *sparql.Query) []Suggestion {
 // Query Processor" so accepting one displays answers immediately — but
 // the returned order is deterministic (candidate order).
 func (p *PUM) prefetch(ctx context.Context, candidates []Suggestion) []Suggestion {
-	sort.SliceStable(candidates, func(i, j int) bool {
-		return candidates[i].Score > candidates[j].Score
-	})
-	counts := make(map[SuggestionKind]int)
-	var selected []Suggestion
-	for _, c := range candidates {
-		if counts[c.Kind] >= p.cfg.MaxCandidates {
-			continue
-		}
-		counts[c.Kind]++
-		selected = append(selected, c)
-	}
+	selected := p.selectCandidates(candidates)
 	workers := p.cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -265,6 +265,24 @@ func (p *PUM) prefetch(ctx context.Context, candidates []Suggestion) []Suggestio
 		kept = append(kept, c)
 	}
 	return kept
+}
+
+// selectCandidates orders candidates best score first, stably, and
+// keeps the first MaxCandidates of each kind.
+func (p *PUM) selectCandidates(candidates []Suggestion) []Suggestion {
+	sort.SliceStable(candidates, func(i, j int) bool {
+		return candidates[i].Score > candidates[j].Score
+	})
+	counts := make(map[SuggestionKind]int)
+	var selected []Suggestion
+	for _, c := range candidates {
+		if counts[c.Kind] >= p.cfg.MaxCandidates {
+			continue
+		}
+		counts[c.Kind]++
+		selected = append(selected, c)
+	}
+	return selected
 }
 
 // displayOf is the UI rendering of a predicate IRI.

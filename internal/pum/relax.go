@@ -92,8 +92,8 @@ func (p *PUM) preferredPredicates(q *sparql.Query) map[string]bool {
 		out[pat.P.Term.Value] = true
 		d := displayOf(pat.P.Term)
 		for _, verb := range p.lex.Lexica(d) {
-			for _, cand := range p.cache.Predicates {
-				if p.cfg.Measure(verb, displayOf(cand)) >= p.cfg.Theta {
+			for i, cand := range p.cache.Predicates {
+				if p.score(verb, p.predDisplay[i]) >= p.cfg.Theta {
 					out[cand.Value] = true
 				}
 			}
