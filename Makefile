@@ -4,8 +4,9 @@
 #                         nested benchmark/ module (root ./... does not
 #                         descend into it, so removed API could break it unseen)
 #   make race           - race-detector pass over the concurrency-sensitive packages
-#   make fuzz           - short fuzz smokes of the SPARQL parser and the
-#                         Jaro-Winkler kernel (same jobs CI runs)
+#   make fuzz           - short fuzz smokes of the SPARQL parser, the
+#                         Jaro-Winkler kernel and the residual-bin trigram
+#                         index (same jobs CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make bench          - full benchmark sweep (3 runs, alloc stats) saved to
 #                         BENCH_<yyyy-mm-dd>.txt for before/after comparisons
@@ -105,6 +106,7 @@ race:
 fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
+	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
 
 crashtest:
 	SAPPHIRE_CRASH_SEEDS=512 $(GO) test ./internal/store/persist/ -run 'TestCrashRecoveryProperty' -v -timeout=30m

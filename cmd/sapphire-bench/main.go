@@ -128,6 +128,10 @@ func main() {
 			experiments.IndexAblation(env))
 		fmt.Println()
 		experiments.PrintAblation(os.Stdout,
+			"Ablation: residual lookup, trigram posting index vs Algorithm 1 scan (ns/lookup)",
+			experiments.ResidualIndexAblation(env))
+		fmt.Println()
+		experiments.PrintAblation(os.Stdout,
 			"Ablation: residual-bin γ length window (literals scanned per lookup)",
 			experiments.BinFilterAblation(env))
 		fmt.Println()

@@ -1,9 +1,15 @@
 // Package bins implements the residual literal bins of Section 5.2: the
 // cached literals that do not fit in the suffix tree, organized into bins
-// keyed by literal length so that the QCM's sequential scan only touches
-// bins in [|t|, |t|+γ] and the QSM's similarity search only touches bins
-// in [|l|−α, |l|+β]. Scans are parallelized over P workers using the
+// keyed by literal length so that the QCM's search only considers bins in
+// [|t|, |t|+γ] and the QSM's similarity search only touches bins in
+// [|l|−α, |l|+β]. Scans are parallelized over P workers using the
 // load-balancing task assignment of Algorithm 1.
+//
+// The QCM's substring search departs from the paper's sequential scan for
+// patterns of three or more bytes: New also builds a byte-trigram posting
+// index over the literals, and SearchSubstring verifies only the literals
+// of the pattern's rarest trigram, in output order, stopping at the
+// limit. Shorter patterns have no trigram and are scanned (ScanSubstring).
 //
 // The similarity search under its default (nil) measure puts
 // similarity.JaroWinklerBound ahead of Jaro-Winkler: a literal bounded
@@ -12,9 +18,12 @@
 package bins
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
+	"unsafe"
 
 	"sapphire/internal/similarity"
 )
@@ -23,32 +32,97 @@ import (
 // not usable; call New.
 type Bins struct {
 	byLen map[int][]string
-	total int
+	// sorted holds every literal once in SearchSubstring's output order,
+	// byte length then lexical; a literal's id is its position here and
+	// runeLen[id] its bin.
+	sorted  []string
+	runeLen []uint32
+	// The trigram posting index in CSR form: the ids of the literals
+	// containing trigram grams[g] are ids[offsets[g]:offsets[g+1]], in
+	// ascending order.
+	grams   []uint32
+	offsets []uint32
+	ids     []uint32
 }
 
-// New builds bins from the given literals. Duplicates are kept only once
-// per bin. Bin key is the rune length of the literal, mirroring
+// New builds bins from the given literals. Duplicates are kept only once.
+// Bin key is the rune length of the literal, mirroring
 // bin(literal) = |literal| from the paper.
 func New(literals []string) *Bins {
-	b := &Bins{byLen: make(map[int][]string)}
+	b := &Bins{byLen: make(map[int][]string), sorted: make([]string, 0, len(literals))}
 	seen := make(map[string]bool, len(literals))
 	for _, l := range literals {
 		if l == "" || seen[l] {
 			continue
 		}
 		seen[l] = true
-		n := len([]rune(l))
+		n := utf8.RuneCountInString(l)
 		b.byLen[n] = append(b.byLen[n], l)
-		b.total++
+		b.sorted = append(b.sorted, l)
 	}
 	for n := range b.byLen {
 		sort.Strings(b.byLen[n])
 	}
+	sortShortestFirst(b.sorted)
+	b.runeLen = make([]uint32, len(b.sorted))
+	for id, l := range b.sorted {
+		b.runeLen[id] = uint32(utf8.RuneCountInString(l))
+	}
+	b.buildIndex()
 	return b
 }
 
+// buildIndex fills the trigram posting index over b.sorted.
+func (b *Bins) buildIndex() {
+	n := 0
+	for _, l := range b.sorted {
+		n += max(len(l)-2, 0)
+	}
+	// One (trigram, id) pair per trigram occurrence; sorting them groups
+	// the posting lists with ascending ids, and Compact drops a trigram
+	// repeated within one literal.
+	pairs := make([]uint64, 0, n)
+	for id, l := range b.sorted {
+		for i := 0; i+3 <= len(l); i++ {
+			pairs = append(pairs, uint64(trigram(l[i:]))<<32|uint64(id))
+		}
+	}
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	b.ids = make([]uint32, len(pairs))
+	for i, pair := range pairs {
+		if g := uint32(pair >> 32); len(b.grams) == 0 || b.grams[len(b.grams)-1] != g {
+			b.grams = append(b.grams, g)
+			b.offsets = append(b.offsets, uint32(i))
+		}
+		b.ids[i] = uint32(pair)
+	}
+	b.offsets = append(b.offsets, uint32(len(pairs)))
+}
+
+// trigram packs the first three bytes of s.
+func trigram(s string) uint32 {
+	return uint32(s[0])<<16 | uint32(s[1])<<8 | uint32(s[2])
+}
+
+// postings returns the ids of the literals containing trigram g.
+func (b *Bins) postings(g uint32) []uint32 {
+	i, ok := slices.BinarySearch(b.grams, g)
+	if !ok {
+		return nil
+	}
+	return b.ids[b.offsets[i]:b.offsets[i+1]]
+}
+
+// IndexBytes returns the heap the substring index adds to the bins: the
+// literals' string headers in output order, their rune lengths and the
+// posting arrays.
+func (b *Bins) IndexBytes() int {
+	return int(unsafe.Sizeof(""))*len(b.sorted) + 4*(len(b.runeLen)+len(b.grams)+len(b.offsets)+len(b.ids))
+}
+
 // Len returns the total number of binned literals.
-func (b *Bins) Len() int { return b.total }
+func (b *Bins) Len() int { return len(b.sorted) }
 
 // BinCount returns the number of non-empty bins (the paper reports ~80
 // bins for DBpedia under the 80-char cap).
@@ -149,11 +223,47 @@ func AssignTasks(bins [][]string, p int) [][]Task {
 	return out
 }
 
-// SearchSubstring scans bins [lo, hi] with p parallel workers and returns
-// up to limit literals containing pattern, shortest first (the QCM
+// SearchSubstring returns up to limit literals of bins [lo, hi] that
+// contain pattern, shortest first: byte length, then lexical (the QCM
 // returns the shortest residual matches; Section 6.1). limit <= 0 means
-// all.
+// all. A pattern of three or more bytes is answered from the trigram
+// index and p is unused; a shorter one is scanned with p workers.
 func (b *Bins) SearchSubstring(pattern string, lo, hi, p, limit int) []string {
+	if len(pattern) < 3 {
+		return b.ScanSubstring(pattern, lo, hi, p, limit)
+	}
+	// A literal containing pattern contains each of its trigrams, so the
+	// rarest trigram's posting list holds every match, in output order.
+	var cand []uint32
+	for i := 0; i+3 <= len(pattern); i++ {
+		post := b.postings(trigram(pattern[i:]))
+		if len(post) == 0 {
+			return nil
+		}
+		if cand == nil || len(post) < len(cand) {
+			cand = post
+		}
+	}
+	var out []string
+	for _, id := range cand {
+		if n := int(b.runeLen[id]); n < lo || n > hi {
+			continue
+		}
+		if l := b.sorted[id]; strings.Contains(l, pattern) {
+			out = append(out, l)
+			if limit > 0 && len(out) >= limit {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// ScanSubstring answers SearchSubstring by Algorithm 1: p parallel
+// workers scan every literal of bins [lo, hi]. It is SearchSubstring's
+// path for patterns shorter than a trigram, the reference its index is
+// tested against, and the scan the Section 7.3.1 worker sweep times.
+func (b *Bins) ScanSubstring(pattern string, lo, hi, p, limit int) []string {
 	if pattern == "" {
 		return nil
 	}

@@ -242,9 +242,9 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 		lits = append(lits, fmt.Sprintf("literal %d %s", i, strings.Repeat("x", rng.Intn(20))))
 	}
 	b := New(lits)
-	base := b.SearchSubstring("literal 4", 0, 100, 1, 0)
+	base := b.ScanSubstring("literal 4", 0, 100, 1, 0)
 	for _, p := range []int{2, 4, 8} {
-		got := b.SearchSubstring("literal 4", 0, 100, p, 0)
+		got := b.ScanSubstring("literal 4", 0, 100, p, 0)
 		if len(got) != len(base) {
 			t.Fatalf("p=%d returned %d, want %d", p, len(got), len(base))
 		}

@@ -128,12 +128,12 @@ func TestQCMReport(t *testing.T) {
 	if rep.FilterEliminated <= 0 || rep.FilterEliminated >= 1 {
 		t.Errorf("filter eliminated = %v, want a real fraction", rep.FilterEliminated)
 	}
-	if rep.TreeLookupNs <= 0 || rep.TotalNs <= 0 {
+	if rep.TreeLookupNs <= 0 || rep.TotalNs <= 0 || rep.BinIndexNs <= 0 {
 		t.Error("latencies not measured")
 	}
 	var buf bytes.Buffer
 	PrintQCM(&buf, rep)
-	if !strings.Contains(buf.String(), "suffix-tree lookup") {
+	if !strings.Contains(buf.String(), "suffix-tree lookup") || !strings.Contains(buf.String(), "trigram index") {
 		t.Error("QCM output malformed")
 	}
 }
@@ -237,6 +237,21 @@ func TestIndexAblation(t *testing.T) {
 	}
 	if tree.Value == 0 {
 		t.Error("tree found nothing")
+	}
+}
+
+func TestResidualIndexAblation(t *testing.T) {
+	env := testEnv(t)
+	rows := ResidualIndexAblation(env)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	index, scan := rows[0], rows[1]
+	if index.Value <= 0 || scan.Value <= 0 {
+		t.Errorf("latencies not measured: index %.0f ns, scan %.0f ns", index.Value, scan.Value)
+	}
+	if index.Extra <= 0 {
+		t.Error("index size not reported")
 	}
 }
 

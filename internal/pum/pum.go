@@ -6,6 +6,12 @@
 // query structures (Algorithm 3) after a query executes, prefetching
 // their answers so accepting a suggestion feels instantaneous.
 //
+// The QCM's residual step asks bins.SearchSubstring, which answers a term
+// of three or more bytes from the bins' trigram posting index instead of
+// the paper's parallel scan; shorter terms are still scanned. Either way
+// the completions are the paper's: tree matches first, then the shortest
+// residual matches in the γ window.
+//
 // The literal alternative search (Algorithm 2 line 9) is one bounded
 // SearchSimilar over the residual bins and one over the suffix tree's
 // literals, which New indexes by length. Under the default measure both

@@ -2,6 +2,7 @@ package pum
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,10 +64,11 @@ func TestCompleteTreeVsBinsPartition(t *testing.T) {
 }
 
 // TestCompleteWorkerCountInvariance: parallelism must not change the
-// result set (the QCM claim behind the multi-core speedup).
+// result set (the QCM claim behind the multi-core speedup). Terms under
+// three bytes are the ones the bins still scan in parallel.
 func TestCompleteWorkerCountInvariance(t *testing.T) {
 	p := testPUM(t)
-	for _, term := range []string{"Ken", "Spring", "ing"} {
+	for _, term := range []string{"Ken", "Spring", "ing", "e", "in"} {
 		base := p.CompleteBinsOnly(term, 1)
 		for _, workers := range []int{2, 4, 8} {
 			got := p.CompleteBinsOnly(term, workers)
@@ -81,6 +83,67 @@ func TestCompleteWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceComplete is the QCM as Figure 5 states it: suffix-tree
+// matches, then Algorithm 1's scan of the residual bins, deduplicated
+// through a set.
+func referenceComplete(p *PUM, term string) []Completion {
+	if term == "" || strings.HasPrefix(term, "?") {
+		return nil
+	}
+	k := p.cfg.K
+	var out []Completion
+	seen := make(map[string]bool)
+	for _, m := range p.cache.Tree.Search(term, k) {
+		if seen[m.Value] {
+			continue
+		}
+		seen[m.Value] = true
+		out = append(out, Completion{Text: m.Value, IsPredicate: p.cache.IsPredicateDisplay(m.Value), FromTree: true})
+		if len(out) >= k {
+			return out
+		}
+	}
+	lo := len([]rune(term))
+	for _, lit := range p.cache.Bins.ScanSubstring(term, lo, lo+p.cfg.Gamma, p.cfg.Workers, k-len(out)) {
+		if seen[lit] {
+			continue
+		}
+		seen[lit] = true
+		out = append(out, Completion{Text: lit})
+		if len(out) >= k {
+			break
+		}
+	}
+	return out
+}
+
+// TestCompleteMatchesScanReference types every cached literal keystroke
+// by keystroke — each prefix of 3 to 12 runes — and requires Complete,
+// which searches the bins through their trigram index, to answer exactly
+// what the scan-based reference answers.
+func TestCompleteMatchesScanReference(t *testing.T) {
+	p := testPUM(t)
+	keystrokes, reachedBins := 0, 0
+	for _, lex := range p.cache.Literals() {
+		r := []rune(lex)
+		for n := 3; n <= 12 && n <= len(r); n++ {
+			term := string(r[:n])
+			got, want := p.Complete(term), referenceComplete(p, term)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Complete(%q) = %+v\nreference  %+v", term, got, want)
+			}
+			keystrokes++
+			if len(want) > 0 && !want[len(want)-1].FromTree {
+				reachedBins++
+			}
+		}
+	}
+	if reachedBins == 0 {
+		t.Fatalf("none of %d keystrokes completed from the bins; the comparison is vacuous", keystrokes)
+	}
+	t.Logf("%d keystrokes, %d completed from the bins", keystrokes, reachedBins)
 }
 
 // BenchmarkComplete measures the full QCM path on the shared test cache.

@@ -138,14 +138,19 @@ func SuggestionsJSON(sugs []sapphire.Suggestion) []map[string]any {
 	return out
 }
 
-func completionsJSON(comps []sapphire.Completion) []map[string]any {
-	out := make([]map[string]any, 0, len(comps))
+// completionJSON is one /complete row. Its fields are declared in sorted
+// key order, the order encoding/json writes map keys in, which the wire
+// format has always had.
+type completionJSON struct {
+	FromTree    bool   `json:"fromTree"`
+	IsPredicate bool   `json:"isPredicate"`
+	Text        string `json:"text"`
+}
+
+func completionsJSON(comps []sapphire.Completion) []completionJSON {
+	out := make([]completionJSON, 0, len(comps))
 	for _, c := range comps {
-		out = append(out, map[string]any{
-			"text":        c.Text,
-			"isPredicate": c.IsPredicate,
-			"fromTree":    c.FromTree,
-		})
+		out = append(out, completionJSON{FromTree: c.FromTree, IsPredicate: c.IsPredicate, Text: c.Text})
 	}
 	return out
 }

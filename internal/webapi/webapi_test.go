@@ -1,6 +1,7 @@
 package webapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -78,6 +79,31 @@ func TestCompleteEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("completions = %v", comps)
+	}
+}
+
+// TestCompletionsJSONWireFormat pins the /complete body byte for byte to
+// the encoding of one map per row, the form clients were built against.
+func TestCompletionsJSONWireFormat(t *testing.T) {
+	for _, comps := range [][]sapphire.Completion{
+		nil,
+		{{Text: "alma mater", IsPredicate: true, FromTree: true}},
+		{{Text: `Kennedy "Ted" <b>&</b>`}, {Text: "Zürich 日本 ", FromTree: true}},
+	} {
+		rows := make([]map[string]any, 0, len(comps))
+		for _, c := range comps {
+			rows = append(rows, map[string]any{"text": c.Text, "isPredicate": c.IsPredicate, "fromTree": c.FromTree})
+		}
+		var got, want bytes.Buffer
+		if err := json.NewEncoder(&got).Encode(completionsJSON(comps)); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&want).Encode(rows); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("body %s, want %s", got.String(), want.String())
+		}
 	}
 }
 
