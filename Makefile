@@ -8,10 +8,6 @@
 #                         Jaro-Winkler kernel and the residual-bin trigram
 #                         index (same jobs CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
-#   make bench          - full benchmark sweep (3 runs, alloc stats) saved to
-#                         BENCH_<yyyy-mm-dd>.txt for before/after comparisons
-#   make bench-endpoint - cached-vs-uncached endpoint serving benchmarks saved
-#                         to BENCH_ENDPOINT_<yyyy-mm-dd>.txt
 #   make bench-ci       - pinned short benchmark config (the headline store /
 #                         eval / endpoint benchmarks, 4 repeats) parsed into
 #                         BENCH_pr.json — what the CI bench job runs
@@ -20,17 +16,6 @@
 #                         benchmark (sapphire-benchgate)
 #   make bench-baseline - regenerate bench_baseline.json from a fresh pinned
 #                         run (do this when the reference hardware changes)
-#   make bench-serving  - full serving-load scenario (sapphire-loadgen,
-#                         in-process world, default dataset): per-phase
-#                         p50/p99/p999 + throughput, informational
-#   make bench-serving-ci       - smoke scenario into BENCH_serving.json —
-#                                 what the CI bench job runs
-#   make bench-serving-gate     - SLO gate: BENCH_serving.json against
-#                                 bench_serving_baseline.json (sapphire-benchgate
-#                                 -slo; latency rows fail on increase, throughput
-#                                 rows on decrease)
-#   make bench-serving-baseline - regenerate bench_serving_baseline.json from a
-#                                 fresh smoke run
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
 #                         CI runs a 64-seed smoke setting)
@@ -43,8 +28,6 @@
 #                         unchecked — see docs/STATIC_ANALYSIS.md)
 
 GO ?= go
-BENCH_OUT := BENCH_$(shell date +%Y-%m-%d).txt
-BENCH_ENDPOINT_OUT := BENCH_ENDPOINT_$(shell date +%Y-%m-%d).txt
 
 # The pinned CI benchmark config: headline benchmarks only, fixed
 # benchtime and repeat count, fixed 1-CPU setting so runner core counts
@@ -63,19 +46,7 @@ BENCH_CI_PATTERN := ^(BenchmarkMatchByPredicate|BenchmarkMatchSubjectsMerge|Benc
 BENCH_CI_PKGS := ./internal/store/ ./internal/sparql/ ./internal/endpoint/ ./internal/store/persist/
 BENCH_CI_FLAGS := -run '^$$' -bench '$(BENCH_CI_PATTERN)' -benchtime=200ms -count=4 -cpu=1 -timeout=20m
 
-# The serving-SLO threshold is looser than the ns/op gate: one-shot
-# percentile measurements over a few hundred ops carry more run-to-run
-# noise than best-of-4 microbenchmarks, and the gate only needs to catch
-# step-change regressions (a 2x p99 is +100%, well past 75%).
-SERVING_SLO_THRESHOLD := 0.75
-# Latency rows also need an absolute regression beyond this many ns to
-# fail: sub-millisecond phases (federation answers memoized from the
-# pattern cache; qald's 50-op p99 is effectively a sample max) would
-# otherwise trip the gate on hundreds-of-µs noise. Millisecond-scale
-# step changes (a doubled p99) clear this floor comfortably.
-SERVING_SLO_SLACK_NS := 500000
-
-.PHONY: all test vet lint fmt loc race fuzz crashtest bench bench-endpoint bench-ci bench-gate bench-baseline build bench-serving bench-serving-ci bench-serving-gate bench-serving-baseline
+.PHONY: all test vet lint fmt loc race fuzz crashtest bench-ci bench-gate bench-baseline build
 
 all: build test
 
@@ -111,12 +82,6 @@ fuzz:
 crashtest:
 	SAPPHIRE_CRASH_SEEDS=512 $(GO) test ./internal/store/persist/ -run 'TestCrashRecoveryProperty' -v -timeout=30m
 
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=3 ./... | tee $(BENCH_OUT)
-
-bench-endpoint:
-	$(GO) test -run '^$$' -bench 'Query|Churn' -benchmem -count=3 ./internal/endpoint/ | tee $(BENCH_ENDPOINT_OUT)
-
 bench-ci:
 	$(GO) test $(BENCH_CI_FLAGS) $(BENCH_CI_PKGS) | tee BENCH_pr.txt
 	$(GO) run ./cmd/sapphire-benchgate -parse BENCH_pr.txt -out BENCH_pr.json
@@ -127,15 +92,3 @@ bench-gate:
 bench-baseline:
 	$(GO) test $(BENCH_CI_FLAGS) $(BENCH_CI_PKGS) | tee BENCH_baseline.txt
 	$(GO) run ./cmd/sapphire-benchgate -parse BENCH_baseline.txt -out bench_baseline.json
-
-bench-serving:
-	$(GO) run ./cmd/sapphire-loadgen -scenario serving -out BENCH_serving_full.json
-
-bench-serving-ci:
-	$(GO) run ./cmd/sapphire-loadgen -scenario smoke -repeat 3 -out BENCH_serving.json
-
-bench-serving-gate:
-	$(GO) run ./cmd/sapphire-benchgate -slo -baseline bench_serving_baseline.json -current BENCH_serving.json -threshold $(SERVING_SLO_THRESHOLD) -slack-ns $(SERVING_SLO_SLACK_NS)
-
-bench-serving-baseline:
-	$(GO) run ./cmd/sapphire-loadgen -scenario smoke -repeat 3 -out bench_serving_baseline.json

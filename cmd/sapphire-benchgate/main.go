@@ -14,26 +14,12 @@
 //
 //	sapphire-benchgate -baseline bench_baseline.json -current BENCH_pr.json -threshold 0.30
 //
-// SLO mode (-slo) is compare mode for the serving-latency files the
-// scenario harness emits (internal/scenario, `make bench-serving-ci`):
-// the default required set becomes the `Serving/` rows — per-phase
-// p50/p99/p999 latency and throughput — so a latency-percentile
-// regression or throughput drop beyond the threshold fails CI:
-//
-//	sapphire-benchgate -slo -baseline bench_serving_baseline.json \
-//	  -current BENCH_serving.json -threshold 0.50
-//
-// Rows named `.../throughput` carry ops/sec, where higher is better;
-// the comparison inverts for them (in any mode), failing when current
-// falls more than the threshold below baseline.
-//
 // Benchmarks present in only one of the two files (new benchmarks, or
 // retired ones outside the required set) are reported but do not fail
 // the gate. Absolute ns/op numbers are hardware-dependent: refresh the
-// baseline with `make bench-baseline` (or `make bench-serving-baseline`)
-// when the reference machine (the CI runner class) changes, and treat
-// the threshold as slack for runner-to-runner noise, not as a precision
-// instrument.
+// baseline with `make bench-baseline` when the reference machine (the
+// CI runner class) changes, and treat the threshold as slack for
+// runner-to-runner noise, not as a precision instrument.
 package main
 
 import (
@@ -77,10 +63,6 @@ type File struct {
 // sub-benchmarks is the restart-speedup claim, so both rows are gated).
 const defaultRequired = "BenchmarkMatchByPredicate,BenchmarkMatchSubjectsMerge,BenchmarkDictInternParallel,BenchmarkEvalTwoHopJoin,BenchmarkEvalOrderByLimit,BenchmarkEvalFilterPushdown,BenchmarkEvalJoinOrder,BenchmarkCachedQuery,BenchmarkBulkLoad,BenchmarkSnapshotSave,BenchmarkWALAppend,BenchmarkDurableAdd,BenchmarkRecovery1M"
 
-// defaultRequiredSLO gates every serving row the scenario harness
-// emits: Serving/<phase>/{p50,p99,p999,throughput}.
-const defaultRequiredSLO = "Serving/"
-
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkMatchByPredicate/single-8   7405   165432 ns/op   0 B/op ...
@@ -98,24 +80,8 @@ func main() {
 		threshold = flag.Float64("threshold", 0.30, "fail on ns/op regressions larger than this fraction")
 		required  = flag.String("required", defaultRequired,
 			"comma-separated substrings; every benchmark matching one is gated and must be present in both files")
-		slo = flag.Bool("slo", false,
-			"serving-SLO mode: default the required set to the Serving/ latency and throughput rows")
-		slackNs = flag.Float64("slack-ns", 0,
-			"absolute slack for latency rows: a regression also needs current-baseline above this many ns (damps relative noise on microsecond-scale rows)")
 	)
 	flag.Parse()
-
-	if *slo {
-		requiredSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "required" {
-				requiredSet = true
-			}
-		})
-		if !requiredSet {
-			*required = defaultRequiredSLO
-		}
-	}
 
 	switch {
 	case *parse != "":
@@ -126,7 +92,7 @@ func main() {
 			fatal(err.Error())
 		}
 	case *baseline != "" && *current != "":
-		ok, err := compareMode(*baseline, *current, *threshold, *slackNs, splitList(*required))
+		ok, err := compareMode(*baseline, *current, *threshold, splitList(*required))
 		if err != nil {
 			fatal(err.Error())
 		}
@@ -214,7 +180,7 @@ func matchesAny(name string, patterns []string) bool {
 	return false
 }
 
-func compareMode(basePath, curPath string, threshold, slackNs float64, required []string) (bool, error) {
+func compareMode(basePath, curPath string, threshold float64, required []string) (bool, error) {
 	base, err := load(basePath)
 	if err != nil {
 		return false, err
@@ -245,19 +211,8 @@ func compareMode(basePath, curPath string, threshold, slackNs float64, required 
 			fmt.Printf("%-55s %12.0f %12s %8s  (not in current run, ungated)\n", name, b.NsPerOp, "-", "-")
 		default:
 			delta := c.NsPerOp/b.NsPerOp - 1
-			// Throughput rows carry ops/sec: higher is better, so a
-			// regression is a *drop* beyond the threshold. Latency (ns)
-			// rows additionally need to clear the absolute slack, so a
-			// microsecond-scale row's relative noise can't trip the
-			// gate.
-			var regressed bool
-			if strings.HasSuffix(name, "/throughput") {
-				regressed = delta < -threshold
-			} else {
-				regressed = delta > threshold && c.NsPerOp-b.NsPerOp > slackNs
-			}
 			verdict := "ok"
-			if regressed {
+			if delta > threshold {
 				if gated {
 					verdict = fmt.Sprintf("FAIL (> %.0f%% worse)", threshold*100)
 					ok = false

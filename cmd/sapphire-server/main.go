@@ -129,7 +129,7 @@ func main() {
 	// The SPARQL-protocol surface (/sparql, /epoch, /healthz) rides
 	// alongside the JSON web API: queries POSTed to /sparql execute
 	// through the same federation as /query, so protocol-speaking tools
-	// (curl, sapphire-loadgen) can drive the server without the JSON
+	// (curl, SPARQL clients) can drive the server without the JSON
 	// wrapper. The federation spans remote members, so /epoch answers
 	// 404 (code "unsupported") — the fedEndpoint is not Epoched.
 	mux := endpoint.NewMux(fedEndpoint{client})

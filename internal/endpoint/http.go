@@ -200,10 +200,9 @@ func (c *Client) epochViaNetwork() {}
 // Client is an Endpoint talking to a remote SPARQL HTTP endpoint.
 // Queries are retried per the client's RetryPolicy — see NewClient.
 type Client struct {
-	url       string
-	client    *http.Client
-	retrier   *retrier
-	userAgent string
+	url     string
+	client  *http.Client
+	retrier *retrier
 }
 
 // NewClient returns a client for the endpoint at rawURL, configured by
@@ -214,7 +213,7 @@ type Client struct {
 //
 //	c := endpoint.NewClient(url,
 //	        endpoint.WithRetryPolicy(endpoint.RetryPolicy{MaxAttempts: 2}),
-//	        endpoint.WithUserAgent("sapphire-loadgen/1"))
+//	        endpoint.WithHTTPClient(&http.Client{Transport: tr}))
 func NewClient(rawURL string, opts ...Option) *Client {
 	// No whole-query http.Client timeout: the per-attempt context bounds
 	// each try, and the caller's context bounds the whole exchange.
@@ -253,7 +252,6 @@ func (c *Client) Epoch(ctx context.Context) (uint64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	c.setCommonHeaders(req)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, false
@@ -271,12 +269,6 @@ func (c *Client) Epoch(ctx context.Context) (uint64, bool) {
 		return 0, false
 	}
 	return e, true
-}
-
-func (c *Client) setCommonHeaders(req *http.Request) {
-	if c.userAgent != "" {
-		req.Header.Set("User-Agent", c.userAgent)
-	}
 }
 
 // Query implements Endpoint by POSTing the query as a form and decoding
@@ -331,7 +323,6 @@ func (c *Client) queryOnce(ctx context.Context, query string) (_ *sparql.Results
 	// Asking for sparql-results+json doubles as the JSON error envelope
 	// opt-in (see acceptsJSON).
 	req.Header.Set("Accept", "application/sparql-results+json, application/json")
-	c.setCommonHeaders(req)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		// Transport-level failure (or per-attempt timeout): retryable

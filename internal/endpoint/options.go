@@ -24,10 +24,3 @@ func WithHTTPClient(h *http.Client) Option {
 		}
 	}
 }
-
-// WithUserAgent sets the User-Agent header on every request the client
-// issues, so server-side logs can attribute traffic (the load harness
-// tags its requests this way).
-func WithUserAgent(ua string) Option {
-	return func(c *Client) { c.userAgent = ua }
-}

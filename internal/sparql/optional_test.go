@@ -8,7 +8,7 @@ import (
 )
 
 // optStore builds a graph where some books have publishers and some do
-// not — the canonical OPTIONAL scenario.
+// not — the canonical OPTIONAL case.
 func optStore(t testing.TB) *store.Store {
 	t.Helper()
 	s := store.New()
