@@ -79,6 +79,7 @@ func main() {
 		db, info, err = persist.Open(*dataDir, persist.Options{
 			Fsync:         policy,
 			SnapshotEvery: *snapshotEvery,
+			Shards:        *shards,
 		})
 		if err != nil {
 			log.Fatalf("open %s: %v", *dataDir, err)

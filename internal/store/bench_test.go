@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -133,26 +132,6 @@ func BenchmarkMatchIDsWildcardPredicate(b *testing.B) {
 		if n != 5000 {
 			b.Fatalf("matched %d", n)
 		}
-	}
-}
-
-// BenchmarkStoreMemoryFootprint reports the steady-state heap cost per
-// stored triple, tracking the dictionary encoding's memory win.
-func BenchmarkStoreMemoryFootprint(b *testing.B) {
-	const n = 50000
-	var before, after runtime.MemStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		s := benchStore(n / 2) // two triples per subject
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		if s.Len() != n {
-			b.Fatalf("store has %d triples", s.Len())
-		}
-		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(n), "bytes/triple")
-		runtime.KeepAlive(s)
 	}
 }
 
@@ -342,8 +321,8 @@ func mean(xs []float64) float64 {
 // subjects all pointing at one hub object through one predicate, so the
 // sharded variant merges disjoint term-sorted per-shard subject runs
 // (POS innermost lists) through the loser tree — the second
-// wildcard-merge shape the benchgate pins alongside the (?s P ?o)
-// sweep of BenchmarkMatchByPredicate.
+// wildcard-merge shape, beside the (?s P ?o) sweep of
+// BenchmarkMatchByPredicate.
 func BenchmarkMatchSubjectsMerge(b *testing.B) {
 	for _, mode := range shardModes {
 		b.Run(mode.name, func(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 
 	"sapphire/internal/rdf"
 	"sapphire/internal/store"
@@ -123,40 +122,4 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkDurableAdd compares one online Add through the bare
-// in-memory store against the same Add through a durable DB with
-// -fsync=interval on a real directory: the durability tax when the
-// fsync is amortized off the write path.
-func BenchmarkDurableAdd(b *testing.B) {
-	triples := genTriples(1 << 20)
-	b.Run("memory", func(b *testing.B) {
-		s := store.NewSharded(8)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Add(triples[i&(len(triples)-1)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("interval", func(b *testing.B) {
-		db, _, err := Open(b.TempDir(), Options{
-			Fsync:         FsyncInterval,
-			FsyncInterval: 100 * time.Millisecond,
-			Shards:        8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Add(triples[i&(len(triples)-1)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -131,8 +131,8 @@ type Options struct {
 	// triples have been logged to the current WAL. 0 disables automatic
 	// snapshots (explicit Snapshot calls still work).
 	SnapshotEvery int
-	// Shards / DictShards configure a store built by recovery.
-	// Zero values take the store package defaults.
+	// Shards / DictShards configure a store built by recovery. Zero takes
+	// the store default, but zero Shards keeps a snapshot's own count.
 	Shards     int
 	DictShards int
 	// KeepGenerations is how many trailing generations survive snapshot

@@ -114,6 +114,32 @@ func TestDBSnapshotAndReopen(t *testing.T) {
 	}
 }
 
+// TestReopenShards pins how Options.Shards applies to a store recovered
+// from a snapshot: a positive count re-partitions it, zero keeps the
+// snapshot's own count.
+func TestReopenShards(t *testing.T) {
+	fs := NewMemFS()
+	db, _ := mustOpen(t, fs, Options{Shards: 8})
+	if err := db.AddAll(batch("a", 300)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpStore(t, db.Store())
+	db.Close()
+	for _, tc := range []struct{ opt, want int }{{2, 2}, {0, 8}} {
+		db, _ := mustOpen(t, fs, Options{Shards: tc.opt})
+		if got := db.Store().Shards(); got != tc.want {
+			t.Errorf("reopen with Shards %d: store has %d shards, want %d", tc.opt, got, tc.want)
+		}
+		if dumpStore(t, db.Store()) != want {
+			t.Errorf("reopen with Shards %d: recovered dump differs", tc.opt)
+		}
+		db.Close()
+	}
+}
+
 func TestRecoveryFallbackToOlderGeneration(t *testing.T) {
 	fs := NewMemFS()
 	db, _ := mustOpen(t, fs, Options{Fsync: FsyncAlways})

@@ -11,11 +11,13 @@ package webapi
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 
 	"sapphire"
+	"sapphire/internal/endpoint"
 	"sapphire/internal/rdf"
 )
 
@@ -79,7 +81,12 @@ func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
 		http.Error(w, "POST the SPARQL query as the request body", http.StatusMethodNotAllowed)
 		return "", false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// Not a silent LimitReader: a query cut short can parse as another.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, endpoint.MaxQueryBytes))
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return "", false
+	}
 	if err != nil || len(strings.TrimSpace(string(body))) == 0 {
 		http.Error(w, "empty query", http.StatusBadRequest)
 		return "", false

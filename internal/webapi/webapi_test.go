@@ -200,4 +200,17 @@ func TestErrorPaths(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/run", "garbage", &out); code != http.StatusBadRequest {
 		t.Errorf("bad run = %d", code)
 	}
+	// A body of exactly endpoint.MaxQueryBytes is served; one byte more is
+	// 413, never a truncated prefix parsed as a query. The padding sits in
+	// front, so a body cut short loses its closing brace, not padding.
+	query := `SELECT ?w WHERE { <http://dbpedia.org/resource/Tom_Hanks> <http://dbpedia.org/ontology/spouse> ?w . }`
+	fits := strings.Repeat(" ", endpoint.MaxQueryBytes-len(query)) + query
+	for _, route := range []string{"/query", "/suggest", "/run"} {
+		if code := postJSON(t, srv.URL+route, fits, &out); code != http.StatusOK {
+			t.Errorf("%s at the limit = %d, want 200", route, code)
+		}
+		if code := postJSON(t, srv.URL+route, " "+fits, &out); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s one byte over the limit = %d, want 413", route, code)
+		}
+	}
 }
