@@ -5,8 +5,9 @@
 #                         descend into it, so removed API could break it unseen)
 #   make race           - race-detector pass over the concurrency-sensitive packages
 #   make fuzz           - short fuzz smokes of the SPARQL parser, the
-#                         Jaro-Winkler kernel and the residual-bin trigram
-#                         index (same jobs CI runs)
+#                         Jaro-Winkler kernel, the residual-bin trigram
+#                         index and the completion suffix array (same
+#                         jobs CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
+	$(GO) test ./internal/suffixtree/ -run '^$$' -fuzz 'FuzzSuffixSearch' -fuzztime=30s
 
 crashtest:
 	SAPPHIRE_CRASH_SEEDS=512 $(GO) test ./internal/store/persist/ -run 'TestCrashRecoveryProperty' -v -timeout=30m

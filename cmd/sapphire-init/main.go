@@ -143,7 +143,7 @@ func main() {
 	fmt.Printf("predicates cached:   %d\n", s.PredicateCount)
 	fmt.Printf("literals cached:     %d (significant %d, residual %d in %d bins)\n",
 		s.LiteralCount, s.SignificantCount, s.ResidualCount, s.BinCount)
-	fmt.Printf("suffix tree:         %d nodes, ~%d KiB\n", s.TreeNodes, s.TreeBytes/1024)
+	fmt.Printf("suffix array:        %d entries, %d KiB\n", s.TreeNodes, s.TreeBytes/1024)
 	fmt.Printf("used RDFS hierarchy: %v\n", s.UsedHierarchy)
 	fmt.Printf("budget exhausted:    %v\n", s.BudgetExhausted)
 	fmt.Printf("duration:            %v\n", s.Duration.Round(time.Millisecond))

@@ -58,11 +58,13 @@ type Stats struct {
 	SignificantCount    int
 	ResidualCount       int
 	BinCount            int
-	TreeNodes           int
-	TreeBytes           int
-	UsedHierarchy       bool
-	BudgetExhausted     bool
-	Duration            time.Duration
+	// TreeNodes is the number of suffix-array entries in Tree, one per
+	// indexed rune; TreeBytes is the exact size of its arrays.
+	TreeNodes       int
+	TreeBytes       int
+	UsedHierarchy   bool
+	BudgetExhausted bool
+	Duration        time.Duration
 }
 
 // Cache is the initialized per-endpoint data the Predictive User Model
@@ -73,7 +75,7 @@ type Cache struct {
 	// Predicates are all predicate IRIs, most frequent first.
 	Predicates []rdf.Term
 	// Tree indexes predicate display names and the most significant
-	// literals for O(|t|+z) completion lookups.
+	// literals for substring completion lookups.
 	Tree *suffixtree.Tree
 	// Bins holds the residual literals bucketed by length.
 	Bins *bins.Bins
@@ -411,24 +413,14 @@ func atoiSafe(s string) int {
 	return n
 }
 
-// buildCache assembles the suffix tree and residual bins from the
-// collected data.
+// buildCache marks the SuffixTreeCapacity most significant literals
+// tree-resident and indexes the cache.
 func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 	c := &Cache{
-		Endpoint:      name,
-		Predicates:    preds,
-		displayToPred: make(map[string][]rdf.Term),
-		literalTerm:   in.literals,
-		inTree:        make(map[string]bool),
-	}
-	var treeStrings []string
-	for _, p := range preds {
-		d := DisplayName(p)
-		if len(c.displayToPred[d]) == 0 {
-			treeStrings = append(treeStrings, d)
-		}
-		c.displayToPred[d] = append(c.displayToPred[d], p)
-		c.inTree[d] = true
+		Endpoint:    name,
+		Predicates:  preds,
+		literalTerm: in.literals,
+		inTree:      make(map[string]bool),
 	}
 	// Rank literals by significance, most significant first; cap at
 	// SuffixTreeCapacity.
@@ -448,41 +440,48 @@ func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 		}
 		return ranked[i].lex < ranked[j].lex
 	})
-	capacity := in.cfg.SuffixTreeCapacity
-	if capacity <= 0 {
-		capacity = len(ranked)
+	if capacity := in.cfg.SuffixTreeCapacity; capacity > 0 && capacity < len(ranked) {
+		ranked = ranked[:capacity]
 	}
-	for i, r := range ranked {
-		if i >= capacity {
-			break
-		}
-		treeStrings = append(treeStrings, r.lex)
+	for _, r := range ranked {
 		c.inTree[r.lex] = true
 	}
-	c.Tree = suffixtree.New(treeStrings)
-	// Residual literals: everything cached but not in the tree.
-	var residual []string
-	for lex := range in.literals {
-		if !c.inTree[lex] {
-			residual = append(residual, lex)
-		}
-	}
-	sort.Strings(residual)
-	c.Bins = bins.New(residual)
-
 	in.stats.LiteralCount = len(in.literals)
-	in.stats.SignificantCount = min(capacity, len(ranked))
-	in.stats.ResidualCount = c.Bins.Len()
-	in.stats.BinCount = c.Bins.BinCount()
-	in.stats.TreeNodes = c.Tree.NodeCount()
-	in.stats.TreeBytes = c.Tree.ApproxBytes()
+	in.stats.SignificantCount = len(ranked)
 	c.Stats = in.stats
+	c.index()
 	return c
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// index builds Tree, Bins and their Stats fields from c.Predicates,
+// c.literalTerm and the tree literals c.inTree marks. Initialize,
+// MergeCaches and Load all call it, so the tree strings go in in one
+// order — predicate display names in Predicates order, then the tree
+// literals sorted — and a cache answers /complete the same before and
+// after a Save/Load round trip (insertion order breaks ties between
+// equal suffixes).
+func (c *Cache) index() {
+	c.displayToPred = make(map[string][]rdf.Term)
+	var tree, residual []string
+	for _, p := range c.Predicates {
+		d := DisplayName(p)
+		if len(c.displayToPred[d]) == 0 {
+			tree = append(tree, d)
+		}
+		c.displayToPred[d] = append(c.displayToPred[d], p)
+		c.inTree[d] = true
 	}
-	return b
+	for _, lex := range c.Literals() {
+		if c.inTree[lex] {
+			tree = append(tree, lex)
+		} else {
+			residual = append(residual, lex)
+		}
+	}
+	c.Tree = suffixtree.New(tree)
+	c.Bins = bins.New(residual)
+	c.Stats.TreeNodes = c.Tree.Len()
+	c.Stats.TreeBytes = c.Tree.Bytes()
+	c.Stats.ResidualCount = c.Bins.Len()
+	c.Stats.BinCount = c.Bins.BinCount()
 }

@@ -1,12 +1,6 @@
 package bootstrap
 
-import (
-	"sort"
-
-	"sapphire/internal/bins"
-	"sapphire/internal/rdf"
-	"sapphire/internal/suffixtree"
-)
+import "sapphire/internal/rdf"
 
 // MergeCaches combines per-endpoint caches into one cache spanning all
 // registered endpoints, so a single PUM can complete and suggest across
@@ -17,13 +11,11 @@ func MergeCaches(caches ...*Cache) *Cache {
 		return caches[0]
 	}
 	merged := &Cache{
-		Endpoint:      "federation",
-		displayToPred: make(map[string][]rdf.Term),
-		literalTerm:   make(map[string]rdf.Term),
-		inTree:        make(map[string]bool),
+		Endpoint:    "federation",
+		literalTerm: make(map[string]rdf.Term),
+		inTree:      make(map[string]bool),
 	}
 	seenPred := make(map[rdf.Term]bool)
-	var treeStrings []string
 	for _, c := range caches {
 		if c == nil {
 			continue
@@ -49,38 +41,13 @@ func MergeCaches(caches ...*Cache) *Cache {
 		merged.Stats.UsedHierarchy = merged.Stats.UsedHierarchy || c.Stats.UsedHierarchy
 		merged.Stats.Duration += c.Stats.Duration
 	}
-	for _, p := range merged.Predicates {
-		d := DisplayName(p)
-		if len(merged.displayToPred[d]) == 0 {
-			merged.inTree[d] = true
-		}
-		merged.displayToPred[d] = append(merged.displayToPred[d], p)
-	}
-	for s := range merged.inTree {
-		treeStrings = append(treeStrings, s)
-	}
-	sort.Strings(treeStrings)
-	merged.Tree = suffixtree.New(treeStrings)
-	var residual []string
-	for lex := range merged.literalTerm {
-		if !merged.inTree[lex] {
-			residual = append(residual, lex)
-		}
-	}
-	sort.Strings(residual)
-	merged.Bins = bins.New(residual)
-
+	merged.index()
 	merged.Stats.PredicateCount = len(merged.Predicates)
 	merged.Stats.LiteralCount = len(merged.literalTerm)
-	merged.Stats.SignificantCount = 0
-	for lex := range merged.inTree {
-		if _, isLit := merged.literalTerm[lex]; isLit {
+	for lex := range merged.literalTerm {
+		if merged.inTree[lex] {
 			merged.Stats.SignificantCount++
 		}
 	}
-	merged.Stats.ResidualCount = merged.Bins.Len()
-	merged.Stats.BinCount = merged.Bins.BinCount()
-	merged.Stats.TreeNodes = merged.Tree.NodeCount()
-	merged.Stats.TreeBytes = merged.Tree.ApproxBytes()
 	return merged
 }

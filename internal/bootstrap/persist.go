@@ -12,9 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"sapphire/internal/bins"
 	"sapphire/internal/rdf"
-	"sapphire/internal/suffixtree"
 )
 
 // The paper's initialization "happens only once for each endpoint" (17
@@ -174,40 +172,20 @@ func Load(r io.Reader) (*Cache, error) {
 		return nil, fmt.Errorf("bootstrap: unsupported cache version %d", cf.Version)
 	}
 	c := &Cache{
-		Endpoint:      cf.Endpoint,
-		Stats:         cf.Stats,
-		displayToPred: make(map[string][]rdf.Term),
-		literalTerm:   make(map[string]rdf.Term),
-		inTree:        make(map[string]bool),
+		Endpoint:    cf.Endpoint,
+		Stats:       cf.Stats,
+		literalTerm: make(map[string]rdf.Term),
+		inTree:      make(map[string]bool),
 	}
-	var treeStrings []string
 	for _, st := range cf.Predicates {
-		p := rdf.NewIRI(st.IRI)
-		c.Predicates = append(c.Predicates, p)
-		d := DisplayName(p)
-		if len(c.displayToPred[d]) == 0 {
-			treeStrings = append(treeStrings, d)
-		}
-		c.displayToPred[d] = append(c.displayToPred[d], p)
-		c.inTree[d] = true
+		c.Predicates = append(c.Predicates, rdf.NewIRI(st.IRI))
 	}
-	var residual []string
 	for _, sl := range cf.Literals {
-		t := rdf.Term{Kind: rdf.KindLiteral, Value: sl.Value, Lang: sl.Lang, Datatype: sl.Dtype}
-		c.literalTerm[sl.Value] = t
+		c.literalTerm[sl.Value] = rdf.Term{Kind: rdf.KindLiteral, Value: sl.Value, Lang: sl.Lang, Datatype: sl.Dtype}
 		if sl.InTree {
 			c.inTree[sl.Value] = true
-			treeStrings = append(treeStrings, sl.Value)
-		} else {
-			residual = append(residual, sl.Value)
 		}
 	}
-	c.Tree = suffixtree.New(treeStrings)
-	sort.Strings(residual)
-	c.Bins = bins.New(residual)
-	c.Stats.TreeNodes = c.Tree.NodeCount()
-	c.Stats.TreeBytes = c.Tree.ApproxBytes()
-	c.Stats.ResidualCount = c.Bins.Len()
-	c.Stats.BinCount = c.Bins.BinCount()
+	c.index()
 	return c, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,5 +110,53 @@ func TestSaveFileAtomic(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("directory after two saves: %v", names)
+	}
+}
+
+// TestCompletionsSurviveRoundTrip: every prefix of every tree string
+// completes to the same strings in the same order from a fresh cache and
+// from that cache after Save/Load, and likewise for a merge of two
+// caches, so restarting a server from its saved cache does not change
+// its /complete answers.
+func TestCompletionsSurviveRoundTrip(t *testing.T) {
+	fresh := initTestCache(t)
+	small := datagen.SmallConfig()
+	small.Seed = 2
+	cfg := DefaultConfig()
+	cfg.SuffixTreeCapacity = 100
+	other, err := Initialize(context.Background(), endpoint.NewLocal("other", datagen.Generate(small).Store, endpoint.Limits{}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Cache{"fresh": fresh, "merged": MergeCaches(fresh, other)} {
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := c.Literals()
+		for _, p := range c.Predicates {
+			tree = append(tree, DisplayName(p))
+		}
+		prefixes := 0
+		for _, s := range tree {
+			if !c.InSuffixTree(s) {
+				continue
+			}
+			r := []rune(s)
+			for i := 1; i <= len(r); i++ {
+				p := string(r[:i])
+				if got, want := loaded.Tree.Search(p, 10), c.Tree.Search(p, 10); !slices.Equal(got, want) {
+					t.Fatalf("%s cache: Search(%q, 10) after Save/Load = %v, before %v", name, p, got, want)
+				}
+				prefixes++
+			}
+		}
+		if prefixes == 0 {
+			t.Fatalf("%s cache: no tree strings", name)
+		}
 	}
 }

@@ -235,7 +235,7 @@ func PrintInit(w io.Writer, r *InitReport) {
 	fmt.Fprintf(w, "  predicates cached:     %d\n", s.PredicateCount)
 	fmt.Fprintf(w, "  literals cached:       %d (significant %d, residual %d in %d bins)\n",
 		s.LiteralCount, s.SignificantCount, s.ResidualCount, s.BinCount)
-	fmt.Fprintf(w, "  suffix tree:           %d nodes, ~%d KiB\n", s.TreeNodes, s.TreeBytes/1024)
+	fmt.Fprintf(w, "  suffix array:          %d entries, %d KiB\n", s.TreeNodes, s.TreeBytes/1024)
 	fmt.Fprintf(w, "  used RDFS hierarchy:   %v\n", s.UsedHierarchy)
 	fmt.Fprintf(w, "  wall time:             %v\n", s.Duration.Round(time.Millisecond))
 }

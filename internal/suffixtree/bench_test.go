@@ -13,7 +13,7 @@ func benchStrings(n int) []string {
 	return out
 }
 
-// BenchmarkBuild measures Ukkonen construction over 10k strings.
+// BenchmarkBuild measures suffix-array construction over 10k strings.
 func BenchmarkBuild(b *testing.B) {
 	strs := benchStrings(10000)
 	b.ReportAllocs()
@@ -23,8 +23,8 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSearch measures the O(|t|+z) substring lookup the QCM relies
-// on (paper: ~0.25 ms regardless of indexed size).
+// BenchmarkSearch measures the substring lookup the QCM relies on
+// (paper: ~0.25 ms regardless of indexed size).
 func BenchmarkSearch(b *testing.B) {
 	tr := New(benchStrings(10000))
 	b.ReportAllocs()

@@ -1,226 +1,85 @@
-// Package suffixtree implements a generalized suffix tree built with
-// Ukkonen's on-line algorithm [Ukkonen 1995], the index the paper uses
-// for the Query Completion Module. Lookup of a term t runs in
-// O(|t| + z) where z is the number of occurrences, which is what gives
-// the QCM its sub-millisecond suggestion latency (Section 7.3.1).
+// Package suffixtree is the substring index the paper's Query Completion
+// Module answers a keystroke from (Section 5.2): a generalized suffix
+// array [Manber & Myers 1993] over the predicate display names and the
+// most significant literals. Lookup of a term t is a binary search plus
+// a walk over the z suffixes that start with t, O(|t| log n + z).
 //
-// The tree is generalized over a set of strings by concatenating them
-// with an out-of-band separator rune. Because query strings never contain
-// the separator, any root path that spells a query term lies entirely
-// within one input string, so substring search remains exact.
+// The strings are concatenated, each followed by a NUL separator, with
+// one final \x01 after the last. Because a query term never contains
+// either rune, every occurrence lies inside one string. Because \x01
+// occurs once, no suffix is a prefix of another, so the suffixes sorted
+// rune by rune are exactly the leaves of the generalized suffix tree in
+// its depth-first order over rune-sorted children: Search returns the
+// same strings in the same order a suffix tree over the same text would,
+// including ties between equal suffixes, which the text after the
+// separator breaks.
 package suffixtree
 
 import (
-	"sort"
+	"slices"
 	"strings"
+	"unicode/utf8"
+	"unsafe"
 )
 
-// separator terminates each input string inside the concatenated text.
-// Input strings containing it are rejected by Add.
-const separator = '\x00'
+// separator ends each indexed string inside the text; finalMark ends the
+// text. Input strings and patterns containing either are skipped.
+const (
+	separator = '\x00'
+	finalMark = '\x01'
+	reserved  = "\x00\x01"
+)
 
-// finalMark is appended once after the last string. Because it occurs
-// exactly once, it forces every remaining implicit suffix to become an
-// explicit leaf, which the search relies on to find all occurrences.
-const finalMark = '\x01'
-
-// node is a suffix tree node. Edges are labeled by text[start:*end); all
-// leaves share the builder's global end pointer during construction.
-type node struct {
-	start    int
-	end      *int
-	children map[rune]*node
-	link     *node
-}
-
-func (n *node) edgeLen() int { return *n.end - n.start }
-
-// Tree is a generalized suffix tree over a set of strings.
+// Tree is a generalized suffix array over a set of strings.
 type Tree struct {
-	text    []rune
-	root    *node
-	strs    []string
-	offsets []int // start offset of strs[i] inside text
-
-	// Ukkonen construction state.
-	activeNode   *node
-	activeEdge   int
-	activeLength int
-	remaining    int
-	leafEnd      int
-	nodeCount    int
+	text    []rune   // every string followed by separator, then finalMark
+	strs    []string // the distinct indexed strings, in insertion order
+	offsets []int32  // start of strs[i] inside text, ascending
+	sa      []int32  // position of every rune inside a string, by suffix order
 }
 
-// New builds a tree over the given strings. Strings containing the NUL
-// separator are skipped (they cannot occur in RDF literals Sapphire
-// caches). Duplicate strings are stored once.
+// New indexes the given strings. Empty strings, strings containing NUL or
+// \x01 (neither occurs in the RDF literals Sapphire caches) and repeats
+// are skipped.
 func New(strs []string) *Tree {
 	t := &Tree{}
-	t.root = t.newNode(-1, new(int))
-	t.activeNode = t.root
 	seen := make(map[string]bool, len(strs))
+	runes := 0
 	for _, s := range strs {
-		if s == "" || strings.ContainsRune(s, separator) ||
-			strings.ContainsRune(s, finalMark) || seen[s] {
+		if s == "" || strings.ContainsAny(s, reserved) || seen[s] {
 			continue
 		}
 		seen[s] = true
-		t.add(s)
+		t.strs = append(t.strs, s)
+		runes += utf8.RuneCountInString(s)
 	}
-	if len(t.strs) > 0 {
-		t.extend(finalMark)
+	t.text = make([]rune, 0, runes+len(t.strs)+1)
+	t.offsets = make([]int32, len(t.strs))
+	t.sa = make([]int32, 0, runes)
+	for i, s := range t.strs {
+		t.offsets[i] = int32(len(t.text))
+		for _, r := range s {
+			t.sa = append(t.sa, int32(len(t.text)))
+			t.text = append(t.text, r)
+		}
+		t.text = append(t.text, separator)
 	}
+	t.text = append(t.text, finalMark)
+	slices.SortFunc(t.sa, func(a, b int32) int { return slices.Compare(t.text[a:], t.text[b:]) })
 	return t
 }
 
-// Strings returns the number of distinct strings indexed.
-func (t *Tree) Strings() int { return len(t.strs) }
+// Len returns the number of suffix-array entries: the runes indexed.
+func (t *Tree) Len() int { return len(t.sa) }
 
-// NodeCount returns the number of tree nodes, a proxy for memory use (the
-// paper reports the DBpedia tree at 400MB for 43K strings).
-func (t *Tree) NodeCount() int { return t.nodeCount }
-
-// ApproxBytes estimates the memory footprint of the tree.
-func (t *Tree) ApproxBytes() int {
-	// Each node: struct overhead + children map; each text rune: 4 bytes.
-	return t.nodeCount*96 + len(t.text)*4
+// Bytes returns the memory the index owns: its arrays and its header.
+// The string bytes are shared with the caller and not counted.
+func (t *Tree) Bytes() int {
+	return int(unsafe.Sizeof(*t)) + 4*(cap(t.text)+cap(t.offsets)+cap(t.sa)) +
+		int(unsafe.Sizeof(""))*cap(t.strs)
 }
 
-func (t *Tree) newNode(start int, end *int) *node {
-	t.nodeCount++
-	return &node{start: start, end: end, children: make(map[rune]*node)}
-}
-
-// add extends the tree with one string using Ukkonen's algorithm over
-// the concatenated text.
-func (t *Tree) add(s string) {
-	t.offsets = append(t.offsets, len(t.text))
-	t.strs = append(t.strs, s)
-	for _, r := range s {
-		t.extend(r)
-	}
-	t.extend(separator)
-}
-
-func (t *Tree) extend(r rune) {
-	t.text = append(t.text, r)
-	pos := len(t.text) - 1
-	t.leafEnd = pos + 1
-	t.remaining++
-	var lastNewNode *node
-
-	for t.remaining > 0 {
-		if t.activeLength == 0 {
-			t.activeEdge = pos
-		}
-		edgeRune := t.text[t.activeEdge]
-		next, ok := t.activeNode.children[edgeRune]
-		if !ok {
-			// Rule 2: new leaf edge from activeNode.
-			leaf := t.newNode(pos, &t.leafEnd)
-			t.activeNode.children[edgeRune] = leaf
-			if lastNewNode != nil {
-				lastNewNode.link = t.activeNode
-				lastNewNode = nil
-			}
-		} else {
-			// Walk down if activeLength spans the edge.
-			if t.activeLength >= next.edgeLen() {
-				t.activeEdge += next.edgeLen()
-				t.activeLength -= next.edgeLen()
-				t.activeNode = next
-				continue
-			}
-			if t.text[next.start+t.activeLength] == r {
-				// Rule 3: already present; stop this phase.
-				if lastNewNode != nil {
-					lastNewNode.link = t.activeNode
-					lastNewNode = nil
-				}
-				t.activeLength++
-				break
-			}
-			// Rule 2 with split.
-			splitEnd := new(int)
-			*splitEnd = next.start + t.activeLength
-			split := t.newNode(next.start, splitEnd)
-			t.activeNode.children[edgeRune] = split
-			leaf := t.newNode(pos, &t.leafEnd)
-			split.children[r] = leaf
-			next.start += t.activeLength
-			split.children[t.text[next.start]] = next
-			if lastNewNode != nil {
-				lastNewNode.link = split
-			}
-			lastNewNode = split
-		}
-		t.remaining--
-		if t.activeNode == t.root && t.activeLength > 0 {
-			t.activeLength--
-			t.activeEdge = pos - t.remaining + 1
-		} else if t.activeNode != t.root {
-			if t.activeNode.link != nil {
-				t.activeNode = t.activeNode.link
-			} else {
-				t.activeNode = t.root
-			}
-		}
-	}
-}
-
-// locus finds the node/edge position reached by matching pattern from the
-// root. It returns the subtree root covering all occurrences and true on
-// a full match.
-func (t *Tree) locus(pattern []rune) (*node, bool) {
-	n := t.root
-	i := 0
-	for i < len(pattern) {
-		child, ok := n.children[pattern[i]]
-		if !ok {
-			return nil, false
-		}
-		elen := child.edgeLen()
-		for j := 0; j < elen && i < len(pattern); j++ {
-			if t.text[child.start+j] != pattern[i] {
-				return nil, false
-			}
-			i++
-		}
-		n = child
-	}
-	return n, true
-}
-
-// collectLeafStarts gathers suffix start positions under n. depth is the
-// total path length from root to n's subtree entry; leaf suffix start =
-// len(text) - pathLen(leaf).
-func (t *Tree) collectLeafStarts(n *node, depth int, out *[]int, limit int) {
-	if len(n.children) == 0 {
-		*out = append(*out, len(t.text)-depth)
-		return
-	}
-	// Deterministic child order.
-	runes := make([]rune, 0, len(n.children))
-	for r := range n.children {
-		runes = append(runes, r)
-	}
-	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
-	for _, r := range runes {
-		if limit > 0 && len(*out) >= limit {
-			return
-		}
-		c := n.children[r]
-		t.collectLeafStarts(c, depth+c.edgeLen(), out, limit)
-	}
-}
-
-// stringAt maps a text offset to the index of the containing string.
-func (t *Tree) stringAt(off int) int {
-	i := sort.SearchInts(t.offsets, off+1) - 1
-	return i
-}
-
-// Match is one suffix-tree search result.
+// Match is one search result.
 type Match struct {
 	// Value is the indexed string containing the pattern.
 	Value string
@@ -229,63 +88,31 @@ type Match struct {
 }
 
 // Search returns up to limit distinct indexed strings containing pattern
-// as a substring (limit <= 0 means all), in deterministic order. The
-// empty pattern matches nothing.
+// (limit <= 0 means all), in suffix order. The empty pattern and patterns
+// containing NUL or \x01 match nothing.
 func (t *Tree) Search(pattern string, limit int) []Match {
-	if pattern == "" || strings.ContainsRune(pattern, separator) ||
-		strings.ContainsRune(pattern, finalMark) {
+	if pattern == "" || strings.ContainsAny(pattern, reserved) {
 		return nil
 	}
-	pr := []rune(pattern)
-	n, ok := t.locus(pr)
-	if !ok {
-		return nil
-	}
-	// Path length from root to the top of n's subtree equals at least
-	// len(pattern); the exact depth of n is needed for leaf mapping. We
-	// recompute it by walking again, counting full edge lengths.
-	depth := t.depthOf(pr, n)
-	var starts []int
-	// Over-collect to survive duplicates mapping to the same string.
-	t.collectLeafStarts(n, depth, &starts, 0)
-	seen := make(map[int]bool)
+	p := []rune(pattern)
+	i, _ := slices.BinarySearchFunc(t.sa, p, func(pos int32, p []rune) int {
+		return slices.Compare(t.text[pos:], p)
+	})
 	var out []Match
-	for _, st := range starts {
-		idx := t.stringAt(st)
-		if idx < 0 || idx >= len(t.strs) || seen[idx] {
-			continue
-		}
-		// Guard: the occurrence must lie inside the string (it always
-		// does when pattern has no separator, but be defensive).
-		end := t.offsets[idx] + len([]rune(t.strs[idx]))
-		if st+len(pr) > end {
-			continue
-		}
-		seen[idx] = true
-		out = append(out, Match{Value: t.strs[idx], Index: idx})
-		if limit > 0 && len(out) >= limit {
+	seen := make(map[int]bool)
+	for ; i < len(t.sa) && (limit <= 0 || len(out) < limit); i++ {
+		pos := t.sa[i]
+		if int(pos)+len(p) > len(t.text) || !slices.Equal(t.text[pos:int(pos)+len(p)], p) {
 			break
+		}
+		idx, ok := slices.BinarySearch(t.offsets, pos)
+		if !ok {
+			idx--
+		}
+		if !seen[idx] {
+			seen[idx] = true
+			out = append(out, Match{Value: t.strs[idx], Index: idx})
 		}
 	}
 	return out
-}
-
-// Contains reports whether any indexed string contains pattern.
-func (t *Tree) Contains(pattern string) bool {
-	return len(t.Search(pattern, 1)) > 0
-}
-
-// depthOf computes the path length from root to node n reached by
-// matching pattern: the sum of full edge lengths along the way, which may
-// exceed len(pattern) when the locus is in the middle of an edge.
-func (t *Tree) depthOf(pattern []rune, target *node) int {
-	n := t.root
-	i, depth := 0, 0
-	for i < len(pattern) {
-		child := n.children[pattern[i]]
-		depth += child.edgeLen()
-		i += child.edgeLen()
-		n = child
-	}
-	return depth
 }

@@ -16,11 +16,11 @@ func TestSearchBasic(t *testing.T) {
 	if !matchValuesEqual(got, want) {
 		t.Errorf("Search(York) = %v, want %v", got, want)
 	}
-	if tr.Contains("Boston") != true {
-		t.Error("Contains(Boston) = false")
+	if got := tr.Search("Boston", 1); len(got) != 1 || got[0].Value != "Boston" {
+		t.Errorf("Search(Boston, 1) = %v", got)
 	}
-	if tr.Contains("Chicago") {
-		t.Error("Contains(Chicago) = true")
+	if got := tr.Search("Chicago", 1); got != nil {
+		t.Errorf("Search(Chicago, 1) = %v", got)
 	}
 }
 
@@ -95,12 +95,18 @@ func TestSearchEmptyAndMissing(t *testing.T) {
 }
 
 func TestDuplicatesAndSkips(t *testing.T) {
-	tr := New([]string{"dup", "dup", "", "ok", "bad\x00sep"})
-	if tr.Strings() != 2 {
-		t.Errorf("Strings = %d, want 2 (dup, ok)", tr.Strings())
-	}
-	if got := tr.Search("dup", 0); len(got) != 1 {
+	tr := New([]string{"dup", "dup", "", "ok", "bad\x00sep", "bad\x01mark"})
+	// Only "dup" and "ok" are indexed, as strings 0 and 1.
+	if got := tr.Search("dup", 0); len(got) != 1 || got[0].Index != 0 {
 		t.Errorf("Search(dup) = %v", got)
+	}
+	if got := tr.Search("ok", 0); len(got) != 1 || got[0].Index != 1 {
+		t.Errorf("Search(ok) = %v", got)
+	}
+	for _, p := range []string{"bad", "sep", "mark", "\x00", "\x01", "p\x00"} {
+		if got := tr.Search(p, 0); got != nil {
+			t.Errorf("Search(%q) = %v, want nil", p, got)
+		}
 	}
 }
 
@@ -194,12 +200,18 @@ func TestMatchIndexStable(t *testing.T) {
 }
 
 func TestNodeCountAndSize(t *testing.T) {
-	tr := New([]string{"banana", "bandana"})
-	if tr.NodeCount() <= 2 {
-		t.Errorf("NodeCount = %d, suspiciously small", tr.NodeCount())
+	// One suffix-array entry per indexed rune: 6 + 7 + 2 (ü is one rune).
+	tr := New([]string{"banana", "bandana", "ün", "banana"})
+	if tr.Len() != 15 {
+		t.Errorf("Len = %d, want 15", tr.Len())
 	}
-	if tr.ApproxBytes() <= 0 {
-		t.Error("ApproxBytes <= 0")
+	// text (15 runes + 3 separators + final mark), offsets and entries at
+	// 4 bytes each, plus the string headers.
+	if want := 4*(19+3+15) + 3*16; tr.Bytes() < want {
+		t.Errorf("Bytes = %d, want >= %d", tr.Bytes(), want)
+	}
+	if empty := New(nil); empty.Len() != 0 || empty.Bytes() <= 0 {
+		t.Errorf("empty: Len = %d, Bytes = %d", empty.Len(), empty.Bytes())
 	}
 }
 
@@ -229,9 +241,6 @@ func TestLargeScaleSanity(t *testing.T) {
 		strs[i] = fmt.Sprintf("entity %d of the set %d", i, i*7%101)
 	}
 	tr := New(strs)
-	if tr.Strings() != 5000 {
-		t.Fatalf("Strings = %d", tr.Strings())
-	}
 	got := tr.Search("entity 4999", 0)
 	if len(got) != 1 {
 		t.Errorf("Search(entity 4999) = %v", got)
