@@ -43,10 +43,9 @@ type Federation struct {
 	// sourceCache maps predicate IRI → indexes of members that hold at
 	// least one triple with that predicate (FedX source selection).
 	sourceCache map[string][]int
-	// patternCache memoizes pattern fetches within this federation's
-	// lifetime so repeated Match calls during a join do not re-issue
-	// identical endpoint queries.
-	patternCache map[string][]rdf.Triple
+	// gen is the current cache generation, shared by every Eval that
+	// starts while it is current.
+	gen *generation
 	// queries counts endpoint requests issued, for experiment reporting
 	// and for the Steiner expansion budget.
 	queries int
@@ -63,9 +62,6 @@ type Federation struct {
 	// and guarantees fingerprints install in the order they were
 	// computed (a stale install would re-open the fetchPattern guard).
 	epochChecking bool
-	// epochFP is the member-epoch fingerprint the caches were built
-	// against.
-	epochFP string
 	// lastEpochParts remembers each member's last successfully probed
 	// epoch so one transient probe failure does not flap the
 	// fingerprint (and drop the caches twice) for a member whose data
@@ -77,10 +73,51 @@ type Federation struct {
 // epochs on every query (SetEpochPoll throttles or disables that).
 func New(members ...endpoint.Endpoint) *Federation {
 	return &Federation{
-		members:      members,
-		sourceCache:  make(map[string][]int),
-		patternCache: make(map[string][]rdf.Triple),
+		members:     members,
+		sourceCache: make(map[string][]int),
+		gen:         newGeneration(""),
 	}
+}
+
+// A generation is one state of the federation's caches: a term
+// dictionary (ID 0 is the zero Term, the wildcard) and the pattern
+// fetches memoized as ID triples against it, so scans repeated within
+// and across evaluations neither re-query members nor re-intern their
+// answers. The federation replaces its generation whole on
+// invalidation; an Eval keeps the one it started with, so the IDs in
+// its rows resolve against the dictionary that minted them (the
+// store's pin-an-epoch discipline). A generation only grows.
+type generation struct {
+	fp string // the member-epoch fingerprint it was built against
+
+	// mu is held only inside single calls, never while a scan calls
+	// back, so ResolveID may read-lock it from inside MatchIDsPinned's
+	// callback without deadlocking against a queued writer.
+	mu       sync.RWMutex
+	ids      map[rdf.Term]uint32
+	terms    []rdf.Term
+	patterns map[[3]uint32][][3]uint32
+}
+
+func newGeneration(fp string) *generation {
+	return &generation{
+		fp:       fp,
+		ids:      map[rdf.Term]uint32{{}: 0},
+		terms:    make([]rdf.Term, 1),
+		patterns: make(map[[3]uint32][][3]uint32),
+	}
+}
+
+// internLocked returns t's ID, assigning the next one on first sight.
+// The caller holds gen.mu for writing.
+func (gen *generation) internLocked(t rdf.Term) uint32 {
+	if id, ok := gen.ids[t]; ok {
+		return id
+	}
+	id := uint32(len(gen.terms))
+	gen.ids[t] = id
+	gen.terms = append(gen.terms, t)
+	return id
 }
 
 // SetEpochPoll sets how often the federation re-checks member epochs:
@@ -111,18 +148,18 @@ func (f *Federation) QueriesIssued() int {
 func (f *Federation) ResetCaches() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.patternCache = make(map[string][]rdf.Triple)
+	f.gen = newGeneration(f.gen.fp)
 }
 
-// checkEpochs drops the caches when any member's mutation epoch moved
-// since they were built, and returns the fingerprint the caches are
-// valid for — callers hold on to it and refuse to file fetch results
-// once it goes stale (see fetchPattern). Epoch reads happen outside
-// the federation lock: for local members they are one atomic load, for
-// HTTP members one `GET /epoch` probe (throttled by SetEpochPoll).
-func (f *Federation) checkEpochs(ctx context.Context) string {
+// checkEpochs replaces the generation when any member's mutation epoch
+// moved since it was built, and returns the current one — callers
+// evaluate against it, and fetchPattern files nothing once it is
+// superseded. Epoch reads happen outside the federation lock: for local
+// members one atomic load, for HTTP members one `GET /epoch` probe
+// (throttled by SetEpochPoll).
+func (f *Federation) checkEpochs(ctx context.Context) *generation {
 	f.mu.Lock()
-	poll, last, cur := f.epochPoll, f.lastEpochCheck, f.epochFP
+	poll, last, cur := f.epochPoll, f.lastEpochCheck, f.gen
 	if f.epochChecking || poll < 0 || (poll > 0 && time.Since(last) < poll) {
 		f.mu.Unlock()
 		return cur
@@ -135,17 +172,16 @@ func (f *Federation) checkEpochs(ctx context.Context) string {
 	defer f.mu.Unlock()
 	f.epochChecking = false
 	f.lastEpochCheck = time.Now()
-	if fp == f.epochFP {
-		return f.epochFP
+	if fp == f.gen.fp {
+		return f.gen
 	}
-	f.epochFP = fp
-	f.patternCache = make(map[string][]rdf.Triple)
+	f.gen = newGeneration(fp)
 	// Unlike a manual ResetCaches, an epoch change also invalidates
 	// source selection: a member that had nothing for a predicate may
 	// hold it after the mutation, and the long-lived FedX source cache
 	// would keep routing around it forever.
 	f.sourceCache = make(map[string][]int)
-	return fp
+	return f.gen
 }
 
 // epochFingerprint concatenates the members' current epochs, probing
@@ -204,8 +240,8 @@ func (f *Federation) Query(ctx context.Context, query string) (*sparql.Results, 
 
 // Eval executes a parsed query across the federation.
 func (f *Federation) Eval(ctx context.Context, q *sparql.Query) (*sparql.Results, error) {
-	g := &fedGraph{f: f, ctx: ctx, fp: f.checkEpochs(ctx)}
-	res, err := sparql.Eval(sparql.AdaptTerms(g), q, sparql.Options{})
+	g := &fedGraph{f: f, ctx: ctx, gen: f.checkEpochs(ctx)}
+	res, err := sparql.Eval(g, q, sparql.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -215,44 +251,27 @@ func (f *Federation) Eval(ctx context.Context, q *sparql.Query) (*sparql.Results
 	return res, nil
 }
 
-// fedGraph adapts the federation to sparql.Graph. Errors from member
-// endpoints are recorded and surface after evaluation (the Graph
-// interface itself cannot fail).
+// fedGraph is one evaluation's sparql.IDGraph over the generation it
+// started with. Member errors are recorded and surface after
+// evaluation (a scan cannot fail).
 type fedGraph struct {
 	f   *Federation
 	ctx context.Context
-	// fp is the member-epoch fingerprint this evaluation started at;
-	// fetches carry it so results computed against pre-mutation data
-	// are never filed into caches that were invalidated mid-flight.
-	fp  string
+	gen *generation
 	err error
 }
 
-// Match implements sparql.Graph by fetching the pattern from all
-// relevant members.
-func (g *fedGraph) Match(s, p, o rdf.Term, fn func(rdf.Triple) bool) {
-	if g.err != nil {
-		return
-	}
-	triples, err := g.f.fetchPattern(g.ctx, g.fp, s, p, o)
-	if err != nil {
-		g.err = err
-		return
-	}
-	for _, tr := range triples {
-		if !fn(tr) {
-			return
-		}
-	}
-}
-
-// CardinalityEstimate implements sparql.Graph. It uses the size of the
-// memoized pattern result when available and a neutral constant
-// otherwise, so join ordering prefers already-fetched selective patterns.
+// CardinalityEstimate uses the size of the memoized pattern result when
+// available and a neutral constant otherwise, so join ordering prefers
+// already-fetched selective patterns.
 func (g *fedGraph) CardinalityEstimate(s, p, o rdf.Term) int {
-	g.f.mu.Lock()
-	defer g.f.mu.Unlock()
-	if ts, ok := g.f.patternCache[patternKey(s, p, o)]; ok {
+	g.gen.mu.RLock()
+	si, sok := g.gen.ids[s]
+	pi, pok := g.gen.ids[p]
+	oi, ook := g.gen.ids[o]
+	ts, cached := g.gen.patterns[[3]uint32{si, pi, oi}]
+	g.gen.mu.RUnlock()
+	if sok && pok && ook && cached {
 		return len(ts)
 	}
 	// Unfetched: guess by boundness — more constants, more selective.
@@ -265,43 +284,85 @@ func (g *fedGraph) CardinalityEstimate(s, p, o rdf.Term) int {
 	return est
 }
 
-// fetchPattern returns all triples matching the pattern across relevant
-// members, memoized. fp is the epoch fingerprint the caller's
-// evaluation started at: the result is filed into the pattern cache
-// only if the caches still belong to that fingerprint, so a fetch that
-// raced a member mutation (and a concurrent checkEpochs that already
-// cleared the caches) cannot re-plant pre-mutation data that epoch
-// comparison would then never invalidate.
-func (f *Federation) fetchPattern(ctx context.Context, fp string, s, p, o rdf.Term) ([]rdf.Triple, error) {
-	key := patternKey(s, p, o)
-	f.mu.Lock()
-	if ts, ok := f.patternCache[key]; ok {
-		f.mu.Unlock()
+// Lookup interns: whether a constant occurs is the members' to answer,
+// not the dictionary's.
+func (g *fedGraph) Lookup(t rdf.Term) (uint32, bool) {
+	g.gen.mu.Lock()
+	defer g.gen.mu.Unlock()
+	return g.gen.internLocked(t), true
+}
+
+// ResolveID read-locks the dictionary (see generation.mu).
+func (g *fedGraph) ResolveID(id uint32) rdf.Term {
+	g.gen.mu.RLock()
+	defer g.gen.mu.RUnlock()
+	return g.gen.terms[id]
+}
+
+// PinRead pins nothing: the Eval already holds its generation, which
+// only grows.
+func (g *fedGraph) PinRead() (release func()) { return func() {} }
+
+// MatchIDsPinned streams the pattern's memoized ID triples, fetching
+// them from the relevant members on the generation's first scan.
+func (g *fedGraph) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool) {
+	if g.err != nil {
+		return
+	}
+	triples, err := g.f.fetchPattern(g.ctx, g.gen, [3]uint32{s, p, o})
+	if err != nil {
+		g.err = err
+		return
+	}
+	for _, tr := range triples {
+		if !fn(tr[0], tr[1], tr[2]) {
+			return
+		}
+	}
+}
+
+func (g *fedGraph) OrderLabels() (label func(id uint32) uint64, exact bool) { return nil, false }
+
+// fetchPattern returns the triples matching the pattern key (IDs of
+// gen) across relevant members, interned into gen and memoized there
+// only while gen is current: a fetch that raced a member mutation and
+// the checkEpochs that superseded gen must not plant pre-mutation data
+// where epoch comparison would never evict it.
+func (f *Federation) fetchPattern(ctx context.Context, gen *generation, key [3]uint32) ([][3]uint32, error) {
+	gen.mu.RLock()
+	ts, ok := gen.patterns[key]
+	s, p, o := gen.terms[key[0]], gen.terms[key[1]], gen.terms[key[2]]
+	gen.mu.RUnlock()
+	if ok {
 		return ts, nil
 	}
-	f.mu.Unlock()
 
-	members, err := f.selectSources(ctx, fp, p)
+	members, err := f.selectSources(ctx, gen.fp, p)
 	if err != nil {
 		return nil, err
 	}
-	var all []rdf.Triple
-	seen := make(map[rdf.Triple]bool)
+	var all [][3]uint32
+	seen := make(map[[3]uint32]bool)
 	for _, mi := range members {
 		triples, err := f.fetchFromMember(ctx, mi, s, p, o)
 		if err != nil {
 			return nil, err
 		}
+		gen.mu.Lock()
 		for _, tr := range triples {
-			if !seen[tr] {
-				seen[tr] = true
-				all = append(all, tr)
+			id := [3]uint32{gen.internLocked(tr.S), gen.internLocked(tr.P), gen.internLocked(tr.O)}
+			if !seen[id] {
+				seen[id] = true
+				all = append(all, id)
 			}
 		}
+		gen.mu.Unlock()
 	}
 	f.mu.Lock()
-	if f.epochFP == fp {
-		f.patternCache[key] = all
+	if f.gen == gen {
+		gen.mu.Lock()
+		gen.patterns[key] = all
+		gen.mu.Unlock()
 	}
 	f.mu.Unlock()
 	return all, nil
@@ -339,7 +400,7 @@ func (f *Federation) selectSources(ctx context.Context, fp string, p rdf.Term) (
 		}
 	}
 	f.mu.Lock()
-	if f.epochFP == fp {
+	if f.gen.fp == fp {
 		f.sourceCache[p.Value] = relevant
 	}
 	f.mu.Unlock()
@@ -409,8 +470,4 @@ func (f *Federation) fetchFromMember(ctx context.Context, mi int, s, p, o rdf.Te
 		out = append(out, tr)
 	}
 	return out, nil
-}
-
-func patternKey(s, p, o rdf.Term) string {
-	return s.String() + "\x00" + p.String() + "\x00" + o.String()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"sapphire/internal/endpoint"
@@ -284,49 +285,57 @@ func TestEpochProbeFailureDoesNotFlap(t *testing.T) {
 }
 
 // TestStaleFingerprintFetchNotCached pins the guard on the cache fill
-// path: a fetch that began under an older member-epoch fingerprint
-// (i.e. raced a mutation plus a concurrent invalidation) returns its
-// result but must not re-plant it into the pattern or source caches —
-// epoch comparison would never evict it.
+// path: a fetch that carries a superseded generation (i.e. raced a
+// mutation plus a concurrent invalidation) returns its rows but must
+// not file them into that generation's pattern cache or into the
+// source cache — epoch comparison would never evict them. The same
+// fetch under the current generation files.
 func TestStaleFingerprintFetchNotCached(t *testing.T) {
 	fed, _, b := twoEndpoints(t)
 	ctx := context.Background()
-	fp := fed.checkEpochs(ctx)
+	cn := rdf.NewIRI("http://x/cityName")
+	keyOf := func(gen *generation) [3]uint32 {
+		gen.mu.Lock()
+		defer gen.mu.Unlock()
+		return [3]uint32{0, gen.internLocked(cn), 0}
+	}
+	cached := func(gen *generation) (pat, src bool) {
+		fed.mu.Lock()
+		_, src = fed.sourceCache[cn.Value]
+		fed.mu.Unlock()
+		key := keyOf(gen)
+		gen.mu.RLock()
+		_, pat = gen.patterns[key]
+		gen.mu.RUnlock()
+		return pat, src
+	}
+	stale := fed.checkEpochs(ctx)
 
 	// Simulate the race: the fetch below carries the pre-mutation
-	// fingerprint while the federation has already observed the new one.
+	// generation while the federation has already replaced it.
 	b.Store().MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/city9"),
 		rdf.NewIRI("http://x/cityName"), rdf.NewLangLiteral("North Haverbrook", "en")))
-	if cur := fed.checkEpochs(ctx); cur == fp {
-		t.Fatal("fingerprint did not move on mutation")
+	if cur := fed.checkEpochs(ctx); cur == stale {
+		t.Fatal("generation did not change on mutation")
 	}
 
-	cn := rdf.NewIRI("http://x/cityName")
-	triples, err := fed.fetchPattern(ctx, fp, rdf.Term{}, cn, rdf.Term{})
+	triples, err := fed.fetchPattern(ctx, stale, keyOf(stale))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(triples) != 3 {
 		t.Fatalf("fetch rows = %d, want 3", len(triples))
 	}
-	fed.mu.Lock()
-	_, patCached := fed.patternCache[patternKey(rdf.Term{}, cn, rdf.Term{})]
-	_, srcCached := fed.sourceCache[cn.Value]
-	fed.mu.Unlock()
-	if patCached || srcCached {
-		t.Fatalf("stale-fingerprint fetch was cached (pattern=%v source=%v)", patCached, srcCached)
+	if pat, src := cached(stale); pat || src {
+		t.Fatalf("superseded-generation fetch was cached (pattern=%v source=%v)", pat, src)
 	}
 
-	// The same fetch under the current fingerprint does cache.
 	cur := fed.checkEpochs(ctx)
-	if _, err := fed.fetchPattern(ctx, cur, rdf.Term{}, cn, rdf.Term{}); err != nil {
+	if _, err := fed.fetchPattern(ctx, cur, keyOf(cur)); err != nil {
 		t.Fatal(err)
 	}
-	fed.mu.Lock()
-	_, patCached = fed.patternCache[patternKey(rdf.Term{}, cn, rdf.Term{})]
-	fed.mu.Unlock()
-	if !patCached {
-		t.Fatal("current-fingerprint fetch was not cached")
+	if pat, src := cached(cur); !pat || !src {
+		t.Fatalf("current-generation fetch was not cached (pattern=%v source=%v)", pat, src)
 	}
 }
 
@@ -397,4 +406,69 @@ func TestFederatedAggregateAcrossMembers(t *testing.T) {
 	if res.Rows[0]["n"].Value != "3" {
 		t.Errorf("count = %s, want 3", res.Rows[0]["n"].Value)
 	}
+}
+
+// TestConcurrentEvalsAcrossGenerations runs prefetch-style Evals — one
+// query family, one constant changed per query — from several
+// goroutines while the member gains triples (each Add replaces the
+// generation) and ResetCaches fires. Every row must resolve against
+// the generation its Eval started with: a subject's name and label
+// both carry its number, so an ID resolved in another generation's
+// dictionary shows as a mismatched row.
+func TestConcurrentEvalsAcrossGenerations(t *testing.T) {
+	const initial = 20
+	st := store.New()
+	add := func(i int) {
+		s := rdf.NewIRI(fmt.Sprintf("http://x/s%d", i))
+		st.MustAdd(rdf.NewTriple(s, rdf.NewIRI(rdf.RDFType), rdf.NewIRI("http://x/T")))
+		st.MustAdd(rdf.NewTriple(s, rdf.NewIRI("http://x/name"), rdf.NewLiteral(fmt.Sprintf("name %d", i))))
+		st.MustAdd(rdf.NewTriple(s, rdf.NewIRI("http://x/label"), rdf.NewLiteral(fmt.Sprintf("label %d", i))))
+	}
+	for i := 0; i < initial; i++ {
+		add(i)
+	}
+	fed := New(endpoint.NewLocal("m", st, endpoint.Limits{}))
+	ctx := context.Background()
+
+	const workers, evals = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < evals; k++ {
+				skip := (w*evals + k) % initial
+				res, err := fed.Query(ctx, fmt.Sprintf(`SELECT ?s ?n ?l WHERE {
+					?s a <http://x/T> . ?s <http://x/name> ?n . ?s <http://x/label> ?l .
+					FILTER (?n != "name %d") }`, skip))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := 0
+				for _, row := range res.Rows {
+					var i int
+					if _, err := fmt.Sscanf(row["s"].Value, "http://x/s%d", &i); err != nil ||
+						row["n"].Value != fmt.Sprintf("name %d", i) || row["l"].Value != fmt.Sprintf("label %d", i) {
+						t.Errorf("row resolved across generations: %v", row)
+						return
+					}
+					if i < initial {
+						seen++
+					}
+				}
+				if seen != initial-1 {
+					t.Errorf("query skipping %d saw %d of the %d initial subjects", skip, seen, initial-1)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := initial; i < initial+40; i++ {
+		add(i)
+		if i%5 == 0 {
+			fed.ResetCaches()
+		}
+	}
+	wg.Wait()
 }

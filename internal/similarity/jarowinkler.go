@@ -5,16 +5,24 @@
 // the choice of measure.
 //
 // Jaro-Winkler runs on thousands of candidate literals per query. On
-// ASCII strings of at most 128 bytes it treats bytes as runes, with its
-// match flags on the stack: no allocation, and the same float64 as the
-// rune path. JaroWinklerBound bounds the score from byte counts alone,
-// so a search with threshold θ can skip a candidate without scoring it.
+// ASCII strings of at most 64 bytes it runs a bit-parallel kernel: the
+// candidate's positions of each byte value are one uint64, so finding a
+// character's match in its window is one AND and a lowest-bit pick
+// instead of a loop over the window. It allocates nothing and returns
+// the same float64 as the rune path, which takes every other input.
+// JaroWinklerBound bounds the score from byte counts alone, so a search
+// with threshold θ can skip a candidate without scoring it.
 package similarity
 
-import "unicode/utf8"
+import (
+	"math"
+	"math/bits"
+	"unicode/utf8"
+)
 
-// asciiMax is the longest string the allocation-free kernel takes.
-const asciiMax = 128
+// kernelMax is the longest string the bit-parallel kernel takes: one
+// bit per byte position in a uint64.
+const kernelMax = 64
 
 // JaroWinkler returns the Jaro-Winkler similarity of two strings in
 // [0, 1]. Identical strings score 1; completely dissimilar strings score
@@ -55,17 +63,29 @@ func commonPrefix(a, b string) int {
 // Jaro returns the Jaro similarity of two strings in [0, 1].
 func Jaro(a, b string) float64 {
 	if shortASCII(a) && shortASCII(b) {
-		var ba, bb [asciiMax]byte
-		var ma, mb [asciiMax]bool
-		return jaro(ba[:copy(ba[:], a)], bb[:copy(bb[:], b)], ma[:len(a)], mb[:len(b)])
+		return jaroASCII(a, b)
 	}
-	ra, rb := []rune(a), []rune(b)
-	return jaro(ra, rb, make([]bool, len(ra)), make([]bool, len(rb)))
+	return jaroRunes([]rune(a), []rune(b))
 }
 
-// jaro scores two character sequences; matchA and matchB are zeroed
-// flags as long as ra and rb.
-func jaro[T byte | rune](ra, rb []T, matchA, matchB []bool) float64 {
+// jaroWindow is how far apart two equal characters may sit and still
+// match.
+func jaroWindow(la, lb int) int {
+	return max(max(la, lb)/2-1, 0)
+}
+
+// jaroScore is the Jaro formula over the match and transposition
+// counts, shared by both paths so they return the same float64.
+func jaroScore(matches, trans, la, lb int) float64 {
+	m := float64(matches)
+	t := float64(trans) / 2
+	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+}
+
+// jaroRunes scores two rune sequences with the nested loop: each
+// character of ra matches the first unmatched equal character of rb in
+// its window.
+func jaroRunes(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -73,20 +93,11 @@ func jaro[T byte | rune](ra, rb []T, matchA, matchB []bool) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := max(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
-	}
+	window := jaroWindow(la, lb)
+	matchA, matchB := make([]bool, la), make([]bool, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
-		}
+		lo, hi := max(i-window, 0), min(i+window+1, lb)
 		for j := lo; j < hi; j++ {
 			if matchB[j] || ra[i] != rb[j] {
 				continue
@@ -115,16 +126,57 @@ func jaro[T byte | rune](ra, rb []T, matchA, matchB []bool) float64 {
 		}
 		j++
 	}
-	m := float64(matches)
-	t := float64(trans) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+	return jaroScore(matches, trans, la, lb)
 }
 
-// shortASCII reports whether s fits the allocation-free kernel.
-func shortASCII(s string) bool {
-	if len(s) > asciiMax {
-		return false
+// jaroASCII is jaroRunes on strings of at most 64 ASCII bytes, one bit
+// per position. free[c] holds the still unmatched positions of byte c
+// in b, so the lowest bit of free[a[i]] inside i's window is the j the
+// nested loop stops at: the same greedy matching, hence the same score.
+func jaroASCII(a, b string) float64 {
+	la, lb := len(a), len(b)
+	if la == 0 && lb == 0 {
+		return 1
 	}
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	window := jaroWindow(la, lb)
+	var free [utf8.RuneSelf]uint64
+	for j := 0; j < lb; j++ {
+		free[b[j]] |= 1 << j
+	}
+	var matchA, matchB uint64
+	for i := 0; i < la; i++ {
+		lo, hi := max(i-window, 0), min(i+window+1, lb)
+		// Bits lo..hi-1; a shift by 64 yields 0, so hi == 64 is all ones.
+		span := (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1)
+		if c := free[a[i]] & span; c != 0 {
+			c &= -c
+			free[a[i]] &^= c
+			matchB |= c
+			matchA |= 1 << i
+		}
+	}
+	if matchA == 0 {
+		return 0
+	}
+	// Pair the k-th matched position of a with the k-th of b.
+	trans := 0
+	for ma, mb := matchA, matchB; ma != 0; ma, mb = ma&(ma-1), mb&(mb-1) {
+		if a[bits.TrailingZeros64(ma)] != b[bits.TrailingZeros64(mb)] {
+			trans++
+		}
+	}
+	return jaroScore(bits.OnesCount64(matchA), trans, la, lb)
+}
+
+// shortASCII reports whether s fits the bit-parallel kernel.
+func shortASCII(s string) bool {
+	return len(s) <= kernelMax && isASCII(s)
+}
+
+func isASCII(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= utf8.RuneSelf {
 			return false
@@ -137,17 +189,18 @@ func shortASCII(s string) bool {
 // Jaro's match count m is at most the byte-multiset intersection of the
 // strings; with no transpositions Jaro is then at most
 // (m/|target| + m/|s| + 1)/3, and the Winkler bonus over the exact
-// common prefix grows with it. The zero value, a target the kernel does
-// not take, and a non-ASCII s get the trivial bound 1.
+// common prefix grows with it. The zero value, a target that is not
+// ASCII or too long for a uint8 histogram, and a non-ASCII s get the
+// trivial bound 1.
 type JaroWinklerBound struct {
 	target string
-	counts [asciiMax]uint8 // byte histogram of target
+	counts [utf8.RuneSelf]uint8 // byte histogram of target
 	ok     bool
 }
 
 // NewJaroWinklerBound counts target's bytes once for every later Max.
 func NewJaroWinklerBound(target string) JaroWinklerBound {
-	jb := JaroWinklerBound{target: target, ok: shortASCII(target)}
+	jb := JaroWinklerBound{target: target, ok: len(target) <= math.MaxUint8 && isASCII(target)}
 	for i := 0; jb.ok && i < len(target); i++ {
 		jb.counts[target[i]]++
 	}

@@ -92,18 +92,41 @@ func randomASCII(rng *rand.Rand, n int) string {
 	return string(b)
 }
 
-// pairs is the shared corpus: random pairs up to the kernel's length
-// limit plus the hand-picked edges.
+// maskEdges are pairs at the kernel's 64-bit mask boundary: 63, 64 and
+// 65 bytes (the last takes the rune path), both sides at 64, windows
+// that reach bit 63 (hi == 64), and a 64-byte target against 1- and
+// 2-byte candidates, whose window covers all of them.
+func maskEdges() [][2]string {
+	x := func(n int) string { return strings.Repeat("x", n) }
+	ab := strings.Repeat("ab", kernelMax/2)
+	return [][2]string{
+		{x(kernelMax), x(kernelMax-1) + "y"},
+		{x(kernelMax - 1), x(kernelMax)},
+		{x(kernelMax), x(kernelMax + 1)},
+		{x(kernelMax + 1), x(kernelMax - 1)},
+		{ab, ab[1:] + "a"},
+		{ab, strings.Repeat("ba", kernelMax/2)},
+		{"y" + x(kernelMax-1), x(kernelMax-1) + "y"},
+		{x(kernelMax-1) + "y", "y" + x(kernelMax-1)},
+		{x(kernelMax), "x"}, {x(kernelMax), "xx"},
+		{x(kernelMax-1) + "y", "y"}, {x(kernelMax-2) + "yx", "xy"},
+		{"x", x(kernelMax)}, {"yx", x(kernelMax-1) + "y"},
+	}
+}
+
+// pairs is the shared corpus: random pairs up to twice the kernel's
+// length limit, so both paths and the bound's long targets are drawn,
+// plus the hand-picked edges.
 func pairs(rng *rand.Rand) [][2]string {
 	out := [][2]string{
 		{"", ""}, {"", "a"}, {"a", ""}, {"a", "a"}, {"a", "b"},
 		{"aaaa", "aaa"}, {"aaaaaaaa", "a"}, {"abab", "baba"},
 		{"MARTHA", "MARHTA"}, {"Kennedys", "Kennedy"},
-		{strings.Repeat("x", asciiMax), strings.Repeat("x", asciiMax-1) + "y"},
 	}
+	out = append(out, maskEdges()...)
 	for i := 0; i < 3000; i++ {
-		a := randomASCII(rng, rng.Intn(asciiMax+1))
-		b := randomASCII(rng, rng.Intn(asciiMax+1))
+		a := randomASCII(rng, rng.Intn(2*kernelMax+1))
+		b := randomASCII(rng, rng.Intn(2*kernelMax+1))
 		if i%3 == 0 && len(a) > 0 {
 			// A near copy of a: close pairs score above any threshold.
 			bs := []byte(a)
@@ -128,17 +151,34 @@ func TestJaroWinklerASCIIKernelMatchesRunePath(t *testing.T) {
 	}
 }
 
+// TestJaroWinklerKernelDifferential drives the kernel over a million
+// seeded small-alphabet pairs of 0–64 bytes, the whole range it takes,
+// against the frozen rune path.
+func TestJaroWinklerKernelDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1_000_000; i++ {
+		a := randomASCII(rng, rng.Intn(kernelMax+1))
+		b := randomASCII(rng, rng.Intn(kernelMax+1))
+		if got, want := Jaro(a, b), referenceJaro(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Jaro(%q, %q) = %v, rune path %v", a, b, got, want)
+		}
+		if got, want := JaroWinkler(a, b), referenceJaroWinkler(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("JaroWinkler(%q, %q) = %v, rune path %v", a, b, got, want)
+		}
+	}
+}
+
 // TestJaroWinklerFallback pins which inputs take which path: the ASCII
 // kernel allocates nothing, so an allocation shows the rune path ran.
 func TestJaroWinklerFallback(t *testing.T) {
-	long := strings.Repeat("Kerouac ", asciiMax/8) + "x" // one byte too long
+	long := strings.Repeat("Kerouac ", kernelMax/8) + "x" // one byte too long
 	cases := []struct {
 		a, b   string
 		kernel bool
 	}{
 		{"Jack Kerouac", "Jack Kerouacs", true},
 		{"", "", true},
-		{long[:asciiMax], long[1 : asciiMax+1], true},
+		{long[:kernelMax], long[1 : kernelMax+1], true},
 		{long, "Kerouac", false},
 		{"Kerouac", long, false},
 		{"Zürich", "Zurich", false},
@@ -201,7 +241,7 @@ func TestJaroWinklerBoundSound(t *testing.T) {
 		s  string
 	}{
 		{zero, "abc"},
-		{NewJaroWinklerBound(strings.Repeat("a", asciiMax+1)), "zzz"},
+		{NewJaroWinklerBound(strings.Repeat("a", math.MaxUint8+1)), "zzz"},
 		{NewJaroWinklerBound("Zürich"), "zzz"},
 		{NewJaroWinklerBound("zzz"), "Zürich"},
 	}
@@ -223,7 +263,8 @@ func BenchmarkJaroWinklerBound(b *testing.B) {
 // agrees with the rune path bit for bit, that the score lies in [0, 1],
 // and that the bound is never below the score.
 func FuzzJaroWinkler(f *testing.F) {
-	for _, p := range [][2]string{{"", ""}, {"MARTHA", "MARHTA"}, {"Jack Kerouac", "Jack Kerouacs"}, {"Zürich", "Zurich"}, {"aaaa", "aa"}} {
+	seeds := [][2]string{{"", ""}, {"MARTHA", "MARHTA"}, {"Jack Kerouac", "Jack Kerouacs"}, {"Zürich", "Zurich"}, {"aaaa", "aa"}}
+	for _, p := range append(seeds, maskEdges()...) {
 		f.Add(p[0], p[1])
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {

@@ -123,7 +123,7 @@ func refEval(g *store.Store, q *Query) (*Results, error) {
 // refJoin enumerates the group's solutions depth-first in pattern
 // order, seeding each pattern's bound positions from the binding so
 // far — the term-level mirror of the pipeline's index-nested-loop join.
-func refJoin(g Graph, pats []Pattern, b Binding, out func(Binding)) {
+func refJoin(g *store.Store, pats []Pattern, b Binding, out func(Binding)) {
 	if len(pats) == 0 {
 		out(b)
 		return
@@ -263,9 +263,8 @@ func diffQueries(rng *rand.Rand, n int, numeric bool) string {
 // the materializing reference disagrees byte-for-byte. Mutations —
 // online Adds and staged bulk commits — interleave with the queries, so
 // equivalence holds at every intermediate store state, not just the
-// final one. With adapt the evaluator sees the store only through the
-// Term-level adapter (AdaptTerms over Match), the path federations take.
-func diffWorkload(t *testing.T, storeShards, dictShards int, numeric, adapt bool) []string {
+// final one.
+func diffWorkload(t *testing.T, storeShards, dictShards int, numeric bool) []string {
 	t.Helper()
 	const base = 24
 	rng := rand.New(rand.NewSource(4242))
@@ -285,11 +284,7 @@ func diffWorkload(t *testing.T, storeShards, dictShards int, numeric, adapt bool
 			if err != nil {
 				t.Fatalf("parse %q: %v", qs, err)
 			}
-			var g IDGraph = s
-			if adapt {
-				g = AdaptTerms(termOnlyGraph{s})
-			}
-			got, err := Eval(g, q, Options{})
+			got, err := Eval(s, q, Options{})
 			if err != nil {
 				t.Fatalf("eval %q: %v", qs, err)
 			}
@@ -320,29 +315,21 @@ func diffWorkload(t *testing.T, storeShards, dictShards int, numeric, adapt bool
 	return dumps
 }
 
-// termOnlyGraph strips the store down to the Term-level Graph contract,
-// so evaluation has to go through AdaptTerms: a query-local dictionary,
-// no pinning, no order labels.
-type termOnlyGraph struct{ s *store.Store }
-
-func (g termOnlyGraph) Match(s, p, o rdf.Term, fn func(rdf.Triple) bool) { g.s.Match(s, p, o, fn) }
-func (g termOnlyGraph) CardinalityEstimate(s, p, o rdf.Term) int {
-	return g.s.CardinalityEstimate(s, p, o)
-}
-
-// The store is the one native implementer of the execution interface;
-// neither package otherwise checks it (store must not import sparql).
+// Neither package otherwise checks that the store implements the
+// execution interface (store must not import sparql).
 var _ IDGraph = (*store.Store)(nil)
 
 // TestDifferentialEquivalence is the evaluator-equivalence battery: the
 // streaming pipeline against the materializing reference, across every
-// (storeShards × dictShards × graph) configuration in {1,8}² × {store,
-// Term adapter}, with and without numeric literals (toggling the
-// rank-label top-k path), under a seeded workload of every query shape
-// interleaved with online Adds and bulk commits. Beyond streaming ==
-// reference per store, every configuration's dump stream must match the
-// (1,1,store) baseline — neither shard routing nor the Term adapter may
-// be observable in the output.
+// (storeShards × dictShards) configuration in {1,8}², with and without
+// numeric literals (toggling the rank-label top-k path), under a seeded
+// workload of every query shape interleaved with online Adds and bulk
+// commits. Beyond streaming == reference per store, every
+// configuration's dump stream must match the (1,1) baseline — shard
+// routing may not be observable in the output. The federation runs the
+// same battery against the store (federation's differential test). The
+// subtests keep their "-adaptfalse" names from when a Term-adapter axis
+// ran beside them.
 func TestDifferentialEquivalence(t *testing.T) {
 	for _, numeric := range []bool{false, true} {
 		name := "termorder"
@@ -350,26 +337,24 @@ func TestDifferentialEquivalence(t *testing.T) {
 			name = "numeric"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := diffWorkload(t, 1, 1, numeric, false)
+			base := diffWorkload(t, 1, 1, numeric)
 			if len(base) == 0 {
 				t.Fatal("workload produced no queries")
 			}
-			for _, adapt := range []bool{false, true} {
-				for _, ss := range []int{1, 8} {
-					for _, ds := range []int{1, 8} {
-						if !adapt && ss == 1 && ds == 1 {
-							continue
-						}
-						t.Run(fmt.Sprintf("store%d-dict%d-adapt%v", ss, ds, adapt), func(t *testing.T) {
-							dumps := diffWorkload(t, ss, ds, numeric, adapt)
-							for i := range dumps {
-								if dumps[i] != base[i] {
-									t.Fatalf("query %d differs from (1,1,store) baseline:\n%s\n--- baseline ---\n%s",
-										i, dumps[i], base[i])
-								}
-							}
-						})
+			for _, ss := range []int{1, 8} {
+				for _, ds := range []int{1, 8} {
+					if ss == 1 && ds == 1 {
+						continue
 					}
+					t.Run(fmt.Sprintf("store%d-dict%d-adaptfalse", ss, ds), func(t *testing.T) {
+						dumps := diffWorkload(t, ss, ds, numeric)
+						for i := range dumps {
+							if dumps[i] != base[i] {
+								t.Fatalf("query %d differs from (1,1) baseline:\n%s\n--- baseline ---\n%s",
+									i, dumps[i], base[i])
+							}
+						}
+					})
 				}
 			}
 		})

@@ -7,8 +7,8 @@
 //
 // The pipeline is lexer → parser → AST → planner → streaming operator
 // pipeline. The evaluator runs against one execution interface, IDGraph
-// (the in-memory store natively, a federation of endpoints through
-// AdaptTerms), and supports a per-row budget hook so simulated endpoints
+// (implemented by the in-memory store and by the federation of
+// endpoints), and supports a per-row budget hook so simulated endpoints
 // can enforce timeouts the way real SPARQL endpoints do.
 //
 // # The streaming pipeline
@@ -26,7 +26,7 @@
 // Rows stay dictionary IDs end to end; terms materialize only when rows
 // leave the pipeline (or inside filter and order-key evaluation).
 //
-// # One graph contract, one adapter
+// # One execution contract
 //
 // The pipeline has one scan path and one driver: a single goroutine
 // pins the IDGraph once per evaluation (PinRead) and reads it only
@@ -46,8 +46,8 @@
 //     current level's MatchIDsPinned callback, and resolves terms there
 //     too, so neither may take a lock the pin already holds.
 //
-// A graph that can only answer Term-level pattern matches (Graph:
-// remote endpoints, federations) is wrapped with AdaptTerms, which owns
-// a query-local dictionary: its matches are interned on first sight, so
-// joins and DISTINCT still compare integers.
+// A graph whose sources answer only Term-level pattern matches (the
+// federation of remote endpoints) keeps its own dictionary and interns
+// their answers on first sight, so joins and DISTINCT still compare
+// integers.
 package sparql

@@ -13,10 +13,10 @@ import (
 // dictionary-encoded and always pinned. Joins run over dense uint32 term
 // IDs — integer map probes instead of 4-field struct hashing — and IDs
 // resolve back to terms only when rows leave the pipeline. The zero ID
-// is the wildcard and the unbound sentinel. The in-memory store
-// implements it natively; Term-level graphs (remote endpoints,
-// federations) go through AdaptTerms. The one optional capability
-// reports "unsupported" by return value, not by a further interface.
+// is the wildcard and the unbound sentinel. The in-memory store and the
+// federation (over its own dictionary of member answers) implement it.
+// The one optional capability reports "unsupported" by return value,
+// not by a further interface.
 type IDGraph interface {
 	// CardinalityEstimate returns an upper bound on matching triples
 	// (zero terms are wildcards), used for greedy join ordering.
@@ -46,65 +46,6 @@ type IDGraph interface {
 	// exact is true; a nil label means no labels exist.
 	OrderLabels() (label func(id uint32) uint64, exact bool)
 }
-
-// Graph is the Term-level contract AdaptTerms accepts: what a remote
-// endpoint or a federation can answer without a dictionary.
-type Graph interface {
-	// Match streams triples matching the pattern (zero terms are
-	// wildcards) until fn returns false. It must tolerate being called
-	// from inside its own callback.
-	Match(s, p, o rdf.Term, fn func(rdf.Triple) bool)
-	// CardinalityEstimate returns an upper bound on matching triples,
-	// used for greedy join ordering.
-	CardinalityEstimate(s, p, o rdf.Term) int
-}
-
-// AdaptTerms wraps a Term-level graph as an IDGraph for one evaluation,
-// giving it the same ID-space pipeline the store gets: terms are
-// interned on first sight into a query-local dictionary, IDs dense from
-// 1. Interning is injective, so ID equality is term equality — joins,
-// DISTINCT and projection work unchanged. The dictionary grows with
-// every term seen and is not safe for concurrent use, so make one
-// adapter per Eval call.
-func AdaptTerms(g Graph) IDGraph {
-	return &termAdapter{g: g, ids: make(map[rdf.Term]uint32, 64), terms: make([]rdf.Term, 1, 65)}
-}
-
-type termAdapter struct {
-	g     Graph
-	ids   map[rdf.Term]uint32
-	terms []rdf.Term // terms[0] is the zero Term: wildcard in, unbound out
-}
-
-func (a *termAdapter) intern(t rdf.Term) uint32 {
-	if id, ok := a.ids[t]; ok {
-		return id
-	}
-	id := uint32(len(a.terms))
-	a.ids[t] = id
-	a.terms = append(a.terms, t)
-	return id
-}
-
-func (a *termAdapter) CardinalityEstimate(s, p, o rdf.Term) int {
-	return a.g.CardinalityEstimate(s, p, o)
-}
-
-// Lookup interns: whether a constant occurs is the wrapped graph's
-// Match to answer, not the dictionary's.
-func (a *termAdapter) Lookup(t rdf.Term) (uint32, bool) { return a.intern(t), true }
-
-func (a *termAdapter) ResolveID(id uint32) rdf.Term { return a.terms[id] }
-
-func (a *termAdapter) PinRead() (release func()) { return func() {} }
-
-func (a *termAdapter) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool) {
-	a.g.Match(a.terms[s], a.terms[p], a.terms[o], func(tr rdf.Triple) bool {
-		return fn(a.intern(tr.S), a.intern(tr.P), a.intern(tr.O))
-	})
-}
-
-func (a *termAdapter) OrderLabels() (label func(id uint32) uint64, exact bool) { return nil, false }
 
 // Binding maps variable names to terms for one solution row.
 type Binding map[string]rdf.Term

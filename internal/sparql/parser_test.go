@@ -188,15 +188,20 @@ func TestParseEmptyWhereEvalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Eval(AdaptTerms(emptyGraph{}), q, Options{}); err == nil {
+	if _, err := Eval(emptyGraph{}, q, Options{}); err == nil {
 		t.Error("empty WHERE evaluated without error")
 	}
 }
 
+// emptyGraph is an IDGraph with no triples.
 type emptyGraph struct{}
 
-func (emptyGraph) Match(s, p, o rdf.Term, fn func(rdf.Triple) bool) {}
-func (emptyGraph) CardinalityEstimate(s, p, o rdf.Term) int         { return 0 }
+func (emptyGraph) CardinalityEstimate(s, p, o rdf.Term) int                    { return 0 }
+func (emptyGraph) Lookup(t rdf.Term) (uint32, bool)                            { return 0, false }
+func (emptyGraph) ResolveID(id uint32) rdf.Term                                { return rdf.Term{} }
+func (emptyGraph) PinRead() (release func())                                   { return func() {} }
+func (emptyGraph) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool) {}
+func (emptyGraph) OrderLabels() (label func(id uint32) uint64, exact bool)     { return nil, false }
 
 func TestQueryStringRoundTrip(t *testing.T) {
 	srcs := []string{
