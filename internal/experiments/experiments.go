@@ -589,8 +589,7 @@ func SteinerWeightAblation(ctx context.Context, env *Env) []AblationRow {
 			cfg.WQuery = cfg.WDefault
 			name = "unweighted (w_q = w_default)"
 		}
-		res, err := steiner.Connect(ctx, steiner.StoreSource{Store: env.Dataset.Store},
-			groups, preferred, cfg)
+		res, err := steiner.Connect(ctx, env.Dataset.Store, groups, preferred, cfg)
 		if err != nil || !res.Connected {
 			return AblationRow{Name: name, Value: 0, Note: "failed to connect"}
 		}
@@ -621,11 +620,4 @@ func PrintAblation(w io.Writer, title string, rows []AblationRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-28s %8.1f  (%s)\n", r.Name, r.Value, r.Note)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

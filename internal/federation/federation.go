@@ -46,8 +46,7 @@ type Federation struct {
 	// gen is the current cache generation, shared by every Eval that
 	// starts while it is current.
 	gen *generation
-	// queries counts endpoint requests issued, for experiment reporting
-	// and for the Steiner expansion budget.
+	// queries counts endpoint requests issued, for experiment reporting.
 	queries int
 
 	// epochPoll throttles freshness checks: 0 checks member epochs on
@@ -251,9 +250,18 @@ func (f *Federation) Eval(ctx context.Context, q *sparql.Query) (*sparql.Results
 	return res, nil
 }
 
-// fedGraph is one evaluation's sparql.IDGraph over the generation it
-// started with. Member errors are recorded and surface after
-// evaluation (a scan cannot fail).
+// Graph returns the current generation, after one epoch check, for a
+// caller that scans it directly (Algorithm 3's expansion). Its IDs stay
+// valid for as long as the caller holds it. A member error fails the
+// remaining scans of the read session (PinRead to release) it happened
+// in; the graph's Err method reports it until the next PinRead.
+func (f *Federation) Graph(ctx context.Context) sparql.IDGraph {
+	return &fedGraph{f: f, ctx: ctx, gen: f.checkEpochs(ctx)}
+}
+
+// fedGraph is a sparql.IDGraph over the generation it started with.
+// Member errors are recorded and surface after the scan (a scan cannot
+// fail): after evaluation for an Eval, per pin for Graph's callers.
 type fedGraph struct {
 	f   *Federation
 	ctx context.Context
@@ -299,9 +307,16 @@ func (g *fedGraph) ResolveID(id uint32) rdf.Term {
 	return g.gen.terms[id]
 }
 
-// PinRead pins nothing: the Eval already holds its generation, which
-// only grows.
-func (g *fedGraph) PinRead() (release func()) { return func() {} }
+// PinRead pins nothing, since the graph holds its generation, which
+// only grows. It opens a read session, so it clears the previous
+// session's member error.
+func (g *fedGraph) PinRead() (release func()) {
+	g.err = nil
+	return func() {}
+}
+
+// Err returns the first member error of the current read session.
+func (g *fedGraph) Err() error { return g.err }
 
 // MatchIDsPinned streams the pattern's memoized ID triples, fetching
 // them from the relevant members on the generation's first scan.
@@ -416,6 +431,17 @@ func (f *Federation) countQuery() {
 // fetchFromMember ships a single-pattern query to one member and converts
 // the rows back to triples.
 func (f *Federation) fetchFromMember(ctx context.Context, mi int, s, p, o rdf.Term) ([]rdf.Triple, error) {
+	// SPARQL reads _:x in a pattern as a variable, so a member is asked
+	// about one of its blank nodes with that position unbound, and only
+	// the rows carrying the label are kept: a member whose labels change
+	// between answers matches nothing.
+	blankS, blankO := s, o
+	if s.IsBlank() {
+		s = rdf.Term{}
+	}
+	if o.IsBlank() {
+		o = rdf.Term{}
+	}
 	m := f.members[mi]
 	var sb strings.Builder
 	sb.WriteString("SELECT")
@@ -466,6 +492,9 @@ func (f *Federation) fetchFromMember(ctx context.Context, mi int, s, p, o rdf.Te
 		}
 		if o.IsZero() {
 			tr.O = row["o"]
+		}
+		if blankS.IsBlank() && tr.S != blankS || blankO.IsBlank() && tr.O != blankO {
+			continue
 		}
 		out = append(out, tr)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"sapphire/internal/endpoint"
 	"sapphire/internal/rdf"
+	"sapphire/internal/sparql"
 	"sapphire/internal/store"
 )
 
@@ -471,4 +472,62 @@ func TestConcurrentEvalsAcrossGenerations(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestJoinThroughBlankNode joins two patterns on a blank node: the
+// member is asked about the bound blank node with that position unbound
+// (SPARQL would read its label as a variable) and the answer is
+// filtered to the label.
+func TestJoinThroughBlankNode(t *testing.T) {
+	s := store.New()
+	b1, b2 := rdf.NewBlank("b1"), rdf.NewBlank("b2")
+	p, q := rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/q")
+	s.MustAdd(rdf.NewTriple(b1, p, rdf.NewLiteral("A")))
+	s.MustAdd(rdf.NewTriple(b1, q, rdf.NewLiteral("B")))
+	s.MustAdd(rdf.NewTriple(b2, q, rdf.NewLiteral("B")))
+	fed := New(endpoint.NewLocal("blank", s, endpoint.Limits{}))
+	res, err := fed.Query(context.Background(),
+		`SELECT ?x WHERE { ?x <http://x/p> "A" . ?x <http://x/q> "B" . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0]["x"] != b1 {
+		t.Errorf("rows = %v, want x = _:b1 only", res.Rows)
+	}
+}
+
+// failFirst fails its first query and answers the rest.
+type failFirst struct {
+	endpoint.Endpoint
+	failed bool
+}
+
+func (f *failFirst) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if !f.failed {
+		f.failed = true
+		return nil, errors.New("boom")
+	}
+	return f.Endpoint.Query(ctx, q)
+}
+
+// TestGraphErrorsArePerPin: a member error fails the rest of the read
+// session it happened in, and the next PinRead starts clean.
+func TestGraphErrorsArePerPin(t *testing.T) {
+	_, people, _ := twoEndpoints(t)
+	g := New(&failFirst{Endpoint: people}).Graph(context.Background())
+	name, _ := g.Lookup(rdf.NewIRI("http://x/name"))
+	scan := func() (rows int, err error) {
+		release := g.PinRead()
+		for range 2 {
+			g.MatchIDsPinned(0, name, 0, func(_, _, _ uint32) bool { rows++; return true })
+		}
+		release()
+		return rows, g.(interface{ Err() error }).Err()
+	}
+	if rows, err := scan(); err == nil || rows != 0 {
+		t.Errorf("failing session: %d rows, err %v; want 0 rows and the member error", rows, err)
+	}
+	if rows, err := scan(); err != nil || rows != 6 {
+		t.Errorf("next session: %d rows, err %v; want 2 scans of 3 rows, no error", rows, err)
+	}
 }

@@ -2,8 +2,11 @@ package pum
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"sapphire/internal/bootstrap"
 	"sapphire/internal/datagen"
@@ -11,6 +14,7 @@ import (
 	"sapphire/internal/federation"
 	"sapphire/internal/rdf"
 	"sapphire/internal/sparql"
+	"sapphire/internal/store"
 )
 
 // newPUM builds a PUM over the small synthetic dataset, initializing the
@@ -291,4 +295,123 @@ func TestTreeToQueryDeterministic(t *testing.T) {
 	if len(q1.Where) != 2 || !q1.SelectAll {
 		t.Errorf("generalized query shape wrong: %s", q1)
 	}
+}
+
+// TestRelaxThroughBlankNode connects two literals whose only path runs
+// through a blank node. Blank nodes expand on their object side only,
+// and the federation asks its member about one with that position
+// unbound, since SPARQL would read the label as a variable.
+func TestRelaxThroughBlankNode(t *testing.T) {
+	s := store.New()
+	b1 := rdf.NewBlank("b1")
+	s.MustAdd(rdf.NewTriple(b1, rdf.NewIRI(rdf.NSDBO+"author"), rdf.NewLangLiteral("Alpha", "en")))
+	s.MustAdd(rdf.NewTriple(b1, rdf.NewIRI(rdf.NSDBO+"publisher"), rdf.NewLangLiteral("Beta", "en")))
+	ep := endpoint.NewLocal("blank", s, endpoint.Limits{})
+	ctx := context.Background()
+	cache, err := bootstrap.Initialize(ctx, ep, bootstrap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(cache, federation.New(ep), nil, DefaultConfig())
+	q := sparql.MustParse(`SELECT ?x WHERE {
+		?x <` + rdf.NSDBO + `writer> "Alpha"@en .
+		?x <` + rdf.NSDBO + `label> "Beta"@en .
+	}`)
+	sug, err := p.Relax(ctx, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sug == nil || sug.Kind != Relaxation || sug.Answers != 1 {
+		t.Fatalf("relaxation = %+v, want one relaxed-structure answer", sug)
+	}
+	want := "?v0 <" + rdf.NSDBO + "author> \"Alpha\"@en"
+	if qs := sug.Query.String(); !strings.Contains(qs, want) {
+		t.Errorf("relaxed query misses %s:\n%s", want, qs)
+	}
+}
+
+// TestSuggestRelaxationUnderGenerationSwaps runs Suggest from four
+// goroutines over one federation while its member gains unrelated
+// triples (each write moves the epoch, so the federation swaps its
+// generation under running relaxations) and ResetCaches fires. Every
+// relaxation must equal the one a quiet run returns.
+func TestSuggestRelaxationUnderGenerationSwaps(t *testing.T) {
+	d := datagen.Generate(datagen.SmallConfig())
+	ep := endpoint.NewLocal("synthetic-dbpedia", d.Store, endpoint.Limits{})
+	ctx := context.Background()
+	cache, err := bootstrap.Initialize(ctx, ep, bootstrap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := federation.New(ep)
+	p := New(cache, fed, nil, DefaultConfig())
+
+	relaxed := func(q *sparql.Query) string {
+		sugs, err := p.Suggest(ctx, q)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		for _, s := range sugs {
+			if s.Kind == Relaxation {
+				return fmt.Sprintf("%d answers\n%s", s.Answers, s.Query)
+			}
+		}
+		return "none"
+	}
+	queries := []*sparql.Query{
+		sparql.MustParse(`SELECT ?book WHERE {
+			?book <` + rdf.NSDBO + `writer> "Jack Kerouac"@en .
+			?book <` + rdf.NSDBO + `publisher> "Viking Press"@en .
+		}`),
+		sparql.MustParse(`SELECT ?c WHERE {
+			?c <` + rdf.NSDBO + `industry> "Aerospace"@en .
+			?c <` + rdf.NSDBO + `industry> "Medicine"@en .
+		}`),
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = relaxed(q)
+		if !strings.HasSuffix(strings.SplitN(want[i], "\n", 2)[0], "answers") {
+			t.Fatalf("quiet run of query %d relaxed to %q", i, want[i])
+		}
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := rdf.NewIRI(fmt.Sprintf("http://x/churn%d", n))
+			if _, err := ep.Store().Add(rdf.NewTriple(s, rdf.NewIRI("http://x/p"), rdf.NewLiteral("churn"))); err != nil {
+				t.Error(err)
+				return
+			}
+			if n%3 == 0 {
+				fed.ResetCaches()
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for it := 0; it < 3; it++ {
+				i := (w + it) % len(queries)
+				if got := relaxed(queries[i]); got != want[i] {
+					t.Errorf("worker %d: query %d relaxed to\n%s\nquiet run gave\n%s", w, i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	readers.Wait()
+	close(stop)
+	churn.Wait()
 }

@@ -16,15 +16,17 @@ import (
 // graph, preferring edges whose predicate appears in the query or among
 // its predicate alternatives; the resulting tree is generalized into a
 // new SPARQL query whose non-literal vertices become variables. Returns
-// nil when the query has no literals or no connection was found.
+// nil when the query has fewer than two literals or no connection was
+// found. The expansion scans one federation generation, taken once per
+// call, at ID level: each scan is one budget call and, when the
+// generation has not memoized the pattern yet, one member query.
 func (p *PUM) Relax(ctx context.Context, q *sparql.Query, litAlts []Suggestion) (*Suggestion, error) {
 	groups := p.seedGroups(q, litAlts)
 	if len(groups) == 0 {
 		return nil, nil
 	}
 	preferred := p.preferredPredicates(q)
-	src := steiner.EndpointSource{Endpoint: federationEndpoint{p.fed}}
-	res, err := steiner.Connect(ctx, src, groups, preferred, p.cfg.Relax)
+	res, err := steiner.Connect(ctx, p.fed.Graph(ctx), groups, preferred, p.cfg.Relax)
 	if err != nil {
 		return nil, err
 	}
@@ -142,19 +144,4 @@ func treeToQuery(tree []rdf.Triple, orig *sparql.Query) *sparql.Query {
 		})
 	}
 	return q
-}
-
-// federationEndpoint adapts the federation to the endpoint.Endpoint
-// interface so the Steiner source can expand vertices across all
-// registered endpoints.
-type federationEndpoint struct {
-	fed interface {
-		Query(ctx context.Context, q string) (*sparql.Results, error)
-	}
-}
-
-func (f federationEndpoint) Name() string { return "federation" }
-
-func (f federationEndpoint) Query(ctx context.Context, q string) (*sparql.Results, error) {
-	return f.fed.Query(ctx, q)
 }

@@ -33,13 +33,6 @@ func (p *turtleParser) errf(format string, args ...any) error {
 	return fmt.Errorf("turtle: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *turtleParser) parse() ([]Triple, error) {
 	for {
 		p.skipWS()

@@ -61,13 +61,6 @@ func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sparql: parse error at line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // keyword reports whether the current token is the given case-insensitive
 // identifier.
 func (p *parser) keyword(kw string) bool {

@@ -2,11 +2,15 @@ package steiner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sapphire/internal/endpoint"
+	"sapphire/internal/federation"
 	"sapphire/internal/rdf"
+	"sapphire/internal/sparql"
 	"sapphire/internal/store"
 )
 
@@ -52,7 +56,7 @@ func TestConnectFigure6(t *testing.T) {
 		{en("Jack Kerouac")},
 		{en("Viking Press")},
 	}
-	res, err := Connect(context.Background(), StoreSource{s}, groups, nil, DefaultConfig())
+	res, err := Connect(context.Background(), s, groups, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestConnectPrefersQueryPredicates(t *testing.T) {
 
 	groups := [][]rdf.Term{{en("Left")}, {en("Right")}}
 	preferred := map[string]bool{"http://x/writer": true}
-	res, err := Connect(context.Background(), StoreSource{s}, groups, preferred, DefaultConfig())
+	res, err := Connect(context.Background(), s, groups, preferred, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestConnectThreeGroups(t *testing.T) {
 	add(hub, iri("p2"), en("B"))
 	add(hub, iri("p3"), en("C"))
 	groups := [][]rdf.Term{{en("A")}, {en("B")}, {en("C")}}
-	res, err := Connect(context.Background(), StoreSource{s}, groups, nil, DefaultConfig())
+	res, err := Connect(context.Background(), s, groups, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +152,7 @@ func TestConnectUsesAlternativeSeeds(t *testing.T) {
 		{en("Jack Kerouac")},
 		{en("The Viking"), en("Viking Press")},
 	}
-	res, err := Connect(context.Background(), StoreSource{s}, groups, nil, DefaultConfig())
+	res, err := Connect(context.Background(), s, groups, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestConnectDisconnected(t *testing.T) {
 	s.MustAdd(rdf.NewTriple(iri("a"), iri("p"), en("island one")))
 	s.MustAdd(rdf.NewTriple(iri("b"), iri("p"), en("island two")))
 	groups := [][]rdf.Term{{en("island one")}, {en("island two")}}
-	res, err := Connect(context.Background(), StoreSource{s}, groups, nil, DefaultConfig())
+	res, err := Connect(context.Background(), s, groups, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestConnectDisconnected(t *testing.T) {
 
 func TestConnectSingleGroup(t *testing.T) {
 	s := figure6Graph(t)
-	res, err := Connect(context.Background(), StoreSource{s},
+	res, err := Connect(context.Background(), s,
 		[][]rdf.Term{{en("Jack Kerouac")}}, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +203,7 @@ func TestConnectBudgetExhaustion(t *testing.T) {
 	s := figure6Graph(t)
 	cfg := DefaultConfig()
 	cfg.QueryBudget = 2 // not enough to reach across
-	res, err := Connect(context.Background(), StoreSource{s},
+	res, err := Connect(context.Background(), s,
 		[][]rdf.Term{{en("Jack Kerouac")}, {en("Viking Press")}}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -212,20 +216,27 @@ func TestConnectBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestConnectViaEndpointSourceCountsQueries(t *testing.T) {
-	s := figure6Graph(t)
+// federated returns a federation over one local member over s.
+func federated(s *store.Store) (*federation.Federation, *endpoint.Local) {
 	ep := endpoint.NewLocal("test", s, endpoint.Limits{})
-	src := EndpointSource{Endpoint: ep}
-	res, err := Connect(context.Background(), src,
+	return federation.New(ep), ep
+}
+
+func TestConnectViaFederationCountsQueries(t *testing.T) {
+	fed, ep := federated(figure6Graph(t))
+	ctx := context.Background()
+	res, err := Connect(ctx, fed.Graph(ctx),
 		[][]rdf.Term{{en("Jack Kerouac")}, {en("Viking Press")}}, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Connected {
-		t.Fatal("not connected via endpoint source")
+		t.Fatal("not connected over the federation")
 	}
+	// A fresh generation memoizes nothing, so every scan is one member
+	// query: the budget counts what the members serve.
 	if got := int(ep.Stats().Queries); got != res.QueriesUsed {
-		t.Errorf("endpoint served %d queries, explorer counted %d", got, res.QueriesUsed)
+		t.Errorf("member served %d queries, explorer counted %d", got, res.QueriesUsed)
 	}
 	if res.QueriesUsed > DefaultConfig().QueryBudget {
 		t.Errorf("budget exceeded: %d", res.QueriesUsed)
@@ -243,20 +254,139 @@ func TestConnectMemoization(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		add(hub, iri("p3"), iri("spoke"+string(rune('a'+i))))
 	}
-	ep := endpoint.NewLocal("test", s, endpoint.Limits{})
-	res, err := Connect(context.Background(), EndpointSource{ep},
-		[][]rdf.Term{{en("A")}, {en("B")}}, nil, DefaultConfig())
+	fed, ep := federated(s)
+	ctx := context.Background()
+	res, err := Connect(ctx, fed.Graph(ctx), [][]rdf.Term{{en("A")}, {en("B")}}, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Connected {
 		t.Fatal("not connected")
 	}
-	// Expansions: A (1 query, literal), B (1), hub (2: object+subject
+	// Expansions: A (1 scan, literal), B (1), hub (2: object and subject
 	// sides). Memoization means hub is not expanded twice even though
 	// both searches reach it.
-	if res.QueriesUsed > 6 {
-		t.Errorf("queries = %d; memoization broken", res.QueriesUsed)
+	if res.QueriesUsed != 4 {
+		t.Errorf("queries = %d, want 4; memoization broken", res.QueriesUsed)
+	}
+	if got := int(ep.Stats().Queries); got != res.QueriesUsed {
+		t.Errorf("member served %d queries, explorer counted %d", got, res.QueriesUsed)
+	}
+}
+
+// failing is a member that answers through inner except for queries
+// that mention term, which fail with err.
+type failing struct {
+	inner endpoint.Endpoint
+	term  string
+	err   error
+	hits  int
+}
+
+func (f *failing) Name() string { return "failing" }
+
+func (f *failing) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if strings.Contains(q, f.term) {
+		f.hits++
+		return nil, f.err
+	}
+	return f.inner.Query(ctx, q)
+}
+
+// twoRoutes joins "A" and "B" through f (the route the search takes
+// first, since f sorts before g) or through g.
+func twoRoutes() *store.Store {
+	s := store.New()
+	add := func(a, p, b rdf.Term) { s.MustAdd(rdf.NewTriple(a, p, b)) }
+	add(iri("f"), iri("name"), en("A"))
+	add(iri("g"), iri("name"), en("A"))
+	add(iri("f"), iri("link"), iri("b"))
+	add(iri("g"), iri("link"), iri("b"))
+	add(iri("b"), iri("name"), en("B"))
+	return s
+}
+
+func treeUses(tree []rdf.Triple, v rdf.Term) bool {
+	for _, tr := range tree {
+		if tr.S == v || tr.O == v {
+			return true
+		}
+	}
+	return false
+}
+
+func TestConnectSkipsVertexThatTimesOutOrIsRejected(t *testing.T) {
+	groups := [][]rdf.Term{{en("A")}, {en("B")}}
+	ctx := context.Background()
+
+	res, err := Connect(ctx, twoRoutes(), groups, nil, DefaultConfig())
+	if err != nil || !res.Connected || !treeUses(res.Tree, iri("f")) {
+		t.Fatalf("without failures the tree runs through f: %+v, %v", res, err)
+	}
+
+	for _, cause := range []error{endpoint.ErrTimeout, endpoint.ErrRejected} {
+		local := endpoint.NewLocal("test", twoRoutes(), endpoint.Limits{})
+		member := &failing{inner: local, term: iri("f").String(), err: fmt.Errorf("member: %w", cause)}
+		fed := federation.New(member)
+		res, err := Connect(ctx, fed.Graph(ctx), groups, nil, DefaultConfig())
+		if err != nil {
+			t.Fatalf("%v: %v", cause, err)
+		}
+		if !res.Connected || treeUses(res.Tree, iri("f")) || !treeUses(res.Tree, iri("g")) {
+			t.Errorf("%v: want a tree through g, got %+v", cause, res)
+		}
+		// Both groups reach f and try to expand it: a failed expansion
+		// is not memoized, so each attempt is a query and a budget call.
+		if member.hits != 2 {
+			t.Errorf("%v: f's expansion attempted %d times, want 2", cause, member.hits)
+		}
+		if served := int(local.Stats().Queries) + member.hits; served != res.QueriesUsed {
+			t.Errorf("%v: members saw %d queries, explorer counted %d", cause, served, res.QueriesUsed)
+		}
+	}
+}
+
+func TestConnectFailsOnOtherMemberErrors(t *testing.T) {
+	boom := errors.New("boom")
+	member := &failing{inner: endpoint.NewLocal("test", twoRoutes(), endpoint.Limits{}), term: iri("f").String(), err: boom}
+	fed := federation.New(member)
+	ctx := context.Background()
+	res, err := Connect(ctx, fed.Graph(ctx), [][]rdf.Term{{en("A")}, {en("B")}}, nil, DefaultConfig())
+	if !errors.Is(err, boom) {
+		t.Fatalf("Connect = %+v, %v; want the member error", res, err)
+	}
+}
+
+// TestConnectDeterministicMeetingOrder pins the tie-break among equally
+// cheap meetings: literals A, B and C are pairwise joined through hubs
+// x, y and z, every path two edges, so all three pairs meet at total 2
+// and the lowest pairs, A–B and A–C, must win on every run.
+func TestConnectDeterministicMeetingOrder(t *testing.T) {
+	s := store.New()
+	add := func(a, p, b rdf.Term) { s.MustAdd(rdf.NewTriple(a, p, b)) }
+	for _, hub := range []struct {
+		v    string
+		l, r string
+	}{{"x", "A", "B"}, {"y", "B", "C"}, {"z", "A", "C"}} {
+		add(iri(hub.v), iri("p"), en(hub.l))
+		add(iri(hub.v), iri("p"), en(hub.r))
+	}
+	groups := [][]rdf.Term{{en("A")}, {en("B")}, {en("C")}}
+	var first string
+	for run := 0; run < 64; run++ {
+		res, err := Connect(context.Background(), s, groups, nil, DefaultConfig())
+		if err != nil || !res.Connected {
+			t.Fatalf("run %d: %+v, %v", run, res, err)
+		}
+		got := fmt.Sprint(res.Tree)
+		if run == 0 {
+			first = got
+			if !treeUses(res.Tree, iri("x")) || !treeUses(res.Tree, iri("z")) || treeUses(res.Tree, iri("y")) {
+				t.Errorf("tree = %v, want the hubs of A–B and A–C", res.Tree)
+			}
+		} else if got != first {
+			t.Fatalf("run %d: tree %s, run 0 gave %s", run, got, first)
+		}
 	}
 }
 
@@ -323,7 +453,7 @@ func TestConnectFindsShortestMeeting(t *testing.T) {
 		"http://x/name":      true,
 		"http://x/publisher": true,
 	}
-	res, err := Connect(context.Background(), StoreSource{s},
+	res, err := Connect(context.Background(), s,
 		[][]rdf.Term{{en("Left Literal")}, {en("Right Literal")}}, preferred, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -342,45 +472,5 @@ func TestConnectFindsShortestMeeting(t *testing.T) {
 	}
 	if !usedBook || usedHub {
 		t.Errorf("tree took the expensive hub path: %v", res.Tree)
-	}
-}
-
-// TestConnectMaxDegreeGuard verifies the paper's high-branching guard:
-// a vertex whose fan-out exceeds the limit is not expanded, so the
-// search must route around it (or fail).
-func TestConnectMaxDegreeGuard(t *testing.T) {
-	s := store.New()
-	add := func(a, p, b rdf.Term) { s.MustAdd(rdf.NewTriple(a, p, b)) }
-	// The only path runs through a celebrity vertex with huge fan-out.
-	celeb := iri("celebrity")
-	add(celeb, iri("p"), en("Group A"))
-	add(celeb, iri("q"), en("Group B"))
-	for i := 0; i < 50; i++ {
-		add(celeb, iri("spam"), iri(fmt.Sprintf("follower%d", i)))
-	}
-	cfg := DefaultConfig()
-	cfg.MaxDegree = 10
-	res, err := Connect(context.Background(), StoreSource{s},
-		[][]rdf.Term{{en("Group A")}, {en("Group B")}}, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The literals themselves expand fine (low degree) and meet AT the
-	// celebrity without expanding it, so the connection still succeeds —
-	// the guard prevents the 50-follower expansion, not the meeting.
-	if !res.Connected {
-		t.Fatalf("guard should not block meeting at the hub: %+v", res)
-	}
-	// With the guard so tight even the literals cannot expand, the
-	// search fails gracefully.
-	cfg.MaxDegree = 0
-	cfg.QueryBudget = 1
-	res, err = Connect(context.Background(), StoreSource{s},
-		[][]rdf.Term{{en("Group A")}, {en("Group B")}}, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Connected {
-		t.Error("budget 1 cannot connect anything")
 	}
 }

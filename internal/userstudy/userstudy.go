@@ -355,17 +355,3 @@ func (p *participant) qakisMinutes(attempts int, d qald.Difficulty) float64 {
 	noise := p.rng.Float64() * 0.5
 	return base + perAttempt*float64(attempts-1) + noise
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
