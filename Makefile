@@ -6,8 +6,8 @@
 #   make race           - race-detector pass over the concurrency-sensitive packages
 #   make fuzz           - short fuzz smokes of the SPARQL parser, the
 #                         Jaro-Winkler kernel, the residual-bin trigram
-#                         index and the completion suffix array (same
-#                         jobs CI runs)
+#                         index, the two-tier similarity search and the
+#                         completion suffix array (same jobs CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
+	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSimilar' -fuzztime=30s
 	$(GO) test ./internal/suffixtree/ -run '^$$' -fuzz 'FuzzSuffixSearch' -fuzztime=30s
 
 crashtest:

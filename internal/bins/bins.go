@@ -1,15 +1,23 @@
-// Package bins implements the residual literal bins of Section 5.2: the
-// cached literals that do not fit in the suffix tree, organized into bins
-// keyed by literal length so that the QCM's search only considers bins in
-// [|t|, |t|+γ] and the QSM's similarity search only touches bins in
-// [|l|−α, |l|+β]. Scans are parallelized over P workers using the
-// load-balancing task assignment of Algorithm 1.
+// Package bins is the one table of cached literals the completion layer
+// reads (Section 5.2). Every literal is stored once, in one of two tiers:
+// the tree tier holds the most significant literals, the ones the suffix
+// tree also indexes, and the residual tier holds the rest, organized
+// into bins keyed by literal length so that the QCM's search only
+// considers bins in [|t|, |t|+γ]. Scans are parallelized over P workers
+// using the load-balancing task assignment of Algorithm 1.
+//
+// The substring search (SearchSubstring, ScanSubstring), Select and the
+// counts read the residual tier only: tree literals are completed from
+// the suffix tree. The QSM's similarity search (SearchSimilar) reads both
+// tiers, in [|l|−α, |l|+β], because the most significant literals are
+// the alternatives that matter most.
 //
 // The QCM's substring search departs from the paper's sequential scan for
 // patterns of three or more bytes: New also builds a byte-trigram posting
-// index over the literals, and SearchSubstring verifies only the literals
-// of the pattern's rarest trigram, in output order, stopping at the
-// limit. Shorter patterns have no trigram and are scanned (ScanSubstring).
+// index over the residual literals, and SearchSubstring verifies only the
+// literals of the pattern's rarest trigram, in output order, stopping at
+// the limit. Shorter patterns have no trigram and are scanned
+// (ScanSubstring).
 //
 // The similarity search under its default (nil) measure puts
 // similarity.JaroWinklerBound ahead of Jaro-Winkler: a literal bounded
@@ -18,6 +26,7 @@
 package bins
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -28,61 +37,83 @@ import (
 	"sapphire/internal/similarity"
 )
 
-// Bins holds residual literals bucketed by rune length. The zero value is
-// not usable; call New.
+// The two tiers, indexes into Bins.byLen.
+const (
+	residualTier = iota
+	treeTier
+)
+
+// Bins is the table of cached literals. The zero value is not usable;
+// call New.
 type Bins struct {
-	byLen map[int][]string
-	// sorted holds every literal once in SearchSubstring's output order,
-	// byte length then lexical; a literal's id is its position here and
-	// runeLen[id] its bin.
+	// byLen[tier][n] holds the literals of one tier with n runes,
+	// sorted.
+	byLen [2]map[int][]string
+	// sorted holds every literal once: the residual tier in
+	// SearchSubstring's output order, byte length then lexical, and from
+	// cut on the tree tier in the same order. A literal's id is its
+	// position here; runeLen[id] is a residual literal's bin.
 	sorted  []string
+	cut     int
 	runeLen []uint32
-	// The trigram posting index in CSR form: the ids of the literals
-	// containing trigram grams[g] are ids[offsets[g]:offsets[g+1]], in
-	// ascending order.
+	// The trigram posting index over the residual tier in CSR form: the
+	// ids of the literals containing trigram grams[g] are
+	// ids[offsets[g]:offsets[g+1]], in ascending order.
 	grams   []uint32
 	offsets []uint32
 	ids     []uint32
 }
 
-// New builds bins from the given literals. Duplicates are kept only once.
-// Bin key is the rune length of the literal, mirroring
-// bin(literal) = |literal| from the paper.
-func New(literals []string) *Bins {
-	b := &Bins{byLen: make(map[int][]string), sorted: make([]string, 0, len(literals))}
-	seen := make(map[string]bool, len(literals))
-	for _, l := range literals {
-		if l == "" || seen[l] {
-			continue
-		}
-		seen[l] = true
-		n := utf8.RuneCountInString(l)
-		b.byLen[n] = append(b.byLen[n], l)
-		b.sorted = append(b.sorted, l)
-	}
-	for n := range b.byLen {
-		sort.Strings(b.byLen[n])
-	}
-	sortShortestFirst(b.sorted)
-	b.runeLen = make([]uint32, len(b.sorted))
-	for id, l := range b.sorted {
+// New builds the table from the residual and the tree literals. Empty
+// strings are dropped and each literal is kept once; a literal in both
+// lists belongs to the tree tier. Bin key is the rune length of the
+// literal, mirroring bin(literal) = |literal| from the paper.
+func New(residual, tree []string) *Bins {
+	b := &Bins{}
+	seen := make(map[string]bool, len(residual)+len(tree))
+	treeLits := b.addTier(treeTier, tree, seen) // first, so the tree tier wins
+	b.sorted = slices.Concat(b.addTier(residualTier, residual, seen), treeLits)
+	b.cut = len(b.sorted) - len(treeLits)
+	b.runeLen = make([]uint32, b.cut)
+	for id, l := range b.sorted[:b.cut] {
 		b.runeLen[id] = uint32(utf8.RuneCountInString(l))
 	}
 	b.buildIndex()
 	return b
 }
 
-// buildIndex fills the trigram posting index over b.sorted.
+// addTier bins the literals of ls not yet seen into tier and returns
+// them shortest first.
+func (b *Bins) addTier(tier int, ls []string, seen map[string]bool) []string {
+	b.byLen[tier] = make(map[int][]string)
+	var out []string
+	for _, l := range ls {
+		if l == "" || seen[l] {
+			continue
+		}
+		seen[l] = true
+		n := utf8.RuneCountInString(l)
+		b.byLen[tier][n] = append(b.byLen[tier][n], l)
+		out = append(out, l)
+	}
+	for _, bin := range b.byLen[tier] {
+		sort.Strings(bin)
+	}
+	sortShortestFirst(out)
+	return out
+}
+
+// buildIndex fills the trigram posting index over the residual tier.
 func (b *Bins) buildIndex() {
 	n := 0
-	for _, l := range b.sorted {
+	for _, l := range b.sorted[:b.cut] {
 		n += max(len(l)-2, 0)
 	}
 	// One (trigram, id) pair per trigram occurrence; sorting them groups
 	// the posting lists with ascending ids, and Compact drops a trigram
 	// repeated within one literal.
 	pairs := make([]uint64, 0, n)
-	for id, l := range b.sorted {
+	for id, l := range b.sorted[:b.cut] {
 		for i := 0; i+3 <= len(l); i++ {
 			pairs = append(pairs, uint64(trigram(l[i:]))<<32|uint64(id))
 		}
@@ -114,48 +145,47 @@ func (b *Bins) postings(g uint32) []uint32 {
 	return b.ids[b.offsets[i]:b.offsets[i+1]]
 }
 
-// IndexBytes returns the heap the substring index adds to the bins: the
-// literals' string headers in output order, their rune lengths and the
-// posting arrays.
+// IndexBytes returns the heap the substring index adds to the residual
+// tier: the literals' string headers in output order, their rune lengths
+// and the posting arrays.
 func (b *Bins) IndexBytes() int {
-	return int(unsafe.Sizeof(""))*len(b.sorted) + 4*(len(b.runeLen)+len(b.grams)+len(b.offsets)+len(b.ids))
+	return int(unsafe.Sizeof(""))*b.cut + 4*(len(b.runeLen)+len(b.grams)+len(b.offsets)+len(b.ids))
 }
 
-// Len returns the total number of binned literals.
-func (b *Bins) Len() int { return len(b.sorted) }
+// Len returns the number of residual literals.
+func (b *Bins) Len() int { return b.cut }
 
-// BinCount returns the number of non-empty bins (the paper reports ~80
-// bins for DBpedia under the 80-char cap).
-func (b *Bins) BinCount() int { return len(b.byLen) }
+// BinCount returns the number of non-empty residual bins (the paper
+// reports ~80 bins for DBpedia under the 80-char cap).
+func (b *Bins) BinCount() int { return len(b.byLen[residualTier]) }
 
-// BinSizes returns a map from length to bin size.
-func (b *Bins) BinSizes() map[int]int {
-	out := make(map[int]int, len(b.byLen))
-	for n, ls := range b.byLen {
-		out[n] = len(ls)
-	}
-	return out
+// Tree returns the tree tier: byte length, then lexical.
+func (b *Bins) Tree() []string { return b.sorted[b.cut:] }
+
+// InTree reports whether l is a tree-tier literal.
+func (b *Bins) InTree(l string) bool {
+	_, ok := slices.BinarySearchFunc(b.Tree(), l, shortestFirst)
+	return ok
 }
 
-// Select returns the literals of all bins with length in [lo, hi],
-// concatenated in deterministic order. This is the bins′ input of
-// Algorithms 1 and 2.
-func (b *Bins) Select(lo, hi int) [][]string {
-	if lo < 0 {
-		lo = 0
-	}
+// Select returns the residual literals of all bins with length in
+// [lo, hi], concatenated in deterministic order. This is the bins′ input
+// of Algorithm 1; SearchSimilar adds the tree tier's bins to it.
+func (b *Bins) Select(lo, hi int) [][]string { return b.selectTier(residualTier, lo, hi) }
+
+func (b *Bins) selectTier(tier, lo, hi int) [][]string {
 	var out [][]string
-	for n := lo; n <= hi; n++ {
-		if ls, ok := b.byLen[n]; ok {
+	for n := max(lo, 0); n <= hi; n++ {
+		if ls, ok := b.byLen[tier][n]; ok {
 			out = append(out, ls)
 		}
 	}
 	return out
 }
 
-// SelectedCount returns the number of literals in bins [lo, hi]. The
-// paper reports that length filtering eliminates ~46% of literals from
-// a QCM scan on average.
+// SelectedCount returns the number of residual literals in bins
+// [lo, hi]. The paper reports that length filtering eliminates ~46% of
+// literals from a QCM scan on average.
 func (b *Bins) SelectedCount(lo, hi int) int {
 	n := 0
 	for _, bin := range b.Select(lo, hi) {
@@ -223,8 +253,8 @@ func AssignTasks(bins [][]string, p int) [][]Task {
 	return out
 }
 
-// SearchSubstring returns up to limit literals of bins [lo, hi] that
-// contain pattern, shortest first: byte length, then lexical (the QCM
+// SearchSubstring returns up to limit residual literals of bins [lo, hi]
+// that contain pattern, shortest first: byte length, then lexical (the QCM
 // returns the shortest residual matches; Section 6.1). limit <= 0 means
 // all. A pattern of three or more bytes is answered from the trigram
 // index and p is unused; a shorter one is scanned with p workers.
@@ -284,30 +314,26 @@ type SimilarityMatch struct {
 	Score   float64
 }
 
-// SearchSimilar scans bins [lo, hi] with p workers and returns all
-// literals whose similarity to target (under measure m, Jaro-Winkler when
-// nil) is at least theta, sorted by descending score. This is the literal
-// alternative search of Algorithm 2 (line 9). When m is nil, literals
-// that Jaro-Winkler's upper bound places below theta are skipped
-// unscored.
+// SearchSimilar scans the bins [lo, hi] of both tiers with p workers and
+// returns all literals whose similarity to target (under measure m,
+// Jaro-Winkler when nil) is at least theta, by descending score, then
+// literal. This is the literal alternative search of Algorithm 2 (line
+// 9). When m is nil, literals that Jaro-Winkler's upper bound places
+// below theta are skipped unscored.
 func (b *Bins) SearchSimilar(target string, lo, hi, p int, theta float64, m similarity.Measure) []SimilarityMatch {
 	var bound similarity.JaroWinklerBound // the zero value skips nothing
 	if m == nil {
 		m, bound = similarity.JaroWinkler, similarity.NewJaroWinklerBound(target)
 	}
-	sel := b.Select(lo, hi)
-	type scored struct {
-		lit   string
-		score float64
-	}
+	sel := append(b.Select(lo, hi), b.selectTier(treeTier, lo, hi)...)
 	tasks := AssignTasks(sel, p)
-	results := make([][]scored, len(tasks))
+	results := make([][]SimilarityMatch, len(tasks))
 	var wg sync.WaitGroup
 	for wi, ts := range tasks {
 		wg.Add(1)
 		go func(wi int, ts []Task) {
 			defer wg.Done()
-			var local []scored
+			var local []SimilarityMatch
 			for _, task := range ts {
 				for _, l := range sel[task.Bin][task.From:task.To] {
 					// The slack absorbs rounding in the bound.
@@ -315,7 +341,7 @@ func (b *Bins) SearchSimilar(target string, lo, hi, p int, theta float64, m simi
 						continue
 					}
 					if s := m(target, l); s >= theta {
-						local = append(local, scored{l, s})
+						local = append(local, SimilarityMatch{l, s})
 					}
 				}
 			}
@@ -323,17 +349,9 @@ func (b *Bins) SearchSimilar(target string, lo, hi, p int, theta float64, m simi
 		}(wi, ts)
 	}
 	wg.Wait()
-	var out []SimilarityMatch
-	for _, rs := range results {
-		for _, r := range rs {
-			out = append(out, SimilarityMatch{Literal: r.lit, Score: r.score})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Literal < out[j].Literal
+	out := slices.Concat(results...)
+	slices.SortFunc(out, func(x, y SimilarityMatch) int {
+		return cmp.Or(cmp.Compare(y.Score, x.Score), strings.Compare(x.Literal, y.Literal))
 	})
 	return out
 }
@@ -367,11 +385,9 @@ func (b *Bins) parallelScan(sel [][]string, p int, pred func(string) bool) []str
 	return out
 }
 
-func sortShortestFirst(ls []string) {
-	sort.Slice(ls, func(i, j int) bool {
-		if len(ls[i]) != len(ls[j]) {
-			return len(ls[i]) < len(ls[j])
-		}
-		return ls[i] < ls[j]
-	})
+func sortShortestFirst(ls []string) { slices.SortFunc(ls, shortestFirst) }
+
+// shortestFirst orders by byte length, then lexically.
+func shortestFirst(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
 }

@@ -12,13 +12,14 @@ import (
 )
 
 func TestNewBucketsByRuneLength(t *testing.T) {
-	b := New([]string{"ab", "cd", "abc", "ü", "x", "dup", "dup", ""})
+	b := New([]string{"ab", "cd", "abc", "ü", "x", "dup", "dup", ""}, nil)
 	if b.Len() != 6 {
 		t.Errorf("Len = %d, want 6", b.Len())
 	}
-	sizes := b.BinSizes()
-	if sizes[2] != 2 || sizes[3] != 2 || sizes[1] != 2 {
-		t.Errorf("BinSizes = %v", sizes)
+	for n := 1; n <= 3; n++ {
+		if got := b.SelectedCount(n, n); got != 2 {
+			t.Errorf("SelectedCount(%d, %d) = %d, want 2", n, n, got)
+		}
 	}
 	if b.BinCount() != 3 {
 		t.Errorf("BinCount = %d, want 3", b.BinCount())
@@ -26,7 +27,7 @@ func TestNewBucketsByRuneLength(t *testing.T) {
 }
 
 func TestSelectRange(t *testing.T) {
-	b := New([]string{"a", "bb", "ccc", "dddd", "eeeee"})
+	b := New([]string{"a", "bb", "ccc", "dddd", "eeeee"}, nil)
 	sel := b.Select(2, 4)
 	total := 0
 	for _, bin := range sel {
@@ -164,7 +165,7 @@ func TestAssignTasksEdgeCases(t *testing.T) {
 
 func TestSearchSubstring(t *testing.T) {
 	lits := []string{"Kennedy", "Kennedys", "John Kennedy", "Lincoln", "Kent"}
-	b := New(lits)
+	b := New(lits, nil)
 	got := b.SearchSubstring("Kenned", 0, 100, 4, 0)
 	if len(got) != 3 {
 		t.Errorf("matches = %v, want 3", got)
@@ -176,7 +177,7 @@ func TestSearchSubstring(t *testing.T) {
 }
 
 func TestSearchSubstringRangeFilter(t *testing.T) {
-	b := New([]string{"abc", "abcdefgh", "ab"})
+	b := New([]string{"abc", "abcdefgh", "ab"}, nil)
 	// Range [3,4] excludes "ab" (len 2) and "abcdefgh" (len 8).
 	got := b.SearchSubstring("ab", 3, 4, 2, 0)
 	if len(got) != 1 || got[0] != "abc" {
@@ -189,7 +190,7 @@ func TestSearchSubstringLimit(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		lits = append(lits, fmt.Sprintf("item-%03d", i))
 	}
-	b := New(lits)
+	b := New(lits, nil)
 	got := b.SearchSubstring("item", 0, 100, 8, 7)
 	if len(got) != 7 {
 		t.Errorf("limit 7 returned %d", len(got))
@@ -197,14 +198,14 @@ func TestSearchSubstringLimit(t *testing.T) {
 }
 
 func TestSearchSubstringEmptyPattern(t *testing.T) {
-	b := New([]string{"a"})
+	b := New([]string{"a"}, nil)
 	if got := b.SearchSubstring("", 0, 10, 2, 0); got != nil {
 		t.Errorf("empty pattern = %v", got)
 	}
 }
 
 func TestSearchSimilarThreshold(t *testing.T) {
-	b := New([]string{"Kennedy", "Kenneth", "Lincoln", "Kennedys"})
+	b := New([]string{"Kennedy", "Kenneth", "Lincoln", "Kennedys"}, nil)
 	got := b.SearchSimilar("Kennedys", 0, 100, 4, 0.7, nil)
 	// Lincoln must be filtered; Kennedy and Kenneth pass JW >= 0.7.
 	for _, m := range got {
@@ -225,7 +226,7 @@ func TestSearchSimilarThreshold(t *testing.T) {
 }
 
 func TestSearchSimilarCustomMeasure(t *testing.T) {
-	b := New([]string{"viking press", "the viking press", "penguin"})
+	b := New([]string{"viking press", "the viking press", "penguin"}, nil)
 	got := b.SearchSimilar("viking press", 0, 100, 2, 0.5, similarity.JaccardTokens)
 	if len(got) != 2 {
 		t.Errorf("jaccard matches = %v", got)
@@ -241,7 +242,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lits = append(lits, fmt.Sprintf("literal %d %s", i, strings.Repeat("x", rng.Intn(20))))
 	}
-	b := New(lits)
+	b := New(lits, nil)
 	base := b.ScanSubstring("literal 4", 0, 100, 1, 0)
 	for _, p := range []int{2, 4, 8} {
 		got := b.ScanSubstring("literal 4", 0, 100, p, 0)

@@ -13,8 +13,8 @@ import (
 
 // TestSearchSimilarBoundChangesNothing: the nil measure, which skips
 // literals by Jaro-Winkler's upper bound, returns exactly what scoring
-// every literal with an explicit Jaro-Winkler returns, over the residual
-// bins of an initialized cache and at every worker count.
+// every literal with an explicit Jaro-Winkler returns, over both tiers
+// of an initialized cache and at every worker count.
 func TestSearchSimilarBoundChangesNothing(t *testing.T) {
 	d := datagen.Generate(datagen.SmallConfig())
 	ep := endpoint.NewLocal("synthetic-dbpedia", d.Store, endpoint.Limits{})

@@ -3,6 +3,7 @@ package bootstrap
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -77,7 +78,8 @@ type Cache struct {
 	// Tree indexes predicate display names and the most significant
 	// literals for substring completion lookups.
 	Tree *suffixtree.Tree
-	// Bins holds the residual literals bucketed by length.
+	// Bins holds every cached literal once: the tree tier Tree indexes
+	// and the residual literals bucketed by length.
 	Bins *bins.Bins
 	// Stats describes the initialization run.
 	Stats Stats
@@ -88,8 +90,6 @@ type Cache struct {
 	// literalTerm maps a cached literal's lexical form to its full term
 	// (restoring language tags when the PUM builds queries).
 	literalTerm map[string]rdf.Term
-	// inTree marks strings indexed in the suffix tree.
-	inTree map[string]bool
 }
 
 // PredicatesFor returns the predicate IRIs displayed as s (the local name
@@ -118,9 +118,9 @@ func (c *Cache) IsPredicateDisplay(s string) bool {
 	return len(c.displayToPred[s]) > 0
 }
 
-// InSuffixTree reports whether the string was indexed in the suffix tree
-// (used by the hit-ratio experiment).
-func (c *Cache) InSuffixTree(s string) bool { return c.inTree[s] }
+// InSuffixTree reports whether the string was indexed in the suffix tree:
+// a predicate display name or a tree-tier literal.
+func (c *Cache) InSuffixTree(s string) bool { return c.IsPredicateDisplay(s) || c.Bins.InTree(s) }
 
 // DisplayName renders a predicate IRI the way the UI shows it: the local
 // name with camel-case split into spaces ("almaMater" → "alma mater").
@@ -413,14 +413,13 @@ func atoiSafe(s string) int {
 	return n
 }
 
-// buildCache marks the SuffixTreeCapacity most significant literals
-// tree-resident and indexes the cache.
+// buildCache puts the SuffixTreeCapacity most significant literals in
+// the tree tier and indexes the cache.
 func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 	c := &Cache{
 		Endpoint:    name,
 		Predicates:  preds,
 		literalTerm: in.literals,
-		inTree:      make(map[string]bool),
 	}
 	// Rank literals by significance, most significant first; cap at
 	// SuffixTreeCapacity.
@@ -443,43 +442,47 @@ func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 	if capacity := in.cfg.SuffixTreeCapacity; capacity > 0 && capacity < len(ranked) {
 		ranked = ranked[:capacity]
 	}
-	for _, r := range ranked {
-		c.inTree[r.lex] = true
+	significant := make([]string, len(ranked))
+	for i, r := range ranked {
+		significant[i] = r.lex
 	}
 	in.stats.LiteralCount = len(in.literals)
 	in.stats.SignificantCount = len(ranked)
 	c.Stats = in.stats
-	c.index()
+	c.index(significant)
 	return c
 }
 
 // index builds Tree, Bins and their Stats fields from c.Predicates,
-// c.literalTerm and the tree literals c.inTree marks. Initialize,
-// MergeCaches and Load all call it, so the tree strings go in in one
-// order — predicate display names in Predicates order, then the tree
-// literals sorted — and a cache answers /complete the same before and
-// after a Save/Load round trip (insertion order breaks ties between
+// c.literalTerm and the significant literals. It is the one place that
+// assigns tiers: the significant literals, and any cached literal equal
+// to a predicate display name, are the tree tier; the rest are residual.
+// Initialize, MergeCaches and Load all call it, so the tree strings go in
+// in one order — predicate display names in Predicates order, then the
+// tree literals sorted — and a cache answers /complete the same before
+// and after a Save/Load round trip (insertion order breaks ties between
 // equal suffixes).
-func (c *Cache) index() {
+func (c *Cache) index(significant []string) {
 	c.displayToPred = make(map[string][]rdf.Term)
-	var tree, residual []string
+	var display []string
 	for _, p := range c.Predicates {
 		d := DisplayName(p)
 		if len(c.displayToPred[d]) == 0 {
-			tree = append(tree, d)
+			display = append(display, d)
 		}
 		c.displayToPred[d] = append(c.displayToPred[d], p)
-		c.inTree[d] = true
 	}
-	for _, lex := range c.Literals() {
-		if c.inTree[lex] {
+	lits := c.Literals()
+	tree := significant
+	for _, lex := range lits {
+		if c.IsPredicateDisplay(lex) {
 			tree = append(tree, lex)
-		} else {
-			residual = append(residual, lex)
 		}
 	}
-	c.Tree = suffixtree.New(tree)
-	c.Bins = bins.New(residual)
+	c.Bins = bins.New(lits, tree)
+	strs := append(display, c.Bins.Tree()...)
+	slices.Sort(strs[len(display):])
+	c.Tree = suffixtree.New(strs)
 	c.Stats.TreeNodes = c.Tree.Len()
 	c.Stats.TreeBytes = c.Tree.Bytes()
 	c.Stats.ResidualCount = c.Bins.Len()

@@ -13,8 +13,8 @@ func MergeCaches(caches ...*Cache) *Cache {
 	merged := &Cache{
 		Endpoint:    "federation",
 		literalTerm: make(map[string]rdf.Term),
-		inTree:      make(map[string]bool),
 	}
+	var significant []string
 	seenPred := make(map[rdf.Term]bool)
 	for _, c := range caches {
 		if c == nil {
@@ -31,9 +31,7 @@ func MergeCaches(caches ...*Cache) *Cache {
 				merged.literalTerm[lex] = t
 			}
 		}
-		for s := range c.inTree {
-			merged.inTree[s] = true
-		}
+		significant = append(significant, c.Bins.Tree()...)
 		merged.Stats.QueriesIssued += c.Stats.QueriesIssued
 		merged.Stats.Timeouts += c.Stats.Timeouts
 		merged.Stats.LiteralQueries += c.Stats.LiteralQueries
@@ -41,13 +39,9 @@ func MergeCaches(caches ...*Cache) *Cache {
 		merged.Stats.UsedHierarchy = merged.Stats.UsedHierarchy || c.Stats.UsedHierarchy
 		merged.Stats.Duration += c.Stats.Duration
 	}
-	merged.index()
+	merged.index(significant)
 	merged.Stats.PredicateCount = len(merged.Predicates)
 	merged.Stats.LiteralCount = len(merged.literalTerm)
-	for lex := range merged.literalTerm {
-		if merged.inTree[lex] {
-			merged.Stats.SignificantCount++
-		}
-	}
+	merged.Stats.SignificantCount = len(merged.Bins.Tree())
 	return merged
 }

@@ -131,7 +131,7 @@ func (c *Cache) saveJSON(w io.Writer) error {
 			Value:  t.Value,
 			Lang:   t.Lang,
 			Dtype:  t.Datatype,
-			InTree: c.inTree[lex],
+			InTree: c.Bins.InTree(lex),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -175,17 +175,17 @@ func Load(r io.Reader) (*Cache, error) {
 		Endpoint:    cf.Endpoint,
 		Stats:       cf.Stats,
 		literalTerm: make(map[string]rdf.Term),
-		inTree:      make(map[string]bool),
 	}
+	var significant []string
 	for _, st := range cf.Predicates {
 		c.Predicates = append(c.Predicates, rdf.NewIRI(st.IRI))
 	}
 	for _, sl := range cf.Literals {
 		c.literalTerm[sl.Value] = rdf.Term{Kind: rdf.KindLiteral, Value: sl.Value, Lang: sl.Lang, Datatype: sl.Dtype}
 		if sl.InTree {
-			c.inTree[sl.Value] = true
+			significant = append(significant, sl.Value)
 		}
 	}
-	c.index()
+	c.index(significant)
 	return c, nil
 }

@@ -380,7 +380,7 @@ func ParallelScan(env *Env, workerCounts []int, replicas int) map[int]float64 {
 			lits = append(lits, fmt.Sprintf("%s (%d)", lex, i))
 		}
 	}
-	big := bins.New(lits)
+	big := bins.New(lits, nil)
 	targets := []string{"Ted Kennedys", "Jack Kerouak", "Viking Pres", "Australa"}
 	out := make(map[int]float64, len(workerCounts))
 	for _, wc := range workerCounts {
@@ -537,27 +537,9 @@ func SimilarityAblation(env *Env) []AblationRow {
 		for _, c := range cases {
 			lo := len([]rune(c.typed)) - 2
 			hi := len([]rune(c.typed)) + 3
+			// Both tiers, as the QSM does.
 			matches := env.Cache.Bins.SearchSimilar(c.typed, lo, hi, 4, 0.7, m)
-			// Tree-resident literals too, as the QSM does.
-			bestLit, bestScore := "", -1.0
-			for _, match := range matches {
-				if match.Score > bestScore {
-					bestScore, bestLit = match.Score, match.Literal
-				}
-			}
-			for _, lex := range env.Cache.Literals() {
-				if !env.Cache.InSuffixTree(lex) {
-					continue
-				}
-				n := len([]rune(lex))
-				if n < lo || n > hi {
-					continue
-				}
-				if s := m(c.typed, lex); s >= 0.7 && s > bestScore {
-					bestScore, bestLit = s, lex
-				}
-			}
-			if bestLit == c.want {
+			if len(matches) > 0 && matches[0].Literal == c.want {
 				recovered++
 			}
 		}

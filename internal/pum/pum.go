@@ -13,16 +13,15 @@
 // residual matches in the γ window.
 //
 // The literal alternative search (Algorithm 2 line 9) is one bounded
-// SearchSimilar over the residual bins and one over the suffix tree's
-// literals, which New indexes by length. Under the default measure both
-// skip literals Jaro-Winkler's upper bound places below θ, and only the
+// SearchSimilar over the cache's literal table, which holds the suffix
+// tree's literals and the residual ones. Under the default measure it
+// skips literals Jaro-Winkler's upper bound places below θ, and only the
 // alternatives prefetch and relaxation can select become queries.
 package pum
 
 import (
 	"context"
 
-	"sapphire/internal/bins"
 	"sapphire/internal/bootstrap"
 	"sapphire/internal/federation"
 	"sapphire/internal/lexicon"
@@ -82,9 +81,6 @@ type PUM struct {
 	score similarity.Measure
 	// predDisplay[i] is the display name of cache.Predicates[i].
 	predDisplay []string
-	// treeLits bins the suffix tree's literals by length; with the
-	// residual bins, which it does not overlap, it holds every literal.
-	treeLits *bins.Bins
 }
 
 // New assembles a PUM. A nil lexicon falls back to the built-in one; a
@@ -104,13 +100,7 @@ func New(cache *bootstrap.Cache, fed *federation.Federation, lex *lexicon.Lexico
 	for i, pred := range cache.Predicates {
 		display[i] = displayOf(pred)
 	}
-	var significant []string
-	for _, l := range cache.Literals() {
-		if cache.InSuffixTree(l) {
-			significant = append(significant, l)
-		}
-	}
-	return &PUM{cache: cache, fed: fed, lex: lex, cfg: cfg, score: score, predDisplay: display, treeLits: bins.New(significant)}
+	return &PUM{cache: cache, fed: fed, lex: lex, cfg: cfg, score: score, predDisplay: display}
 }
 
 // Cache exposes the underlying endpoint cache (for experiments).

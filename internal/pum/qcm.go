@@ -20,65 +20,45 @@ type Completion struct {
 // Complete implements the QCM (Figure 5): given the string t typed so
 // far, return up to K strings in the cached data containing t. Matches
 // from the suffix tree are prioritized; the remainder comes from the
-// residual bins of length |t|..|t|+γ, shortest results first.
+// residual bins of length |t|..|t|+γ, shortest results first. The two
+// steps cannot repeat a string: a cached literal is in exactly one tier.
 // Variables (strings starting with '?') produce no suggestions.
 func (p *PUM) Complete(term string) []Completion {
-	if term == "" || strings.HasPrefix(term, "?") {
+	if !completable(term) {
 		return nil
 	}
-	k := p.cfg.K
-	var out []Completion
-
-	// Step 1: suffix tree — prioritized matches, O(|t| + z).
-	for _, m := range p.cache.Tree.Search(term, k) {
-		if offered(out, m.Value) {
-			continue
-		}
-		out = append(out, Completion{
-			Text:        m.Value,
-			IsPredicate: p.cache.IsPredicateDisplay(m.Value),
-			FromTree:    true,
-		})
-		if len(out) >= k {
-			return out
-		}
-	}
-
-	// Step 2: residual bins, lengths |t| to |t|+γ.
-	lo := len([]rune(term))
-	hi := lo + p.cfg.Gamma
-	for _, lit := range p.cache.Bins.SearchSubstring(term, lo, hi, p.cfg.Workers, k-len(out)) {
-		if offered(out, lit) {
-			continue
-		}
-		out = append(out, Completion{Text: lit})
-		if len(out) >= k {
-			break
-		}
+	out := p.treeStep(nil, term, p.cfg.K)
+	if left := p.cfg.K - len(out); left > 0 {
+		out = p.residualStep(out, term, p.cfg.Workers, left)
 	}
 	return out
 }
 
-// offered reports whether out already holds text. Tree and bins
-// partition a cache, but a merged cache may repeat a literal; with at
-// most K completions a linear scan is cheaper than a set.
-func offered(out []Completion, text string) bool {
-	for _, c := range out {
-		if c.Text == text {
-			return true
-		}
-	}
-	return false
-}
-
-// CompleteTreeOnly searches only the suffix tree; used by the
+// CompleteTreeOnly runs only Complete's suffix-tree step; used by the
 // response-time experiments to separate the two QCM components.
 func (p *PUM) CompleteTreeOnly(term string) []Completion {
-	if term == "" || strings.HasPrefix(term, "?") {
+	if !completable(term) {
 		return nil
 	}
-	var out []Completion
-	for _, m := range p.cache.Tree.Search(term, p.cfg.K) {
+	return p.treeStep(nil, term, p.cfg.K)
+}
+
+// CompleteBinsOnly runs only Complete's residual step; workers matters
+// only to terms shorter than a trigram. Used by the response-time
+// experiments (Section 7.3.1).
+func (p *PUM) CompleteBinsOnly(term string, workers int) []Completion {
+	if !completable(term) {
+		return nil
+	}
+	return p.residualStep(nil, term, workers, p.cfg.K)
+}
+
+func completable(term string) bool { return term != "" && !strings.HasPrefix(term, "?") }
+
+// treeStep appends up to limit suffix-tree matches of term to out:
+// prioritized matches, O(|t| + z).
+func (p *PUM) treeStep(out []Completion, term string, limit int) []Completion {
+	for _, m := range p.cache.Tree.Search(term, limit) {
 		out = append(out, Completion{
 			Text:        m.Value,
 			IsPredicate: p.cache.IsPredicateDisplay(m.Value),
@@ -88,17 +68,11 @@ func (p *PUM) CompleteTreeOnly(term string) []Completion {
 	return out
 }
 
-// CompleteBinsOnly searches only the residual bins, as Complete's second
-// step does; workers matters only to terms shorter than a trigram. Used
-// by the response-time experiments (Section 7.3.1).
-func (p *PUM) CompleteBinsOnly(term string, workers int) []Completion {
-	if term == "" || strings.HasPrefix(term, "?") {
-		return nil
-	}
+// residualStep appends up to limit residual literals of lengths |t| to
+// |t|+γ containing term to out, shortest first.
+func (p *PUM) residualStep(out []Completion, term string, workers, limit int) []Completion {
 	lo := len([]rune(term))
-	hi := lo + p.cfg.Gamma
-	var out []Completion
-	for _, lit := range p.cache.Bins.SearchSubstring(term, lo, hi, workers, p.cfg.K) {
+	for _, lit := range p.cache.Bins.SearchSubstring(term, lo, lo+p.cfg.Gamma, workers, limit) {
 		out = append(out, Completion{Text: lit})
 	}
 	return out

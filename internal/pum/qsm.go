@@ -209,22 +209,12 @@ func (p *PUM) literalAlternatives(q *sparql.Query) []Suggestion {
 	return out
 }
 
-// similarLiterals returns the cached literals of length [|l|−α, |l|+β]
-// at least θ similar to l, best first, ties by literal. The significant
-// literals live in the suffix tree, not the bins; searching them too
-// keeps the most important literals visible to the QSM.
+// similarLiterals returns the cached literals of length [|l|−α, |l|+β],
+// tree and residual tier alike, at least θ similar to l, best first, ties
+// by literal.
 func (p *PUM) similarLiterals(l string) []bins.SimilarityMatch {
 	n := len([]rune(l))
-	lo, hi := n-p.cfg.Alpha, n+p.cfg.Beta
-	matches := p.cache.Bins.SearchSimilar(l, lo, hi, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)
-	matches = append(matches, p.treeLits.SearchSimilar(l, lo, hi, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)...)
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
-		}
-		return matches[i].Literal < matches[j].Literal
-	})
-	return matches
+	return p.cache.Bins.SearchSimilar(l, n-p.cfg.Alpha, n+p.cfg.Beta, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)
 }
 
 // prefetch executes candidate queries (capped at MaxCandidates per kind,

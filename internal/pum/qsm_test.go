@@ -15,19 +15,15 @@ import (
 )
 
 // referenceLiteralMatches is the literal alternative search as a plain
-// scan: every residual literal in the window scored by an explicit
-// Jaro-Winkler (so the bound never runs), then every cached literal
-// sorted and probed for suffix-tree membership.
+// scan of every cached literal, tree and residual tier alike, scored by
+// an explicit Jaro-Winkler (so the bound never runs); it never reads
+// the bins.
 func referenceLiteralMatches(p *PUM, l string) []bins.SimilarityMatch {
 	lo := len([]rune(l)) - p.cfg.Alpha
 	hi := len([]rune(l)) + p.cfg.Beta
-	matches := p.cache.Bins.SearchSimilar(l, lo, hi, p.cfg.Workers, p.cfg.Theta, similarity.JaroWinkler)
+	var matches []bins.SimilarityMatch
 	for _, lex := range p.cache.Literals() {
-		if !p.cache.InSuffixTree(lex) {
-			continue
-		}
-		n := len([]rune(lex))
-		if n < lo || n > hi {
+		if n := len([]rune(lex)); n < lo || n > hi {
 			continue
 		}
 		if s := similarity.JaroWinkler(l, lex); s >= p.cfg.Theta {
