@@ -18,7 +18,7 @@
 #   make vet            - stock go vet only
 #   make lint           - sapphire-vet: stock go vet plus the repo's own
 #                         contract analyzers (pinlock, atomicfield, errcode,
-#                         unchecked — see docs/STATIC_ANALYSIS.md)
+#                         unchecked, testonly — see docs/STATIC_ANALYSIS.md)
 
 GO ?= go
 

@@ -10,14 +10,16 @@
 //
 // With no patterns it checks ./... . Flags:
 //
-//	-novet            skip the stock `go vet` passes (the custom
-//	                  analyzers only; used by tests and for quick
-//	                  iteration on a single analyzer's output)
-//	-unchecked-pkgs   comma-separated import-path suffixes on which the
-//	                  errcheck-style unchecked Close/Sync analyzer runs
-//	                  (default: the durability path). The other three
-//	                  analyzers run on every matched package.
-//	-list             print the analyzer roster and exit
+//	-novet   skip the stock `go vet` passes (the custom analyzers
+//	         only; used by tests and for quick iteration on a single
+//	         analyzer's output)
+//	-list    print the analyzer roster and exit
+//
+// The errcheck-style unchecked Close/Sync analyzer runs on the
+// durability path only; the others run on every matched package.
+// testonly counts callers in the whole module, whichever packages are
+// matched, and in the nested benchmark module (tests included) when
+// ./benchmark/go.mod exists; run it from the module root.
 //
 // Suppress a finding in place with
 //
@@ -33,6 +35,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 
 	"sapphire/internal/analysis"
@@ -42,18 +45,21 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// uncheckedDefault scopes the unchecked analyzer to the durability
-// path: ignored Close/Sync errors there swallow fsync failures.
-// Repo-wide it would flood on idiomatic deferred body.Close() calls.
-const uncheckedDefault = "internal/store/persist"
+// uncheckedPkg scopes the unchecked analyzer to the durability path:
+// ignored Close/Sync errors there swallow fsync failures. Repo-wide it
+// would flood on idiomatic deferred body.Close() calls.
+const uncheckedPkg = "internal/store/persist"
+
+// callerModule is the nested module whose code and tests count as
+// callers for testonly: the benchmark drives internal API and cannot
+// be edited together with it.
+const callerModule = "benchmark"
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sapphire-vet", flag.ExitOnError)
 	var (
-		novet        = fs.Bool("novet", false, "skip the stock `go vet` passes")
-		uncheckedPkg = fs.String("unchecked-pkgs", uncheckedDefault,
-			"comma-separated import-path suffixes the unchecked analyzer applies to")
-		list = fs.Bool("list", false, "list analyzers and exit")
+		novet = fs.Bool("novet", false, "skip the stock `go vet` passes")
+		list  = fs.Bool("list", false, "list analyzers and exit")
 	)
 	fs.Parse(args)
 
@@ -92,23 +98,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var uncheckedSuffixes []string
-	for _, s := range strings.Split(*uncheckedPkg, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			uncheckedSuffixes = append(uncheckedSuffixes, s)
+	// testonly needs every caller whichever packages are checked: the
+	// whole module, and the benchmark module with its tests.
+	m := &analysis.Module{Pkgs: pkgs}
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		if m.Callers, err = analysis.LoadPatterns(".", "./..."); err != nil {
+			fmt.Fprintf(stderr, "sapphire-vet: %v\n", err)
+			return 2
 		}
+	}
+	if _, err := os.Stat(filepath.Join(callerModule, "go.mod")); err == nil {
+		bench, err := analysis.LoadCallers(callerModule)
+		if err != nil {
+			fmt.Fprintf(stderr, "sapphire-vet: %v\n", err)
+			return 2
+		}
+		m.Callers = append(m.Callers, bench...)
 	}
 
 	count := 0
 	for _, pkg := range pkgs {
 		analyzers := analysis.All()
-		for _, suf := range uncheckedSuffixes {
-			if pkg.PkgPath == suf || strings.HasSuffix(pkg.PkgPath, "/"+suf) || strings.HasSuffix(pkg.PkgPath, suf) {
-				analyzers = append(analyzers, analysis.Unchecked)
-				break
-			}
+		if strings.HasSuffix(pkg.PkgPath, "/"+uncheckedPkg) {
+			analyzers = append(analyzers, analysis.Unchecked)
 		}
-		diags, err := analysis.Run(pkg, analyzers)
+		diags, err := analysis.Run(m, pkg, analyzers)
 		if err != nil {
 			fmt.Fprintf(stderr, "sapphire-vet: %v\n", err)
 			return 2

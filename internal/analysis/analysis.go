@@ -20,6 +20,9 @@
 //     a status/client mapping switch (internal/endpoint/errors.go).
 //   - unchecked: an ignored Close or Sync error on the durability path
 //     is a silent durability hole (internal/store/persist).
+//   - testonly: an exported name under internal/ that no non-test file
+//     of the module references is API only tests reach; it runs over
+//     the whole Module, not one package.
 //
 // cmd/sapphire-vet is the multichecker binary that runs all of them
 // (plus stock `go vet`) over package patterns; `make lint` and the CI
@@ -62,6 +65,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Module holds every package of the run, for analyzers whose
+	// finding in one package depends on the others (testonly).
+	Module *Module
 
 	diags *[]Diagnostic
 }
@@ -83,12 +89,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes the analyzers over one loaded package and returns the
+// Run executes the analyzers over one package of m and returns the
 // surviving diagnostics: suppressed findings are dropped, malformed
 // suppressions (no reason) are added, and the result is sorted by
 // position. Analyzer Run errors are returned as-is — they mean the
 // analyzer could not do its job, not that the code is clean.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+func Run(m *Module, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -97,6 +103,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
+			Module:    m,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {
@@ -125,8 +132,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in the order sapphire-vet runs
 // it. The unchecked analyzer is scoped by the caller (it only makes
-// sense on durability-critical packages); the other three run
-// everywhere.
+// sense on durability-critical packages); these run everywhere.
 func All() []*Analyzer {
-	return []*Analyzer{PinLock, AtomicField, ErrCode}
+	return []*Analyzer{PinLock, AtomicField, ErrCode, TestOnly}
 }

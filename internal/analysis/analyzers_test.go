@@ -1,12 +1,11 @@
 package analysis
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The four analyzers against their golden fixtures. Each fixture
+// The analyzers against their golden fixtures. Each fixture
 // package contains both violating lines (tagged `// want`) and
 // compliant ones that must stay silent; runWant enforces the 1:1 match
 // in both directions.
@@ -16,16 +15,26 @@ func TestAtomicFieldGolden(t *testing.T) { runWant(t, "atomicfield", AtomicField
 func TestErrCodeGolden(t *testing.T)     { runWant(t, "errcode", ErrCode) }
 func TestUncheckedGolden(t *testing.T)   { runWant(t, "unchecked", Unchecked) }
 
+// TestTestOnlyGolden runs testonly over a fixture module: lib is the
+// internal package analyzed, app a non-test package of the same module
+// and caller a caller module, each type-checked on its own so every one
+// holds its own copy of lib.
+func TestTestOnlyGolden(t *testing.T) {
+	lib := loadFixture(t, "testonly/internal/lib")
+	m := &Module{
+		Pkgs:    []*Package{lib, loadFixture(t, "testonly/app")},
+		Callers: []*Package{loadFixture(t, "testonly/caller")},
+	}
+	checkWant(t, m, lib, TestOnly)
+}
+
 // TestSuppression pins the //sapphire:allow machinery on a fixture
 // with three pinlock violations: one suppressed by a line-above
 // comment, one by a trailing comment, and one under a reason-less
 // suppression that must both fail to suppress and be reported itself.
 func TestSuppression(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src"), "suppressed")
-	if err != nil {
-		t.Fatalf("load fixture: %v", err)
-	}
-	diags, err := Run(pkg, []*Analyzer{PinLock})
+	pkg := loadFixture(t, "suppressed")
+	diags, err := Run(&Module{Pkgs: []*Package{pkg}}, pkg, []*Analyzer{PinLock})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

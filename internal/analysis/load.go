@@ -42,12 +42,12 @@ func newInfo() *types.Info {
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	Module     *struct{ Path string }
+	ImportPath   string
+	Dir          string
+	Export       string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
 }
 
 func runGoList(dir string, args ...string) ([]listPkg, error) {
@@ -82,21 +82,35 @@ func runGoList(dir string, args ...string) ([]listPkg, error) {
 // are not analyzed: the invariants live in the shipped code, and the
 // testdata trees under internal/analysis deliberately violate them.
 func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, false, patterns)
+}
+
+// LoadCallers loads every package of the module rooted at dir, test
+// files included, for a Module's Callers: a nested module whose code
+// and tests use this module's internal API (the benchmark module).
+// An external test package is checked as its own package.
+func LoadCallers(dir string) ([]*Package, error) {
+	return load(dir, true, []string{"./..."})
+}
+
+func load(dir string, tests bool, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	targets, err := runGoList(dir, append([]string{"list", "-json=ImportPath"}, patterns...)...)
+	targets, err := runGoList(dir, append([]string{"list", "-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	deps, err := runGoList(dir, append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Standard,Module"}, patterns...)...)
+	depsArgs := []string{"list", "-deps", "-export", "-json=ImportPath,Export"}
+	if tests {
+		depsArgs = append(depsArgs, "-test")
+	}
+	deps, err := runGoList(dir, append(depsArgs, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
 	exports := map[string]string{}
-	byPath := map[string]listPkg{}
 	for _, p := range deps {
-		byPath[p.ImportPath] = p
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
@@ -112,16 +126,25 @@ func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
 	var out []*Package
-	for _, t := range targets {
-		p, ok := byPath[t.ImportPath]
-		if !ok || len(p.GoFiles) == 0 {
-			continue
+	for _, p := range targets {
+		files := p.GoFiles
+		if tests {
+			files = append(files, p.TestGoFiles...)
 		}
-		pkg, err := checkFiles(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
+		if len(files) > 0 {
+			pkg, err := checkFiles(fset, imp, p.ImportPath, p.Dir, files)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pkg)
 		}
-		out = append(out, pkg)
+		if tests && len(p.XTestGoFiles) > 0 {
+			pkg, err := checkFiles(fset, imp, p.ImportPath+"_test", p.Dir, p.XTestGoFiles)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pkg)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
@@ -143,105 +166,4 @@ func checkFiles(fset *token.FileSet, imp types.Importer, pkgPath, dir string, na
 		return nil, fmt.Errorf("typecheck %s: %w", pkgPath, err)
 	}
 	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// srcImporter resolves imports for fixture packages: paths that exist
-// as directories under root are type-checked from source (recursively),
-// anything else is treated as standard library and resolved through
-// compiler export data.
-type srcImporter struct {
-	root string
-	fset *token.FileSet
-	pkgs map[string]*types.Package
-	std  types.ImporterFrom
-	// stdExports caches `go list -export` answers for stdlib paths.
-	stdExports map[string]string
-}
-
-func newSrcImporter(root string) *srcImporter {
-	im := &srcImporter{
-		root:       root,
-		fset:       token.NewFileSet(),
-		pkgs:       map[string]*types.Package{},
-		stdExports: map[string]string{},
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, err := im.stdExport(path)
-		if err != nil {
-			return nil, err
-		}
-		return os.Open(f)
-	}
-	im.std = importer.ForCompiler(im.fset, "gc", lookup).(types.ImporterFrom)
-	return im
-}
-
-func (im *srcImporter) stdExport(path string) (string, error) {
-	if f, ok := im.stdExports[path]; ok {
-		return f, nil
-	}
-	pkgs, err := runGoList("", "list", "-export", "-json=ImportPath,Export", path)
-	if err != nil {
-		return "", err
-	}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			im.stdExports[p.ImportPath] = p.Export
-		}
-	}
-	f, ok := im.stdExports[path]
-	if !ok {
-		return "", fmt.Errorf("no export data for %q", path)
-	}
-	return f, nil
-}
-
-func (im *srcImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := im.pkgs[path]; ok {
-		return pkg, nil
-	}
-	dir := filepath.Join(im.root, filepath.FromSlash(path))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		pkg, err := im.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		im.pkgs[path] = pkg.Types
-		return pkg.Types, nil
-	}
-	pkg, err := im.std.ImportFrom(path, im.root, 0)
-	if err != nil {
-		return nil, err
-	}
-	im.pkgs[path] = pkg
-	return pkg, nil
-}
-
-func (im *srcImporter) load(path, dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	sort.Strings(names)
-	return checkFiles(im.fset, im, path, dir, names)
-}
-
-// LoadDir loads one fixture package (and, transitively, the fixture
-// packages it imports) from a GOPATH-style source tree rooted at root:
-// package path "a" lives in root/a/*.go. The analyzer golden tests and
-// sapphire-vet's own injected-violation test use this to type-check
-// deliberately contract-violating code that must never be part of the
-// module proper.
-func LoadDir(root, pkgPath string) (*Package, error) {
-	im := newSrcImporter(root)
-	return im.load(pkgPath, filepath.Join(root, filepath.FromSlash(pkgPath)))
 }

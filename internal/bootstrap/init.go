@@ -12,7 +12,6 @@ import (
 	"sapphire/internal/endpoint"
 	"sapphire/internal/rdf"
 	"sapphire/internal/sparql"
-	"sapphire/internal/store"
 	"sapphire/internal/suffixtree"
 )
 
@@ -242,9 +241,18 @@ func (in *initializer) fetchLiteralPredicates() ([]rdf.Term, error) {
 	return out, nil
 }
 
+// classHierarchy is the RDFS class tree from Q2 that initialization
+// walks root-to-leaves. Children are sorted for deterministic traversal.
+type classHierarchy struct {
+	roots    []rdf.Term
+	children map[rdf.Term][]rdf.Term
+}
+
 // fetchHierarchy retrieves the class hierarchy (Q2) or nil when the
 // dataset has none, in which case the caller falls back to Q3 types.
-func (in *initializer) fetchHierarchy() (*store.ClassHierarchy, error) {
+// The roots are the parentless classes, then, in term order, each class
+// they do not reach: a subclass cycle with no way in still gets walked.
+func (in *initializer) fetchHierarchy() (*classHierarchy, error) {
 	res, err := in.query(QueryClassHierarchy)
 	if err != nil || res == nil {
 		return nil, err
@@ -252,33 +260,75 @@ func (in *initializer) fetchHierarchy() (*store.ClassHierarchy, error) {
 	if len(res.Rows) == 0 {
 		return nil, nil
 	}
-	h := &store.ClassHierarchy{
-		Children: make(map[rdf.Term][]rdf.Term),
-		Parents:  make(map[rdf.Term][]rdf.Term),
-	}
-	nodes := make(map[rdf.Term]bool)
+	h := &classHierarchy{children: make(map[rdf.Term][]rdf.Term)}
+	parents := make(map[rdf.Term]int) // every class, with its parent count
 	for _, row := range res.Rows {
 		sub, super := row["class"], row["subclass"]
-		h.Children[super] = append(h.Children[super], sub)
-		h.Parents[sub] = append(h.Parents[sub], super)
-		nodes[sub], nodes[super] = true, true
+		h.children[super] = append(h.children[super], sub)
+		parents[sub]++
+		parents[super] += 0
 	}
-	for n := range nodes {
-		if len(h.Parents[n]) == 0 {
-			h.Roots = append(h.Roots, n)
+	classes := make([]rdf.Term, 0, len(parents))
+	for c := range parents {
+		classes = append(classes, c)
+	}
+	sort.Slice(classes, func(i, j int) bool { return classes[i].Compare(classes[j]) < 0 })
+	for _, cs := range h.children {
+		sort.Slice(cs, func(i, j int) bool { return cs[i].Compare(cs[j]) < 0 })
+	}
+	for _, c := range classes {
+		if parents[c] == 0 {
+			h.roots = append(h.roots, c)
 		}
 	}
-	sort.Slice(h.Roots, func(i, j int) bool { return h.Roots[i].Compare(h.Roots[j]) < 0 })
-	for k := range h.Children {
-		cs := h.Children[k]
-		sort.Slice(cs, func(i, j int) bool { return cs[i].Compare(cs[j]) < 0 })
+	reached := make(map[rdf.Term]bool)
+	mark := func(c rdf.Term, _ int) bool {
+		reached[c] = true
+		return true
+	}
+	h.walk(mark)
+	for _, c := range classes {
+		if !reached[c] {
+			h.roots = append(h.roots, c)
+			h.walk(mark)
+		}
 	}
 	return h, nil
 }
 
+// walk visits classes breadth-first from the roots. Returning false from
+// fn prunes that class's subtree (the paper skips subclasses once a class
+// query succeeds). Each class is visited at most once even in DAGs and
+// cycles.
+func (h *classHierarchy) walk(fn func(class rdf.Term, depth int) bool) {
+	type item struct {
+		class rdf.Term
+		depth int
+	}
+	queue := make([]item, 0, len(h.roots))
+	for _, r := range h.roots {
+		queue = append(queue, item{r, 0})
+	}
+	seen := make(map[rdf.Term]struct{})
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		if _, dup := seen[it.class]; dup {
+			continue
+		}
+		seen[it.class] = struct{}{}
+		if !fn(it.class, it.depth) {
+			continue
+		}
+		for _, c := range h.children[it.class] {
+			queue = append(queue, item{c, it.depth + 1})
+		}
+	}
+}
+
 // classOrder returns the flat class list for the no-hierarchy fallback:
 // rdf:type objects by frequency (Q3).
-func (in *initializer) classOrder(hier *store.ClassHierarchy) []rdf.Term {
+func (in *initializer) classOrder(hier *classHierarchy) []rdf.Term {
 	if hier != nil {
 		return nil
 	}
@@ -296,13 +346,13 @@ func (in *initializer) classOrder(hier *store.ClassHierarchy) []rdf.Term {
 // collectLiterals implements the literal retrieval walk: per predicate,
 // descend the hierarchy from the roots; a timeout descends to the
 // subclasses, success prunes the subtree.
-func (in *initializer) collectLiterals(litPreds []rdf.Term, hier *store.ClassHierarchy, classes []rdf.Term) {
+func (in *initializer) collectLiterals(litPreds []rdf.Term, hier *classHierarchy, classes []rdf.Term) {
 	for _, pred := range litPreds {
 		if in.stats.BudgetExhausted {
 			return
 		}
 		if hier != nil {
-			hier.Walk(func(class rdf.Term, _ int) bool {
+			hier.walk(func(class rdf.Term, _ int) bool {
 				if in.stats.BudgetExhausted {
 					return false
 				}
@@ -349,7 +399,7 @@ func (in *initializer) pagedLiterals(class, pred rdf.Term) bool {
 }
 
 // collectSignificance runs the Q8 walk accumulating Definition 1 scores.
-func (in *initializer) collectSignificance(litPreds []rdf.Term, hier *store.ClassHierarchy, classes []rdf.Term) {
+func (in *initializer) collectSignificance(litPreds []rdf.Term, hier *classHierarchy, classes []rdf.Term) {
 	walk := func(class rdf.Term) bool {
 		if in.stats.BudgetExhausted {
 			return false
@@ -357,7 +407,7 @@ func (in *initializer) collectSignificance(litPreds []rdf.Term, hier *store.Clas
 		return in.pagedSignificance(class, litPreds)
 	}
 	if hier != nil {
-		hier.Walk(func(class rdf.Term, _ int) bool {
+		hier.walk(func(class rdf.Term, _ int) bool {
 			ok := walk(class)
 			return !ok
 		})

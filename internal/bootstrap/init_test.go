@@ -183,6 +183,112 @@ func TestInitializeNoHierarchyFallback(t *testing.T) {
 	}
 }
 
+// TestInitializeSubclassCycle pins initialization over a hierarchy in
+// which every class has a parent: A ⊂ B ⊂ A has no parentless root, so
+// Q2's builder must still give the walk a way in.
+func TestInitializeSubclassCycle(t *testing.T) {
+	s := store.New()
+	typ, sub := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(rdf.RDFSSubClassOf)
+	a, b := rdf.NewIRI("http://x/A"), rdf.NewIRI("http://x/B")
+	for _, c := range []rdf.Term{a, b} {
+		s.MustAdd(rdf.NewTriple(c, typ, rdf.NewIRI(rdf.OWLClass)))
+	}
+	s.MustAdd(rdf.NewTriple(a, sub, b))
+	s.MustAdd(rdf.NewTriple(b, sub, a))
+	name := rdf.NewIRI("http://x/name")
+	for i := 0; i < 30; i++ {
+		subj := rdf.NewIRI(fmt.Sprintf("http://x/e%d", i))
+		s.MustAdd(rdf.NewTriple(subj, typ, a))
+		s.MustAdd(rdf.NewTriple(subj, name, rdf.NewLangLiteral(fmt.Sprintf("entity %d", i), "en")))
+	}
+	c, err := Initialize(context.Background(), endpoint.NewLocal("cycle", s, endpoint.Limits{}), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Stats.UsedHierarchy {
+		t.Error("dataset has a hierarchy; initialization should use it")
+	}
+	if c.Stats.LiteralCount != 30 {
+		t.Errorf("literals = %d, want 30", c.Stats.LiteralCount)
+	}
+}
+
+// hierarchyOf runs the Q2 builder over a store holding the given
+// (subclass, superclass) edges, every subclass typed owl:Class.
+func hierarchyOf(t *testing.T, edges ...[2]string) *classHierarchy {
+	t.Helper()
+	s := store.New()
+	typ, sub := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(rdf.RDFSSubClassOf)
+	for _, e := range edges {
+		c := iri(e[0])
+		s.MustAdd(rdf.NewTriple(c, typ, rdf.NewIRI(rdf.OWLClass)))
+		s.MustAdd(rdf.NewTriple(c, sub, iri(e[1])))
+	}
+	in := &initializer{ctx: context.Background(), ep: endpoint.NewLocal("h", s, endpoint.Limits{}), cfg: DefaultConfig()}
+	h, err := in.fetchHierarchy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func iri(name string) rdf.Term { return rdf.NewIRI("http://x/" + name) }
+
+func TestHierarchy(t *testing.T) {
+	h := hierarchyOf(t,
+		[2]string{"Politician", "Person"}, [2]string{"MovieDirector", "Person"},
+		[2]string{"Senator", "Politician"}, [2]string{"City", "Place"})
+	if len(h.roots) != 2 || h.roots[0] != iri("Person") || h.roots[1] != iri("Place") {
+		t.Fatalf("roots = %v, want [Person Place]", h.roots)
+	}
+
+	// walk visits roots at depth 0 and children one deeper.
+	depths := make(map[rdf.Term]int)
+	h.walk(func(c rdf.Term, d int) bool {
+		depths[c] = d
+		return true
+	})
+	if len(depths) != 6 || depths[iri("Person")] != 0 || depths[iri("Senator")] != 2 {
+		t.Errorf("walk depths = %v", depths)
+	}
+
+	// Pruning: refuse to descend below Person.
+	visited := 0
+	h.walk(func(c rdf.Term, d int) bool {
+		visited++
+		return c != iri("Person")
+	})
+	if visited != 3 { // Person, Place, City — nothing under Person
+		t.Errorf("pruned walk visited %d classes, want 3", visited)
+	}
+}
+
+func TestHierarchyEmpty(t *testing.T) {
+	if h := hierarchyOf(t); h != nil {
+		t.Errorf("dataset without subClassOf has hierarchy %+v", h)
+	}
+	(&classHierarchy{}).walk(func(rdf.Term, int) bool {
+		t.Error("walk visited a class in an empty hierarchy")
+		return true
+	})
+}
+
+func TestHierarchyCycleSafe(t *testing.T) {
+	h := hierarchyOf(t, [2]string{"A", "B"}, [2]string{"B", "A"}, [2]string{"C", "A"})
+	// No class is parentless: the least class of the cycle is the root.
+	if len(h.roots) != 1 || h.roots[0] != iri("A") {
+		t.Fatalf("roots = %v, want [A]", h.roots)
+	}
+	n := 0
+	h.walk(func(rdf.Term, int) bool {
+		n++
+		return n < 100
+	})
+	if n != 3 {
+		t.Errorf("walk visited %d classes, want each of A, B, C once", n)
+	}
+}
+
 func TestInitializePagination(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 7 // force many pages

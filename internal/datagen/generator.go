@@ -95,7 +95,6 @@ var (
 	PredSourceCountry = Onto("sourceCountry")
 	PredState         = Onto("state")
 	PredAbstract      = Onto("abstract")
-	PredLocatedIn     = Onto("locatedInArea")
 )
 
 // Classes, with their superclass. The hierarchy mirrors DBpedia's shape:

@@ -77,11 +77,6 @@ var companySuffixes = []string{
 	"Corporation", "Labs", "Works", "Holdings", "Partners",
 }
 
-var instrumentNames = []string{
-	"Guitar", "Piano", "Violin", "Cello", "Flute", "Trumpet", "Drums",
-	"Saxophone", "Harp", "Clarinet", "Oboe", "Banjo", "Mandolin", "Organ",
-}
-
 var industryNames = []string{
 	"Aerospace", "Medicine", "Software", "Automotive", "Energy",
 	"Agriculture", "Finance", "Telecommunications", "Construction",

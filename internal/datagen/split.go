@@ -12,6 +12,8 @@ import (
 // federated query processor exists to join. Schema triples (the class
 // hierarchy and class labels) are replicated to every partition, as
 // ontologies are in practice.
+//
+//sapphire:allow testonly internal/operator/federated_test.go builds its three-endpoint federation from the split
 func (d *Dataset) Split() (agents, places, works *store.Store) {
 	agents, places, works = store.New(), store.New(), store.New()
 	// Each partition loads through the staged bulk path: triples are

@@ -269,13 +269,6 @@ func (c *resultCache) counters() (hits, rawHits, misses, evicted, coalesced, byt
 	return c.hits, c.rawHits, c.misses, c.evicted, c.coalesced, c.bytes, len(c.entries)
 }
 
-// resetCounters zeroes the counters; cached entries stay.
-func (c *resultCache) resetCounters() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.rawHits, c.misses, c.evicted, c.coalesced = 0, 0, 0, 0, 0
-}
-
 // entryOverhead approximates the fixed per-entry cost (list element,
 // map slot, entry struct, Results header).
 const entryOverhead = 160

@@ -90,7 +90,7 @@ type Stats struct {
 	CacheCoalesced int64
 
 	// CacheBytes and CacheEntries are live gauges of the cache's
-	// current footprint, not counters; ResetStats leaves them alone.
+	// current footprint, not counters.
 	CacheBytes   int64
 	CacheEntries int
 }
@@ -186,17 +186,6 @@ func (l *Local) Stats() Stats {
 			st.CacheCoalesced, st.CacheBytes, st.CacheEntries = l.cache.counters()
 	}
 	return st
-}
-
-// ResetStats zeroes the counters (cache gauges reflect live contents
-// and are unaffected; cached entries stay valid).
-func (l *Local) ResetStats() {
-	l.mu.Lock()
-	l.stats = Stats{}
-	l.mu.Unlock()
-	if l.cache != nil {
-		l.cache.resetCounters()
-	}
 }
 
 // Query implements Endpoint. It enforces admission control, the

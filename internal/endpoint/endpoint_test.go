@@ -122,15 +122,6 @@ func TestLocalLatency(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	ep := NewLocal("test", testStore(t, 1), Limits{})
-	_, _ = ep.Query(context.Background(), `SELECT ?s WHERE { ?s a <http://x/Person> . }`)
-	ep.ResetStats()
-	if st := ep.Stats(); st.Queries != 0 || st.Rows != 0 {
-		t.Errorf("stats after reset = %+v", st)
-	}
-}
-
 func TestHTTPRoundTrip(t *testing.T) {
 	local := NewLocal("local", testStore(t, 7), Limits{})
 	srv := httptest.NewServer(Handler(local))

@@ -60,6 +60,8 @@ func (e *APIError) Error() string {
 // Unwrap surfaces the typed sentinel behind a wire code, when there is
 // one; codes without a sentinel (too_large, method, unsupported,
 // internal) unwrap to nil and are matched by code via errors.As.
+//
+//sapphire:allow testonly errors.Is and errors.As call it through an interface the standard library spells inside a function body
 func (e *APIError) Unwrap() error {
 	switch e.Code {
 	case CodeTimeout:

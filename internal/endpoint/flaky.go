@@ -34,6 +34,8 @@ type Flaky struct {
 }
 
 // NewFlaky wraps inner with deterministic failure injection.
+//
+//sapphire:allow testonly the resilience tests of bootstrap, federation and the root package inject endpoint failures with it
 func NewFlaky(inner Endpoint, timeoutEvery int, failProb float64, seed int64) *Flaky {
 	return &Flaky{Inner: inner, TimeoutEvery: timeoutEvery, FailProb: failProb, Seed: seed}
 }
@@ -42,6 +44,8 @@ func NewFlaky(inner Endpoint, timeoutEvery int, failProb float64, seed int64) *F
 func (f *Flaky) Name() string { return f.Inner.Name() + " (flaky)" }
 
 // Failures returns how many queries were failed by injection.
+//
+//sapphire:allow testonly internal/federation/flap_test.go and internal/bootstrap/resilience_test.go assert the injected failure count
 func (f *Flaky) Failures() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

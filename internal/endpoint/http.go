@@ -212,8 +212,7 @@ type Client struct {
 // timeout.
 //
 //	c := endpoint.NewClient(url,
-//	        endpoint.WithRetryPolicy(endpoint.RetryPolicy{MaxAttempts: 2}),
-//	        endpoint.WithHTTPClient(&http.Client{Transport: tr}))
+//	        endpoint.WithRetryPolicy(endpoint.RetryPolicy{MaxAttempts: 2}))
 func NewClient(rawURL string, opts ...Option) *Client {
 	// No whole-query http.Client timeout: the per-attempt context bounds
 	// each try, and the caller's context bounds the whole exchange.

@@ -372,34 +372,17 @@ func TestMuxRoutes(t *testing.T) {
 	}
 }
 
-// TestClientOptions pins the functional options: WithRetryPolicy sets
-// the policy and WithHTTPClient routes traffic through the injected
-// client.
+// TestClientOptions pins the functional option: WithRetryPolicy sets
+// the policy.
 func TestClientOptions(t *testing.T) {
 	srv := httptest.NewServer(NewMux(NewLocal("local", testStore(t, 1), Limits{})))
 	defer srv.Close()
 
-	rt := &countingTransport{inner: http.DefaultTransport}
-	client := NewClient(srv.URL+"/sparql",
-		WithHTTPClient(&http.Client{Transport: rt}),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 2}))
+	client := NewClient(srv.URL+"/sparql", WithRetryPolicy(RetryPolicy{MaxAttempts: 2}))
 	if _, err := client.Query(context.Background(), `SELECT ?s WHERE { ?s a <http://x/Person> . }`); err != nil {
 		t.Fatal(err)
-	}
-	if rt.calls == 0 {
-		t.Error("injected http.Client not used")
 	}
 	if client.retrier.policy.attempts() != 2 {
 		t.Errorf("attempts = %d, want 2", client.retrier.policy.attempts())
 	}
-}
-
-type countingTransport struct {
-	inner http.RoundTripper
-	calls int
-}
-
-func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	t.calls++
-	return t.inner.RoundTrip(r)
 }

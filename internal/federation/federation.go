@@ -129,9 +129,6 @@ func (f *Federation) SetEpochPoll(d time.Duration) {
 	f.epochPoll = d
 }
 
-// Members returns the registered endpoints.
-func (f *Federation) Members() []endpoint.Endpoint { return f.members }
-
 // QueriesIssued returns the number of endpoint requests sent so far.
 func (f *Federation) QueriesIssued() int {
 	f.mu.Lock()
@@ -144,6 +141,8 @@ func (f *Federation) QueriesIssued() int {
 // members this is rarely needed — invalidation happens automatically
 // when a member's epoch moves — but it remains the escape hatch for
 // members that cannot report epochs.
+//
+//sapphire:allow testonly the federation and pum generation-swap tests clear memoization by hand to compare with epoch invalidation
 func (f *Federation) ResetCaches() {
 	f.mu.Lock()
 	defer f.mu.Unlock()

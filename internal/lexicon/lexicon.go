@@ -67,15 +67,6 @@ func (lx *Lexicon) Lexica(term string) []string {
 	return res
 }
 
-// Contains reports whether the term has lexicon entries beyond itself.
-func (lx *Lexicon) Contains(term string) bool {
-	t := strings.ToLower(strings.TrimSpace(term))
-	return len(lx.index[t]) > 0
-}
-
-// Len returns the number of synonym groups.
-func (lx *Lexicon) Len() int { return len(lx.groups) }
-
 // Default returns the built-in lexicon substituting the DBpedia Lemon
 // lexicon. It covers the relations exercised by the paper's user-study
 // questions (Appendix B) plus common DBpedia predicate verbalizations.

@@ -28,8 +28,8 @@ func TestLexicaFallback(t *testing.T) {
 	if len(got) != 1 || got[0] != "unknownterm" {
 		t.Errorf("fallback = %v, want just the term", got)
 	}
-	if lx.Contains("unknownterm") {
-		t.Error("Contains should be false for unknown term")
+	if len(lx.index["unknownterm"]) > 0 {
+		t.Error("unknown term has lexicon entries")
 	}
 }
 
@@ -70,8 +70,8 @@ func TestNewSkipsDegenerateGroups(t *testing.T) {
 		{"dup", "dup"},
 		{"a", "b"},
 	})
-	if lx.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (only the a/b group)", lx.Len())
+	if len(lx.groups) != 1 {
+		t.Errorf("groups = %v, want only the a/b group", lx.groups)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestDefaultCoversPaperExamples(t *testing.T) {
 	}
 	// User-study relations must be present.
 	for _, term := range []string{"alma mater", "population", "capital", "starring", "budget"} {
-		if !lx.Contains(term) {
+		if len(lx.Lexica(term)) < 2 {
 			t.Errorf("default lexicon missing %q", term)
 		}
 	}

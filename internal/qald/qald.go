@@ -103,15 +103,6 @@ type Question struct {
 // AnswerSet is a set of answer strings (term values).
 type AnswerSet map[string]bool
 
-// NewAnswerSet builds a set from values.
-func NewAnswerSet(vals ...string) AnswerSet {
-	s := make(AnswerSet, len(vals))
-	for _, v := range vals {
-		s[v] = true
-	}
-	return s
-}
-
 // Equal reports set equality.
 func (a AnswerSet) Equal(b AnswerSet) bool {
 	if len(a) != len(b) {

@@ -89,7 +89,7 @@ func TestKnownGoldValues(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
-			if !gold.Equal(NewAnswerSet(want...)) {
+			if !gold.Equal(answers(want...)) {
 				t.Errorf("%s gold = %v, want %v", id, gold.Values(), want)
 			}
 			return
@@ -107,10 +107,10 @@ func TestKnownGoldValues(t *testing.T) {
 }
 
 func TestAnswerSetOps(t *testing.T) {
-	a := NewAnswerSet("x", "y")
-	b := NewAnswerSet("y", "x")
-	c := NewAnswerSet("y", "z")
-	d := NewAnswerSet("q")
+	a := answers("x", "y")
+	b := answers("y", "x")
+	c := answers("y", "z")
+	d := answers("q")
 	if !a.Equal(b) {
 		t.Error("Equal broken")
 	}
@@ -126,16 +126,16 @@ func TestAnswerSetOps(t *testing.T) {
 }
 
 func TestJudge(t *testing.T) {
-	gold := NewAnswerSet("a", "b")
+	gold := answers("a", "b")
 	cases := []struct {
 		ans  AnswerSet
 		want Verdict
 	}{
-		{NewAnswerSet("a", "b"), Right},
-		{NewAnswerSet("a"), Partial},
-		{NewAnswerSet("a", "b", "c"), Partial},
-		{NewAnswerSet("z"), Wrong},
-		{NewAnswerSet(), Wrong},
+		{answers("a", "b"), Right},
+		{answers("a"), Partial},
+		{answers("a", "b", "c"), Partial},
+		{answers("z"), Wrong},
+		{answers(), Wrong},
 	}
 	for _, tc := range cases {
 		if got := Judge(tc.ans, gold); got != tc.want {
@@ -178,7 +178,7 @@ type dummySystem struct{ right map[string]bool }
 func (d dummySystem) Name() string { return "dummy" }
 func (d dummySystem) Answer(_ context.Context, q Question) (AnswerSet, bool) {
 	if d.right[q.ID] {
-		return NewAnswerSet("http://dbpedia.org/resource/Rita_Wilson"), true
+		return answers("http://dbpedia.org/resource/Rita_Wilson"), true
 	}
 	return nil, false
 }
@@ -199,4 +199,13 @@ func TestEvaluate(t *testing.T) {
 	if row.Total != 50 {
 		t.Errorf("total = %d", row.Total)
 	}
+}
+
+// answers builds a set from values.
+func answers(vals ...string) AnswerSet {
+	s := make(AnswerSet, len(vals))
+	for _, v := range vals {
+		s[v] = true
+	}
+	return s
 }

@@ -53,27 +53,6 @@ func (r *Reader) Read() (Triple, error) {
 	return Triple{}, io.EOF
 }
 
-// ReadAll reads every remaining triple.
-func (r *Reader) ReadAll() ([]Triple, error) {
-	var out []Triple
-	for {
-		tr, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tr)
-	}
-}
-
-// ParseTriple parses a single N-Triples statement such as
-// `<s> <p> "o"@en .`.
-func ParseTriple(s string) (Triple, error) {
-	return parseTripleLine(strings.TrimSpace(s), 1)
-}
-
 func parseTripleLine(line string, lineno int) (Triple, error) {
 	p := &lineParser{s: line, line: lineno}
 	s, err := p.term()
@@ -254,30 +233,4 @@ func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' }
 
 func isAlnumByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// Writer serializes triples in N-Triples syntax.
-type Writer struct {
-	w   *bufio.Writer
-	err error
-}
-
-// NewWriter returns a Writer emitting to w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
-
-// Write emits one triple. Errors are sticky.
-func (w *Writer) Write(tr Triple) error {
-	if w.err != nil {
-		return w.err
-	}
-	_, w.err = w.w.WriteString(tr.String() + "\n")
-	return w.err
-}
-
-// Flush flushes buffered output and returns the first error seen.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
 }

@@ -165,9 +165,9 @@ func TestQuoteLiteralRoundTripThroughParser(t *testing.T) {
 	}
 	for _, lex := range lexes {
 		tr := NewTriple(NewIRI("http://s"), NewIRI("http://p"), NewLiteral(lex))
-		got, err := ParseTriple(tr.String())
+		got, err := parseTriple(tr.String())
 		if err != nil {
-			t.Fatalf("ParseTriple(%q): %v", tr.String(), err)
+			t.Fatalf("parseTriple(%q): %v", tr.String(), err)
 		}
 		if got.O.Value != lex {
 			t.Errorf("round trip %q -> %q", lex, got.O.Value)
@@ -181,7 +181,7 @@ func TestQuoteLiteralPropertyRoundTrip(t *testing.T) {
 			return true // skip inputs the grammar does not cover
 		}
 		tr := NewTriple(NewIRI("http://s"), NewIRI("http://p"), NewLiteral(lex))
-		got, err := ParseTriple(tr.String())
+		got, err := parseTriple(tr.String())
 		return err == nil && got.O.Value == lex
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -163,7 +163,7 @@ x:s x:p x:o ;
 <http://x/s> <http://x/q> "lit"@en .
 `
 	a := parseTTL(t, ttl)
-	b, err := NewReader(strings.NewReader(nt)).ReadAll()
+	b, err := readAll(NewReader(strings.NewReader(nt)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,6 @@ const (
 	RDFSSubClassOf = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 	// RDFSLabel is the conventional human-readable name predicate.
 	RDFSLabel = "http://www.w3.org/2000/01/rdf-schema#label"
-	// RDFSClass marks a resource as an RDFS class.
-	RDFSClass = "http://www.w3.org/2000/01/rdf-schema#Class"
 	// OWLClass marks a resource as an OWL class (Q2 in Appendix A matches
 	// ?class a owl:Class).
 	OWLClass = "http://www.w3.org/2002/07/owl#Class"

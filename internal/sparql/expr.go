@@ -24,10 +24,9 @@ type Expr interface {
 type ValueKind uint8
 
 const (
-	// ValErr marks an evaluation error value (SPARQL type error).
-	ValErr ValueKind = iota
-	// ValBool is a boolean.
-	ValBool
+	// ValBool is a boolean. The zero ValueKind is the value an
+	// evaluation error returns beside its error.
+	ValBool ValueKind = iota + 1
 	// ValNum is a double-precision number.
 	ValNum
 	// ValStr is a plain string.

@@ -174,14 +174,6 @@ func (l *BulkLoader) maybeAutoCommitLocked() {
 	}
 }
 
-// Pending returns the number of staged (not yet committed) triples,
-// counting duplicates — dedup happens at Commit.
-func (l *BulkLoader) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
 // Commit publishes every staged triple into the store and drains the
 // buffer, returning how many were new (staged duplicates and triples
 // already present don't count). The batch is partitioned by subject

@@ -72,12 +72,12 @@ func TestBulkEquivalence(t *testing.T) {
 	if err := l.AddAll(triples[:third]); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Pending(); got != third {
-		t.Fatalf("Pending = %d, want %d", got, third)
+	if got := len(l.buf); got != third {
+		t.Fatalf("staged = %d, want %d", got, third)
 	}
 	l.Commit()
-	if got := l.Pending(); got != 0 {
-		t.Fatalf("Pending after Commit = %d, want 0", got)
+	if got := len(l.buf); got != 0 {
+		t.Fatalf("staged after Commit = %d, want 0", got)
 	}
 	// Interleave the online path: a duplicate of something already
 	// committed plus a fresh triple, through Store.Add directly.
@@ -101,10 +101,10 @@ func TestBulkEquivalence(t *testing.T) {
 	if got, want := dumpAll(bulk), dumpAll(seq); !reflect.DeepEqual(got, want) {
 		t.Fatal("full-scan iteration differs between sequential Add and bulk load")
 	}
-	if got, want := bulk.Subjects(), seq.Subjects(); !reflect.DeepEqual(got, want) {
+	if got, want := subjects(bulk), subjects(seq); !reflect.DeepEqual(got, want) {
 		t.Fatal("Subjects differ")
 	}
-	if got, want := bulk.Predicates(), seq.Predicates(); !reflect.DeepEqual(got, want) {
+	if got, want := predicates(bulk), predicates(seq); !reflect.DeepEqual(got, want) {
 		t.Fatal("Predicates differ")
 	}
 	// Every pattern shape over a sample of terms must count identically.
@@ -159,7 +159,7 @@ func TestBulkSmallBatchAfterLarge(t *testing.T) {
 	if got, want := dumpAll(bulk), dumpAll(seq); !reflect.DeepEqual(got, want) {
 		t.Fatal("full-scan iteration differs after small batch")
 	}
-	if got, want := bulk.Subjects(), seq.Subjects(); !reflect.DeepEqual(got, want) {
+	if got, want := subjects(bulk), subjects(seq); !reflect.DeepEqual(got, want) {
 		t.Fatal("Subjects differ after small batch")
 	}
 }
@@ -249,7 +249,7 @@ func TestBulkConcurrentReaders(t *testing.T) {
 					t.Errorf("observed partial batch: count %d", c)
 					return
 				}
-				subs := s.Subjects()
+				subs := subjects(s)
 				for j := 1; j < len(subs); j++ {
 					if subs[j-1].Compare(subs[j]) >= 0 {
 						t.Errorf("Subjects not sorted at %d", j)

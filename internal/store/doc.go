@@ -1,9 +1,9 @@
 // Package store implements the in-memory triple store that backs Sapphire's
 // simulated SPARQL endpoints. It maintains SPO, POS, and OSP hash indexes
 // so that every triple-pattern shape resolves through an index rather than
-// a full scan, and exposes the dataset statistics (predicate frequencies,
-// literal counts, incoming-edge counts) that the paper's initialization
-// queries (Appendix A, Q1–Q10) aggregate over.
+// a full scan. The paper's initialization statistics (Appendix A, Q1–Q10)
+// are not computed here: internal/bootstrap gets them through the
+// endpoint, by SPARQL, as the paper does.
 //
 // # Dictionary encoding
 //
@@ -14,9 +14,9 @@
 // footprint, turns every index probe into an integer hash, and makes
 // triple materialization a chunk probe.
 //
-// The dictionary itself is partitioned by term hash into independent
-// shards (NewShardedDict picks the count; DefaultDictShards otherwise),
-// so interning distinct terms contends per shard, not globally. IDs are
+// The dictionary itself is partitioned by term hash into
+// DefaultDictShards independent shards, so interning distinct terms
+// contends per shard, not globally. IDs are
 // still allocated from one global space — each dictionary shard claims
 // ranges of idRangeSize consecutive IDs from a shared counter — and the
 // ID→term direction is a chunked spine published through an atomic

@@ -122,13 +122,13 @@ func TestBulkAutoCommitCapsBuffer(t *testing.T) {
 
 	for i := 0; i < 10*cap; i++ {
 		l.MustAdd(tri(iri(fmt.Sprintf("s%d", i)), iri("p"), lit(fmt.Sprint(i))))
-		if p := l.Pending(); p > cap {
+		if p := len(l.buf); p > cap {
 			t.Fatalf("pending = %d exceeds auto-commit threshold %d", p, cap)
 		}
 	}
 	// 10*cap staged, every full cap-sized buffer flushed inline: at most
 	// one partial buffer may still be pending.
-	if got := s.Len() + l.Pending(); got != 10*cap {
+	if got := s.Len() + len(l.buf); got != 10*cap {
 		t.Fatalf("Len+Pending = %d, want %d", got, 10*cap)
 	}
 	if s.Len() < 9*cap {
@@ -143,7 +143,7 @@ func TestBulkAutoCommitCapsBuffer(t *testing.T) {
 	if err := l.AddAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	if p := l.Pending(); p > cap {
+	if p := len(l.buf); p > cap {
 		t.Fatalf("pending after AddAll = %d exceeds threshold %d", p, cap)
 	}
 	l.Commit()
@@ -156,7 +156,7 @@ func TestBulkAutoCommitCapsBuffer(t *testing.T) {
 	for i := 0; i < 2*cap; i++ {
 		l.MustAdd(tri(iri(fmt.Sprintf("u%d", i)), iri("p"), lit(fmt.Sprint(i))))
 	}
-	if p := l.Pending(); p != 2*cap {
+	if p := len(l.buf); p != 2*cap {
 		t.Fatalf("pending with cap disabled = %d, want %d", p, 2*cap)
 	}
 	l.Commit()

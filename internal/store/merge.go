@@ -227,10 +227,3 @@ func (m *merger) advance(i int) {
 	}
 	node[0] = w
 }
-
-// mergeSorted is the one-shot convenience form of merger.merge for
-// non-nested fan-outs.
-func mergeSorted(tv termView, rt *rankTable, lists [][]ID, visit func(id ID, which []int) bool) bool {
-	m := merger{tv: tv, rt: rt}
-	return m.merge(lists, visit)
-}

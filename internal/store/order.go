@@ -32,8 +32,6 @@ func (s *Store) OrderLabels() (label func(id uint32) uint64, exact bool) {
 // regardless of the background trigger's size floor. Benchmarks and
 // tests use it to measure the label-driven top-k path deterministically;
 // production traffic relies on the background rebuild instead.
+//
+//sapphire:allow testonly sparql and federation tests build the rank table synchronously to pin the label-driven ORDER BY path
 func (s *Store) BuildOrderLabels() { s.dict.buildRanks() }
-
-// HasNumericLiterals reports whether any interned literal parses as a
-// number (see OrderLabels for why ordering code cares).
-func (s *Store) HasNumericLiterals() bool { return s.dict.numericLits.Load() }

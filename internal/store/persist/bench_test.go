@@ -47,11 +47,7 @@ func recovery1MSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		recovery1M.snap = snap.Bytes()
-		var nt bytes.Buffer
-		if err := s.DumpNTriples(&nt); err != nil {
-			b.Fatal(err)
-		}
-		recovery1M.nt = nt.Bytes()
+		recovery1M.nt = []byte(dumpStore(b, s))
 	})
 }
 
@@ -65,7 +61,7 @@ func BenchmarkRecovery1M(b *testing.B) {
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, _, err := store.RestoreSnapshotBytes(recovery1M.snap, 0, 0)
+			s, _, err := store.RestoreSnapshotBytes(recovery1M.snap, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

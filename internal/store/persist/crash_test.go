@@ -106,7 +106,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		dumps = append(dumps, dumpStore(t, db.Store()))
 	}
 	db.Close()
-	total := dry.Written()
+	total := dry.written // the DB is closed: nothing writes any more
 	if total < 1024 {
 		t.Fatalf("dry run wrote only %d bytes", total)
 	}

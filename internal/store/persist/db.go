@@ -120,7 +120,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // Options configures a DB.
 type Options struct {
-	// FS overrides the filesystem (tests inject MemFS/FaultFS here).
+	// FS overrides the filesystem (tests inject in-memory and
+	// fault-injecting ones here).
 	// Nil uses the real directory passed to Open.
 	FS FS
 	// Fsync is the WAL sync policy. Default FsyncAlways.
@@ -131,10 +132,9 @@ type Options struct {
 	// triples have been logged to the current WAL. 0 disables automatic
 	// snapshots (explicit Snapshot calls still work).
 	SnapshotEvery int
-	// Shards / DictShards configure a store built by recovery. Zero takes
-	// the store default, but zero Shards keeps a snapshot's own count.
-	Shards     int
-	DictShards int
+	// Shards configures a store built by recovery. Zero takes the store
+	// default, but keeps a snapshot's own count.
+	Shards int
 	// KeepGenerations is how many trailing generations survive snapshot
 	// cleanup. Minimum (and default) 2: the newest plus one fallback.
 	KeepGenerations int
@@ -256,7 +256,7 @@ func (db *DB) recover() (RecoveryInfo, error) {
 		if shards <= 0 {
 			shards = store.DefaultShards()
 		}
-		db.store = store.NewShardedDict(shards, db.opts.DictShards)
+		db.store = store.NewSharded(shards)
 		info.Fallback = info.Fallback || len(manifestGens) > 0
 	}
 
@@ -349,7 +349,7 @@ func (db *DB) loadGeneration(gen uint64) (*store.Store, store.SnapshotInfo, erro
 	if int64(len(sdata)) != m.Bytes || crc32.Checksum(sdata, castagnoli) != m.CRC32C {
 		return nil, sinfo, fmt.Errorf("persist: snapshot %d fails manifest checksum", gen)
 	}
-	s, sinfo, err := store.RestoreSnapshotBytes(sdata, db.opts.Shards, db.opts.DictShards)
+	s, sinfo, err := store.RestoreSnapshotBytes(sdata, db.opts.Shards)
 	if err != nil {
 		return nil, sinfo, err
 	}
@@ -366,6 +366,8 @@ func (db *DB) Store() *store.Store {
 
 // Add durably logs one triple, then applies it. The triple is in the
 // WAL before the store ever sees it.
+//
+//sapphire:allow testonly the single-triple opAdd WAL record is written only here and replayed by recovery; the crash-recovery property test drives it, and dropping it is a WAL format change
 func (db *DB) Add(tr rdf.Triple) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

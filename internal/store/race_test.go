@@ -64,7 +64,7 @@ func TestConcurrentAddMatchSubjects(t *testing.T) {
 					}
 				}
 				// Sorted snapshot of level-one keys.
-				subs := s.Subjects()
+				subs := subjects(s)
 				for j := 1; j < len(subs); j++ {
 					if subs[j-1].Compare(subs[j]) >= 0 {
 						t.Errorf("Subjects not sorted at %d", j)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"sapphire/internal/rdf"
 )
@@ -214,29 +212,19 @@ func appendIndexBlock(p []byte, x *index, refs []uint64) []byte {
 	return p
 }
 
-// RestoreSnapshot rebuilds a store from a snapshot written by
-// WriteSnapshot. shards selects the new store's shard count; 0 (or the
-// snapshot's own count) takes the fast structural path, which rebuilds
-// every index without sorting because restore preserves dictionary IDs
-// and therefore subject-shard routing. A different shard count falls
-// back to re-partitioning the packed triples through the bulk-commit
-// path (still no term re-interning). dictShards ≤ 0 selects
-// DefaultDictShards.
+// RestoreSnapshotBytes rebuilds a store from a snapshot image written
+// by WriteSnapshot. shards selects the new store's shard count; 0 (or
+// the snapshot's own count) takes the fast structural path, which
+// rebuilds every index without sorting because restore preserves
+// dictionary IDs and therefore subject-shard routing. A different shard
+// count falls back to re-partitioning the packed triples through the
+// bulk-commit path (still no term re-interning). The dictionary gets
+// DefaultDictShards shards.
 //
 // Corruption anywhere — bad magic, version, checksum, or truncation —
-// returns an error; RestoreSnapshot never panics on hostile input and
-// never returns a partially restored store.
-func RestoreSnapshot(r io.Reader, shards, dictShards int) (*Store, SnapshotInfo, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, SnapshotInfo{}, fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	return RestoreSnapshotBytes(data, shards, dictShards)
-}
-
-// RestoreSnapshotBytes is RestoreSnapshot over an in-memory image,
-// avoiding the copy for callers that already hold the file's bytes.
-func RestoreSnapshotBytes(data []byte, shards, dictShards int) (*Store, SnapshotInfo, error) {
+// returns an error; RestoreSnapshotBytes never panics on hostile input
+// and never returns a partially restored store.
+func RestoreSnapshotBytes(data []byte, shards int) (*Store, SnapshotInfo, error) {
 	rd := &sreader{b: data}
 	if string(rd.bytes(len(snapshotMagic))) != snapshotMagic {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: bad magic")
@@ -264,7 +252,7 @@ func RestoreSnapshotBytes(data []byte, shards, dictShards int) (*Store, Snapshot
 		shards = snapShards
 	}
 
-	s := NewShardedDict(shards, dictShards)
+	s := NewSharded(shards)
 	structural := shards == snapShards
 
 	var (
@@ -681,33 +669,4 @@ func (r *sreader) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
-}
-
-// DumpNTriples writes every triple as one N-Triples line in the store's
-// deterministic term-sorted iteration order. Two stores with the same
-// triple set produce byte-identical dumps regardless of shard or
-// dictionary-shard configuration — the crash-recovery harness compares
-// these dumps, and they double as a portable export format.
-func (s *Store) DumpNTriples(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var line strings.Builder
-	var werr error
-	s.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(tr rdf.Triple) bool {
-		line.Reset()
-		tr.S.StringTo(&line)
-		line.WriteByte(' ')
-		tr.P.StringTo(&line)
-		line.WriteByte(' ')
-		tr.O.StringTo(&line)
-		line.WriteString(" .\n")
-		if _, err := bw.WriteString(line.String()); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
-	}
-	return bw.Flush()
 }

@@ -35,65 +35,6 @@ func (s *Store) PredicateFrequencies() []PredicateFrequency {
 	return out
 }
 
-// LiteralPredicateFrequencies returns predicates that have at least one
-// literal object, ordered by descending count of literal objects. This is
-// initialization query Q4 (FILTER isliteral(?o)).
-func (s *Store) LiteralPredicateFrequencies() []PredicateFrequency {
-	s.rlockAll()
-	defer s.runlockAll()
-	tv := s.dict.view()
-	counts := make(map[ID]int)
-	for _, sh := range s.shards {
-		for p, e := range sh.pos.m {
-			for o, subs := range e.m {
-				if tv.at(o).IsLiteral() {
-					counts[p] += len(*subs)
-				}
-			}
-		}
-	}
-	out := make([]PredicateFrequency, 0, len(counts))
-	for p, n := range counts {
-		if n > 0 {
-			out = append(out, PredicateFrequency{Predicate: tv.at(p), Count: n})
-		}
-	}
-	sortFreq(out)
-	return out
-}
-
-// TypeFrequencies returns the rdf:type objects ordered by how many
-// subjects carry them — initialization query Q3 for datasets without an
-// RDFS hierarchy.
-func (s *Store) TypeFrequencies() []PredicateFrequency {
-	typ, ok := s.dict.lookup(rdf.NewIRI(rdf.RDFType))
-	if !ok {
-		return nil
-	}
-	s.rlockAll()
-	defer s.runlockAll()
-	tv := s.dict.view()
-	counts := make(map[ID]int)
-	for _, sh := range s.shards {
-		e := sh.pos.m[typ]
-		if e == nil {
-			continue
-		}
-		for o, subs := range e.m {
-			counts[o] += len(*subs)
-		}
-	}
-	if len(counts) == 0 {
-		return nil
-	}
-	out := make([]PredicateFrequency, 0, len(counts))
-	for o, n := range counts {
-		out = append(out, PredicateFrequency{Predicate: tv.at(o), Count: n})
-	}
-	sortFreq(out)
-	return out
-}
-
 func sortFreq(fs []PredicateFrequency) {
 	sort.Slice(fs, func(i, j int) bool {
 		if fs[i].Count != fs[j].Count {
@@ -101,80 +42,4 @@ func sortFreq(fs []PredicateFrequency) {
 		}
 		return fs[i].Predicate.Compare(fs[j].Predicate) < 0
 	})
-}
-
-// DistinctLiterals returns the number of distinct literal terms, one of
-// the dataset-scale statistics the paper reports (DBpedia: ~70M literals
-// vs ~3K predicates). The same literal can be an object in several
-// shards, so the per-shard OSP key sets are deduplicated by ID.
-func (s *Store) DistinctLiterals() int {
-	s.rlockAll()
-	defer s.runlockAll()
-	tv := s.dict.view()
-	seen := make(map[ID]struct{})
-	for _, sh := range s.shards {
-		for _, o := range sh.osp.keys {
-			if tv.at(o).IsLiteral() {
-				seen[o] = struct{}{}
-			}
-		}
-	}
-	return len(seen)
-}
-
-// IncomingEdgeCount returns the number of triples whose object is the
-// given term — the inner quantity of Definition 1 (literal significance).
-// The per-object total is maintained on insert, so this is O(shards).
-func (s *Store) IncomingEdgeCount(o rdf.Term) int {
-	oi, ok := s.dict.lookup(o)
-	if !ok {
-		return 0
-	}
-	s.rlockAll()
-	defer s.runlockAll()
-	n := 0
-	for _, sh := range s.shards {
-		if e := sh.osp.m[oi]; e != nil {
-			n += e.total
-		}
-	}
-	return n
-}
-
-// LiteralSignificance computes S(l) from Definition 1 for every literal:
-// the number of triples (s, p1, o) such that (o, p2, l) is in the store.
-// That is, a literal inherits the incoming-edge count of the entities it
-// describes. The result maps literal terms to their significance score.
-func (s *Store) LiteralSignificance() map[rdf.Term]int {
-	s.rlockAll()
-	defer s.runlockAll()
-	tv := s.dict.view()
-	// Pass 1: total in-degree per entity, summed across shards (an
-	// entity can be an object in any shard).
-	in := make(map[ID]int)
-	for _, sh := range s.shards {
-		for o, e := range sh.osp.m {
-			if e.total == 0 || tv.at(o).IsLiteral() {
-				continue
-			}
-			in[o] += e.total
-		}
-	}
-	// Pass 2: every entity's out-edges live wholly in its subject shard;
-	// add its in-degree to each literal it points at.
-	sig := make(map[rdf.Term]int)
-	for o, deg := range in {
-		out := s.shardFor(o).spo.m[o]
-		if out == nil {
-			continue
-		}
-		for _, objs := range out.m {
-			for _, l := range *objs {
-				if lt := tv.at(l); lt.IsLiteral() {
-					sig[lt] += deg
-				}
-			}
-		}
-	}
-	return sig
 }

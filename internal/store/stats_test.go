@@ -51,142 +51,3 @@ func TestPredicateFrequencies(t *testing.T) {
 		}
 	}
 }
-
-func TestLiteralPredicateFrequencies(t *testing.T) {
-	s := buildStatsSample(t)
-	freqs := s.LiteralPredicateFrequencies()
-	if len(freqs) != 2 {
-		t.Fatalf("got %d literal predicates, want 2 (name, population): %v", len(freqs), freqs)
-	}
-	if freqs[0].Predicate != iri("name") || freqs[0].Count != 4 {
-		t.Errorf("top literal predicate = %v (%d), want name (4)", freqs[0].Predicate, freqs[0].Count)
-	}
-}
-
-func TestTypeFrequencies(t *testing.T) {
-	s := buildStatsSample(t)
-	freqs := s.TypeFrequencies()
-	if len(freqs) != 2 {
-		t.Fatalf("got %d types, want 2", len(freqs))
-	}
-	if freqs[0].Predicate != iri("Person") || freqs[0].Count != 3 {
-		t.Errorf("top type = %v (%d), want Person (3)", freqs[0].Predicate, freqs[0].Count)
-	}
-}
-
-func TestDistinctLiterals(t *testing.T) {
-	s := buildStatsSample(t)
-	if got := s.DistinctLiterals(); got != 5 {
-		t.Errorf("DistinctLiterals = %d, want 5", got)
-	}
-}
-
-func TestIncomingEdgeCount(t *testing.T) {
-	s := buildStatsSample(t)
-	if got := s.IncomingEdgeCount(iri("nyc")); got != 2 {
-		t.Errorf("IncomingEdgeCount(nyc) = %d, want 2", got)
-	}
-	if got := s.IncomingEdgeCount(iri("Person")); got != 3 {
-		t.Errorf("IncomingEdgeCount(Person) = %d, want 3", got)
-	}
-	if got := s.IncomingEdgeCount(iri("alice")); got != 0 {
-		t.Errorf("IncomingEdgeCount(alice) = %d, want 0", got)
-	}
-}
-
-func TestLiteralSignificance(t *testing.T) {
-	s := buildStatsSample(t)
-	sig := s.LiteralSignificance()
-	// "New York" is attached to nyc, which has 2 incoming bornIn edges.
-	if got := sig[lit("New York")]; got != 2 {
-		t.Errorf(`S("New York") = %d, want 2`, got)
-	}
-	// "Alice" is attached to alice which has no incoming edges: absent or 0.
-	if got := sig[lit("Alice")]; got != 0 {
-		t.Errorf(`S("Alice") = %d, want 0`, got)
-	}
-	// Population literal also inherits nyc's in-degree.
-	if got := sig[rdf.NewTypedLiteral("8000000", rdf.XSDInteger)]; got != 2 {
-		t.Errorf("S(population) = %d, want 2", got)
-	}
-}
-
-func TestHierarchy(t *testing.T) {
-	s := New()
-	sub := rdf.NewIRI(rdf.RDFSSubClassOf)
-	// Person <- {Politician, MovieDirector}; Politician <- Senator.
-	s.MustAdd(tri(iri("Politician"), sub, iri("Person")))
-	s.MustAdd(tri(iri("MovieDirector"), sub, iri("Person")))
-	s.MustAdd(tri(iri("Senator"), sub, iri("Politician")))
-	s.MustAdd(tri(iri("City"), sub, iri("Place")))
-
-	if !s.HasHierarchy() {
-		t.Fatal("HasHierarchy = false")
-	}
-	h := s.Hierarchy()
-	if len(h.Roots) != 2 {
-		t.Fatalf("roots = %v, want [Person Place]", h.Roots)
-	}
-	if h.Roots[0] != iri("Person") || h.Roots[1] != iri("Place") {
-		t.Errorf("roots = %v", h.Roots)
-	}
-	if got := h.Descendants(iri("Person")); len(got) != 3 {
-		t.Errorf("Descendants(Person) = %v, want 3 classes", got)
-	}
-	if got := h.Classes(); len(got) != 6 {
-		t.Errorf("Classes = %v, want 6", got)
-	}
-
-	// Walk visits roots at depth 0 and children one deeper.
-	depths := make(map[rdf.Term]int)
-	h.Walk(func(c rdf.Term, d int) bool {
-		depths[c] = d
-		return true
-	})
-	if depths[iri("Person")] != 0 || depths[iri("Senator")] != 2 {
-		t.Errorf("walk depths = %v", depths)
-	}
-
-	// Pruning: refuse to descend below Person.
-	visited := 0
-	h.Walk(func(c rdf.Term, d int) bool {
-		visited++
-		return c != iri("Person")
-	})
-	if visited != 3 { // Person, Place, City — nothing under Person
-		t.Errorf("pruned walk visited %d classes, want 3", visited)
-	}
-}
-
-func TestHierarchyEmpty(t *testing.T) {
-	s := New()
-	if s.HasHierarchy() {
-		t.Error("empty store claims hierarchy")
-	}
-	h := s.Hierarchy()
-	if len(h.Roots) != 0 || len(h.Classes()) != 0 {
-		t.Errorf("empty hierarchy has content: %+v", h)
-	}
-	h.Walk(func(rdf.Term, int) bool {
-		t.Error("walk visited a class in empty hierarchy")
-		return true
-	})
-}
-
-func TestHierarchyCycleSafe(t *testing.T) {
-	s := New()
-	sub := rdf.NewIRI(rdf.RDFSSubClassOf)
-	s.MustAdd(tri(iri("A"), sub, iri("B")))
-	s.MustAdd(tri(iri("B"), sub, iri("A")))
-	s.MustAdd(tri(iri("C"), sub, iri("A")))
-	h := s.Hierarchy()
-	// No roots in a pure cycle; Walk must still terminate.
-	n := 0
-	h.Walk(func(rdf.Term, int) bool {
-		n++
-		return n < 100
-	})
-	if n >= 100 {
-		t.Error("walk did not terminate on cycle")
-	}
-}

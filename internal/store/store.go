@@ -97,6 +97,8 @@ func NewShardedDict(n, dictShards int) *Store {
 }
 
 // Shards returns the number of shards the store was built with.
+//
+//sapphire:allow testonly internal/store/persist/db_test.go checks that Options.Shards reaches the recovered store
 func (s *Store) Shards() int { return len(s.shards) }
 
 // shardFor routes a subject ID to its owning shard. The multiplicative
@@ -200,6 +202,8 @@ func (s *Store) AddAll(triples []rdf.Triple) error {
 
 // MustAdd inserts a triple and panics on invalid input. Intended for
 // dataset construction in tests and generators where inputs are static.
+//
+//sapphire:allow testonly tests of sparql, endpoint, federation, pum, steiner and bootstrap build fixture stores with it
 func (s *Store) MustAdd(tr rdf.Triple) {
 	if _, err := s.Add(tr); err != nil {
 		panic(err)
@@ -540,62 +544,4 @@ func (s *Store) CountIDs(sub, pred, obj ID) int {
 // and O(shards); it shares the implementation with Count.
 func (s *Store) CardinalityEstimate(sub, pred, obj rdf.Term) int {
 	return s.Count(sub, pred, obj)
-}
-
-// CardinalityEstimateIDs is CardinalityEstimate over dictionary IDs.
-func (s *Store) CardinalityEstimateIDs(sub, pred, obj ID) int {
-	return s.CountIDs(sub, pred, obj)
-}
-
-// Subjects returns the distinct subjects, sorted. Per-shard subject key
-// slices are disjoint and term-sorted, so this is a k-way merge.
-func (s *Store) Subjects() []rdf.Term {
-	s.dict.maybeBuildRanks()
-	s.rlockAll()
-	defer s.runlockAll()
-	tv := s.dict.view()
-	rt := s.dict.ranks.Load()
-	keyLists := make([][]ID, len(s.shards))
-	n := 0
-	for i, sh := range s.shards {
-		keyLists[i] = sh.spo.keys
-		n += len(sh.spo.keys)
-	}
-	out := make([]rdf.Term, 0, n)
-	mergeSorted(tv, rt, keyLists, func(id ID, _ []int) bool {
-		out = append(out, tv.at(id))
-		return true
-	})
-	return out
-}
-
-// Predicates returns the distinct predicates, sorted. The same
-// predicate typically occurs in every shard; the merge visits each
-// distinct ID once.
-func (s *Store) Predicates() []rdf.Term {
-	s.dict.maybeBuildRanks()
-	s.rlockAll()
-	defer s.runlockAll()
-	tv := s.dict.view()
-	rt := s.dict.ranks.Load()
-	keyLists := make([][]ID, len(s.shards))
-	for i, sh := range s.shards {
-		keyLists[i] = sh.pos.keys
-	}
-	var out []rdf.Term
-	mergeSorted(tv, rt, keyLists, func(id ID, _ []int) bool {
-		out = append(out, tv.at(id))
-		return true
-	})
-	return out
-}
-
-// resolveAll maps a (term-sorted) ID slice to its terms.
-func (s *Store) resolveAll(ids []ID) []rdf.Term {
-	tv := s.dict.view()
-	out := make([]rdf.Term, len(ids))
-	for i, id := range ids {
-		out[i] = tv.at(id)
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -154,10 +155,10 @@ func TestCardinalityEstimate(t *testing.T) {
 
 func TestSubjectsPredicates(t *testing.T) {
 	s := buildSample(t)
-	if got := len(s.Subjects()); got != 3 {
+	if got := len(subjects(s)); got != 3 {
 		t.Errorf("Subjects = %d, want 3", got)
 	}
-	if got := len(s.Predicates()); got != 3 {
+	if got := len(predicates(s)); got != 3 {
 		t.Errorf("Predicates = %d, want 3", got)
 	}
 }
@@ -274,4 +275,32 @@ func TestAddPropertyNoDuplicates(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// subjects returns the distinct subjects in the order a wildcard Match
+// streams them: term order, merged across shards.
+func subjects(s *Store) []rdf.Term {
+	var out []rdf.Term
+	s.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(tr rdf.Triple) bool {
+		if len(out) == 0 || out[len(out)-1] != tr.S {
+			out = append(out, tr.S)
+		}
+		return true
+	})
+	return out
+}
+
+// predicates returns the distinct predicates, sorted.
+func predicates(s *Store) []rdf.Term {
+	seen := make(map[rdf.Term]bool)
+	var out []rdf.Term
+	s.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(tr rdf.Triple) bool {
+		if !seen[tr.P] {
+			seen[tr.P] = true
+			out = append(out, tr.P)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
 }
