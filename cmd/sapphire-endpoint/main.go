@@ -43,8 +43,6 @@ func main() {
 			"reject queries whose exact pattern cardinality exceeds this (0 = admit everything)")
 		cacheBytes = flag.Int64("cache-bytes", endpoint.DefaultCacheBytes,
 			"byte budget for the query result cache, keyed by (query, store epoch) (0 = no caching)")
-		shards = flag.Int("shards", store.DefaultShards(),
-			"store shard count: subject-hash partitions with per-shard locks/epochs (1 = unsharded, whole-batch commit atomicity)")
 		dataDir = flag.String("data-dir", "",
 			"durable store directory: recover on start, WAL /add writes, snapshot on shutdown (empty = in-memory only)")
 		snapshotEvery = flag.Int("snapshot-every", 0,
@@ -52,10 +50,6 @@ func main() {
 		fsync = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
 	)
 	flag.Parse()
-
-	// Must run before any store is built; datagen and every other
-	// store.New caller picks up the process default.
-	store.SetDefaultShards(*shards)
 
 	cfg := datagen.DefaultConfig()
 	if *scale == "small" {
@@ -77,7 +71,6 @@ func main() {
 		db, info, err = persist.Open(*dataDir, persist.Options{
 			Fsync:         policy,
 			SnapshotEvery: *snapshotEvery,
-			Shards:        *shards,
 		})
 		if err != nil {
 			log.Fatalf("open %s: %v", *dataDir, err)

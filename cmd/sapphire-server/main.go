@@ -24,7 +24,6 @@ import (
 	"sapphire"
 	"sapphire/internal/endpoint"
 	"sapphire/internal/sparql"
-	"sapphire/internal/store"
 	"sapphire/internal/store/persist"
 	"sapphire/internal/webapi"
 )
@@ -49,8 +48,6 @@ func main() {
 	initTimeout := flag.Duration("init-timeout", 15*time.Minute, "per-endpoint initialization deadline")
 	epochPoll := flag.Duration("fed-epoch-poll", 0,
 		"how often to re-check member epochs for cache invalidation (0 = every query, negative = never)")
-	shards := flag.Int("shards", store.DefaultShards(),
-		"shard count for any in-process store built by this server (warehouses, local endpoints); 1 = unsharded")
 	dataDir := flag.String("data-dir", "",
 		"durable store directory to serve as an in-process federation member (populate it with sapphire-init -data-dir); snapshot on shutdown")
 	snapshotEvery := flag.Int("snapshot-every", 0,
@@ -59,7 +56,6 @@ func main() {
 	flag.Var(&endpoints, "endpoint", "SPARQL endpoint URL to register (repeatable)")
 	flag.Var(&cachedEndpoints, "cached-endpoint", "URL=cachefile pair registering an endpoint from a saved cache (repeatable)")
 	flag.Parse()
-	store.SetDefaultShards(*shards)
 	if len(endpoints)+len(cachedEndpoints) == 0 && *dataDir == "" {
 		log.Fatal("at least one -endpoint, -cached-endpoint, or -data-dir is required")
 	}
@@ -79,7 +75,6 @@ func main() {
 		db, info, err = persist.Open(*dataDir, persist.Options{
 			Fsync:         policy,
 			SnapshotEvery: *snapshotEvery,
-			Shards:        *shards,
 		})
 		if err != nil {
 			log.Fatalf("open %s: %v", *dataDir, err)

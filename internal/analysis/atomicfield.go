@@ -8,9 +8,9 @@ import (
 )
 
 // AtomicField enforces the publication discipline behind the store's
-// epoch counters and the dictionary's spine/rank pointers (PRs 3–5,
-// docs/ARCHITECTURE.md "Epoch-versioned result cache" and "Dictionary
-// sharding"): once any code path touches a struct field through
+// epoch counter and the dictionary's spine/rank pointers
+// (docs/ARCHITECTURE.md "Epoch-versioned result cache" and "Dictionary
+// encoding"): once any code path touches a struct field through
 // sync/atomic, every access to that field must go through sync/atomic.
 // A lone plain read races with the atomic writers no matter how
 // innocent it looks, and the race detector only catches it when a test

@@ -8,8 +8,8 @@ import (
 
 // PinLock enforces the deadlock rule of internal/store/doc.go
 // ("ID-level API contract") and docs/ARCHITECTURE.md ("PinRead"):
-// Match/MatchIDs callbacks run under shard read locks, and code holding
-// a PinRead pin already owns every shard's read lock — neither may call
+// Match/MatchIDs callbacks run under the store read lock, and code
+// holding a PinRead pin already owns that read lock — neither may call
 // a store or dictionary method that acquires locks again, because the
 // moment a writer queues on the RWMutex a nested RLock deadlocks.
 // ResolveID is the designed exception (lock-free by construction), so
@@ -31,10 +31,10 @@ var PinLock = &Analyzer{
 }
 
 // bannedLockMethods are the store.Store / dictionary methods that
-// acquire shard or dictionary-shard locks (internal/store/doc.go bans
+// acquire the store or dictionary lock (internal/store/doc.go bans
 // "locking accessors (Lookup, Count, ...)" — this is the closed list).
-// PinRead itself is included: re-pinning under a pin re-acquires every
-// shard RLock.
+// PinRead itself is included: re-pinning under a pin re-acquires the
+// store RLock.
 var bannedLockMethods = map[string]bool{
 	"Lookup":                 true,
 	"Match":                  true,
@@ -56,7 +56,7 @@ var bannedLockMethods = map[string]bool{
 }
 
 // callbackEntryMethods start a region whose callback argument runs
-// under shard read locks. The unpinned names only count on a receiver
+// under the store read lock. The unpinned names only count on a receiver
 // from a package named "store" (remote Graph adapters run their Match
 // callbacks lock-free); the pinned name is unambiguous anywhere, as is
 // any receiver whose method set includes PinRead.
@@ -96,7 +96,7 @@ func isBannedCall(info *types.Info, call *ast.CallExpr) (*types.Func, bool) {
 }
 
 // isCallbackEntry reports whether call is a Match-family call whose
-// func-literal argument (if any) will run under shard read locks.
+// func-literal argument (if any) will run under the store read lock.
 func isCallbackEntry(info *types.Info, call *ast.CallExpr) bool {
 	f := calleeFunc(info, call)
 	if f == nil || !callbackEntryMethods[f.Name()] {

@@ -89,8 +89,8 @@ func (s *SPARQLByE) Answer(_ context.Context, q qald.Question) (qald.AnswerSet, 
 
 // sharedConstraints returns the (p, o) pairs both examples satisfy.
 // The Contains probes run after the Match scan completes: calling a
-// locking accessor from inside the callback would re-enter the shard
-// read locks the scan already holds and deadlock once a writer queues
+// locking accessor from inside the callback would re-enter the store
+// read lock the scan already holds and deadlock once a writer queues
 // (internal/store/doc.go "ID-level API contract").
 func (s *SPARQLByE) sharedConstraints(a, b rdf.Term) []constraint {
 	var cand []constraint
@@ -124,8 +124,7 @@ func (s *SPARQLByE) query(cons []constraint) qald.AnswerSet {
 		}
 	}
 	// Scan first, probe after: the residual Contains checks must not
-	// run inside the Match callback, which holds the scanned shard's
-	// read lock (internal/store/doc.go "ID-level API contract").
+	// run inside the Match callback, which holds the store's read lock (internal/store/doc.go "ID-level API contract").
 	var subjects []rdf.Term
 	s.Store.Match(rdf.Term{}, cons[best].p, cons[best].o, func(tr rdf.Triple) bool {
 		subjects = append(subjects, tr.S)

@@ -55,7 +55,7 @@ func (d *Dataset) Split() (agents, places, works *store.Store) {
 
 	// Precompute the class-entity subjects. isSchema used to probe
 	// d.Store.Contains from inside the full scan's callback, which
-	// re-enters the shard read lock the scan holds and deadlocks once a
+	// re-enters the store read lock the scan holds and deadlocks once a
 	// writer queues (internal/store/doc.go "ID-level API contract") —
 	// a set lookup keeps the callback lock-free.
 	classSubj := make(map[rdf.Term]bool)
@@ -77,7 +77,7 @@ func (d *Dataset) Split() (agents, places, works *store.Store) {
 	d.Store.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(tr rdf.Triple) bool {
 		if isSchema(tr) {
 			for _, l := range all {
-				//sapphire:allow pinlock the loaders feed agents/places/works, not the scanned d.Store, so their dict locks are a disjoint domain and cannot form a cycle with the scan's shard read lock (internal/store/doc.go "ID-level API contract")
+				//sapphire:allow pinlock the loaders feed agents/places/works, not the scanned d.Store, so their dict locks are a disjoint domain and cannot form a cycle with the scan's store read lock (internal/store/doc.go "ID-level API contract")
 				l.MustAdd(tr)
 			}
 			return true

@@ -19,10 +19,9 @@ import (
 // on a durable store while four readers query the batch predicate over
 // /sparql. Every read must answer 200 with either none or all of the
 // batch — never a torn prefix — and the epoch must move so a read after
-// the add sees the whole batch. One shard: whole-batch visibility is the
-// single-shard commit contract (see TestCachedQueryConcurrentWithWrites).
+// the add sees the whole batch.
 func TestBulkAddUnderReadLoad(t *testing.T) {
-	db, _, err := persist.Open(t.TempDir(), persist.Options{Fsync: persist.FsyncOff, Shards: 1})
+	db, _, err := persist.Open(t.TempDir(), persist.Options{Fsync: persist.FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}

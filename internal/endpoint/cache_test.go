@@ -439,11 +439,7 @@ func TestCacheEquivalence(t *testing.T) {
 // multiple. Run with -race this also proves the cache's internal
 // bookkeeping is data-race free against the store's epoch publication.
 func TestCachedQueryConcurrentWithWrites(t *testing.T) {
-	// Whole-batch commit atomicity is the 1-shard store contract; a
-	// multi-shard store commits shard by shard and a reader may observe
-	// a prefix of a batch, which would (correctly) break the
-	// batch-multiple invariant this test pins.
-	s := store.NewSharded(1)
+	s := store.New()
 	online := rdf.NewIRI("http://x/online")
 	batchP := rdf.NewIRI("http://x/batch")
 	// Seed one batch so the query never starts empty.

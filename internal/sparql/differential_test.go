@@ -179,14 +179,13 @@ func dumpOrdered(res *Results) string {
 	return sb.String()
 }
 
-// diffStore seeds a store in the given sharding configuration with a
-// graph exercising every query shape: typed subjects, names (absent for
+// diffStore seeds a store with a graph exercising every query shape: typed subjects, names (absent for
 // every 4th subject, so OPTIONAL has unmatched rows), knows edges, and
 // — when numeric is true — integer ages, whose presence flips the
 // ORDER BY label path off (numeric literals order by value, not term
 // order), so both top-k modes get differential coverage.
-func diffStore(storeShards, dictShards, n int, numeric bool) *store.Store {
-	s := store.NewShardedDict(storeShards, dictShards)
+func diffStore(n int, numeric bool) *store.Store {
+	s := store.New()
 	for i := 0; i < n; i++ {
 		diffAddSubject(s.MustAdd, i, n, numeric)
 	}
@@ -257,18 +256,17 @@ func diffQueries(rng *rand.Rand, n int, numeric bool) string {
 	}
 }
 
-// diffWorkload replays the seeded workload against one sharding
-// configuration: for every drawn query it records the streaming
-// evaluator's order-sensitive dump and fails the test on the spot if
-// the materializing reference disagrees byte-for-byte. Mutations —
-// online Adds and staged bulk commits — interleave with the queries, so
-// equivalence holds at every intermediate store state, not just the
-// final one.
-func diffWorkload(t *testing.T, storeShards, dictShards int, numeric bool) []string {
+// diffWorkload replays the seeded workload: for every drawn query it
+// fails the test on the spot if the streaming evaluator's
+// order-sensitive dump and the materializing reference's disagree
+// byte-for-byte. Mutations — online Adds and staged bulk commits —
+// interleave with the queries, so equivalence holds at every
+// intermediate store state, not just the final one.
+func diffWorkload(t *testing.T, numeric bool) {
 	t.Helper()
 	const base = 24
 	rng := rand.New(rand.NewSource(4242))
-	s := diffStore(storeShards, dictShards, base, numeric)
+	s := diffStore(base, numeric)
 	// Force the rank table to exist (the lazy build has a size floor the
 	// test store never reaches) so the termorder variant runs ORDER BY
 	// through the label fast path — and, after the first mutation, through
@@ -276,7 +274,6 @@ func diffWorkload(t *testing.T, storeShards, dictShards int, numeric bool) []str
 	s.BuildOrderLabels()
 	loader := store.NewBulkLoader(s)
 	next := base
-	var dumps []string
 	for round := 0; round < 30; round++ {
 		for j := 0; j < 5; j++ {
 			qs := diffQueries(rng, next, numeric)
@@ -294,10 +291,9 @@ func diffWorkload(t *testing.T, storeShards, dictShards int, numeric bool) []str
 			}
 			gd, wd := dumpOrdered(got), dumpOrdered(want)
 			if gd != wd {
-				t.Fatalf("store%d-dict%d round %d: %s\n--- streaming ---\n%s\n--- reference ---\n%s",
-					storeShards, dictShards, round, qs, gd, wd)
+				t.Fatalf("round %d: %s\n--- streaming ---\n%s\n--- reference ---\n%s",
+					round, qs, gd, wd)
 			}
-			dumps = append(dumps, qs+"\n"+gd)
 		}
 		// Mutate between query batches.
 		if rng.Intn(2) == 0 {
@@ -312,7 +308,6 @@ func diffWorkload(t *testing.T, storeShards, dictShards int, numeric bool) []str
 			loader.Commit()
 		}
 	}
-	return dumps
 }
 
 // Neither package otherwise checks that the store implements the
@@ -320,16 +315,11 @@ func diffWorkload(t *testing.T, storeShards, dictShards int, numeric bool) []str
 var _ IDGraph = (*store.Store)(nil)
 
 // TestDifferentialEquivalence is the evaluator-equivalence battery: the
-// streaming pipeline against the materializing reference, across every
-// (storeShards × dictShards) configuration in {1,8}², with and without
-// numeric literals (toggling the rank-label top-k path), under a seeded
-// workload of every query shape interleaved with online Adds and bulk
-// commits. Beyond streaming == reference per store, every
-// configuration's dump stream must match the (1,1) baseline — shard
-// routing may not be observable in the output. The federation runs the
-// same battery against the store (federation's differential test). The
-// subtests keep their "-adaptfalse" names from when a Term-adapter axis
-// ran beside them.
+// streaming pipeline against the materializing reference, with and
+// without numeric literals (toggling the rank-label top-k path), under a
+// seeded workload of every query shape interleaved with online Adds and
+// bulk commits. The federation runs the same battery against the store
+// (federation's differential test).
 func TestDifferentialEquivalence(t *testing.T) {
 	for _, numeric := range []bool{false, true} {
 		name := "termorder"
@@ -337,26 +327,7 @@ func TestDifferentialEquivalence(t *testing.T) {
 			name = "numeric"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := diffWorkload(t, 1, 1, numeric)
-			if len(base) == 0 {
-				t.Fatal("workload produced no queries")
-			}
-			for _, ss := range []int{1, 8} {
-				for _, ds := range []int{1, 8} {
-					if ss == 1 && ds == 1 {
-						continue
-					}
-					t.Run(fmt.Sprintf("store%d-dict%d-adaptfalse", ss, ds), func(t *testing.T) {
-						dumps := diffWorkload(t, ss, ds, numeric)
-						for i := range dumps {
-							if dumps[i] != base[i] {
-								t.Fatalf("query %d differs from (1,1) baseline:\n%s\n--- baseline ---\n%s",
-									i, dumps[i], base[i])
-							}
-						}
-					})
-				}
-			}
+			diffWorkload(t, numeric)
 		})
 	}
 }

@@ -430,14 +430,14 @@ func TestEvalConcurrentWithAdd(t *testing.T) {
 }
 
 // TestParallelConcurrentCommits is the -race stressor for concurrent
-// readers on an 8-shard store: queries run from several goroutines while
+// readers: queries run from several goroutines while
 // a writer interleaves online Adds, staged bulk commits and rank-table
 // rebuilds. Every evaluation pins one store state, so queries must never
 // error; the race detector checks the rest (scans vs publication, shared
 // budget, rank table swaps). The watchdog fails fast instead of hanging
 // the suite.
 func TestParallelConcurrentCommits(t *testing.T) {
-	s := store.NewSharded(8)
+	s := store.New()
 	typ := rdf.NewIRI(rdf.RDFType)
 	person := rdf.NewIRI("http://x/Person")
 	name := rdf.NewIRI("http://x/name")

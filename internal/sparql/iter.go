@@ -693,7 +693,7 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	x := &exec{pl: pl, g: g, budget: opts.Budget}
 	release := g.PinRead()
 	defer release()
-	//sapphire:allow pinlock Lookup takes only dictionary-shard locks, which no writer holds while it waits for a store shard, so it cannot deadlock against the pin (docs/ARCHITECTURE.md "Lock-free ResolveID"); looking constants up under the pin keeps the whole evaluation on one store state
+	//sapphire:allow pinlock Lookup takes only the dictionary lock, which no writer holds while it waits for the store lock (interning runs before the store write lock is taken), so it cannot deadlock against the pin (docs/ARCHITECTURE.md "Lock-free ResolveID"); looking constants up under the pin keeps the whole evaluation on one store state
 	groups, optionals := x.compile(pl.groups), x.compile(pl.optionals)
 
 	tail, collect := buildTail(x, projVars, aggregates)

@@ -16,25 +16,15 @@ import (
 // (datagen, bootstrap, N-Triples ingestion). The loader splits loading
 // into two stages instead:
 //
-//  1. Add/AddAll intern terms into the store's shared dictionary and
-//     buffer the triples as packed 12-byte ID tuples. No shard lock is
+//  1. Add/AddAll intern terms into the store's dictionary and buffer
+//     the triples as packed 12-byte ID tuples. The store lock is not
 //     taken and no index is touched, so staging never stalls a reader
-//     or writer of any shard.
-//  2. Commit partitions the batch by subject shard and commits one
-//     shard at a time: under that shard's write lock it deduplicates
-//     the shard's slice of the batch, builds the three index
-//     permutations with grouped appends, and re-sorts each key slice
-//     that grew exactly once. Readers of a shard never observe a
-//     partially built index, and readers of every other shard are
-//     never blocked at all — the longest stall any reader can see is
-//     one shard's build, roughly 1/shards of the whole batch.
-//
-// On a multi-shard store a commit is therefore atomic per shard, not
-// per batch: a concurrent reader running a wildcard-subject query may
-// observe a prefix of the batch (the shards committed so far). Callers
-// that need strict all-at-once batch visibility must use a 1-shard
-// store (NewSharded(1)), which commits everything under its single
-// write lock exactly like the pre-sharding implementation.
+//     or writer.
+//  2. Commit, under the store's write lock, deduplicates the batch,
+//     builds the three index permutations with grouped appends, and
+//     re-sorts each key slice that grew exactly once. Readers never
+//     observe a partially built index: a batch becomes visible all at
+//     once.
 //
 // Interleaving online Add calls with a staged load is safe; whichever
 // inserts a triple first wins the dedup.
@@ -58,9 +48,9 @@ type BulkLoader struct {
 	mu sync.Mutex
 
 	// buf holds the staged triples as packed ID tuples, in arrival
-	// order. Commit preserves this order per shard when building the
-	// SPO/OSP innermost slices, so a bulk load into a 1-shard store is
-	// observationally identical to sequential Add.
+	// order. Commit preserves this order when building the SPO/OSP
+	// innermost slices, so a bulk load is observationally identical to
+	// sequential Add.
 	buf [][3]ID
 
 	// autoCommit is the staged-triple count at which Add/AddAll commit
@@ -68,16 +58,14 @@ type BulkLoader struct {
 	autoCommit int
 
 	// Reusable scratch for the batched intern path: the flattened terms
-	// of one AddAll chunk, their assigned IDs, and the per-dict-shard
-	// position buckets internAll groups by. Guarded by mu.
-	terms   []rdf.Term
-	ids     []ID
-	buckets [][]int32
+	// of one AddAll chunk and their assigned IDs. Guarded by mu.
+	terms []rdf.Term
+	ids   []ID
 }
 
 // internChunk is how many triples AddAll interns per internAll call:
-// large enough that each dictionary shard's lock is taken once per
-// thousands of terms, small enough to keep the scratch buffers modest.
+// large enough that the dictionary lock is taken once per thousands of
+// terms, small enough to keep the scratch buffers modest.
 const internChunk = 4096
 
 // DefaultAutoCommit is the staged-buffer cap a new BulkLoader starts
@@ -125,11 +113,8 @@ func (l *BulkLoader) MustAdd(tr rdf.Triple) {
 }
 
 // AddAll stages all triples, stopping at the first invalid one (triples
-// before it remain staged). Interning is batched: each chunk of triples
-// is bucketed by dictionary shard and every touched shard's lock is
-// acquired once per chunk instead of once per triple, so a bulk load
-// costs each dictionary shard a handful of lock acquisitions per
-// thousands of staged terms.
+// before it remain staged). Interning is batched: the dictionary lock
+// is acquired once per chunk of triples instead of once per term.
 func (l *BulkLoader) AddAll(triples []rdf.Triple) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -149,8 +134,7 @@ func (l *BulkLoader) AddAll(triples []rdf.Triple) error {
 		for _, tr := range chunk {
 			l.terms = append(l.terms, tr.S, tr.P, tr.O)
 		}
-		l.ids = grow(l.ids, len(l.terms))
-		l.buckets = d.internAll(l.terms, l.ids, l.buckets)
+		l.ids = d.internAll(l.terms, l.ids[:0])
 		for i := range chunk {
 			l.buf = append(l.buf, [3]ID{l.ids[3*i], l.ids[3*i+1], l.ids[3*i+2]})
 			l.maybeAutoCommitLocked()
@@ -164,10 +148,9 @@ func (l *BulkLoader) AddAll(triples []rdf.Triple) error {
 }
 
 // maybeAutoCommitLocked commits inline when the staged buffer has
-// reached the auto-commit threshold. Caller must hold l.mu; the commit
-// takes shard write locks one at a time, so concurrent readers observe
-// each shard's slice of the flushed batch all-or-nothing exactly as
-// with an explicit Commit.
+// reached the auto-commit threshold. Caller must hold l.mu; concurrent
+// readers observe the flushed batch all-or-nothing exactly as with an
+// explicit Commit.
 func (l *BulkLoader) maybeAutoCommitLocked() {
 	if l.autoCommit > 0 && len(l.buf) >= l.autoCommit {
 		l.commitLocked()
@@ -176,9 +159,7 @@ func (l *BulkLoader) maybeAutoCommitLocked() {
 
 // Commit publishes every staged triple into the store and drains the
 // buffer, returning how many were new (staged duplicates and triples
-// already present don't count). The batch is partitioned by subject
-// shard and committed shard by shard; see the type comment for the
-// visibility contract.
+// already present don't count).
 func (l *BulkLoader) Commit() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -187,53 +168,35 @@ func (l *BulkLoader) Commit() int {
 
 // commitLocked is Commit's body; caller must hold l.mu.
 func (l *BulkLoader) commitLocked() int {
-	s := l.s
 	if len(l.buf) == 0 {
 		return 0
 	}
 	// The view is taken after every staged term was interned, so it
 	// covers every ID in the batch.
-	tv := s.dict.view()
-	fresh := 0
-	if len(s.shards) == 1 {
-		fresh = s.shards[0].commitBatch(tv, l.buf)
-	} else {
-		// Partition by shard, preserving arrival order within each.
-		parts := make([][][3]ID, len(s.shards))
-		for _, k := range l.buf {
-			i := s.shardIndex(k[0])
-			parts[i] = append(parts[i], k)
-		}
-		for i, part := range parts {
-			if len(part) == 0 {
-				continue
-			}
-			fresh += s.shards[i].commitBatch(tv, part)
-		}
-	}
+	fresh := l.s.commitBatch(l.s.dict.view(), l.buf)
 	l.buf = l.buf[:0]
 	return fresh
 }
 
-// commitBatch publishes one shard's slice of a staged batch under that
-// shard's write lock and returns how many triples were new.
-func (sh *shard) commitBatch(tv termView, batch [][3]ID) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// commitBatch publishes a staged batch under the write lock and returns
+// how many triples were new.
+func (s *Store) commitBatch(tv termView, batch [][3]ID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	fresh := make([][3]ID, 0, len(batch))
 	for _, k := range batch {
-		if _, dup := sh.present[k]; dup {
+		if _, dup := s.present[k]; dup {
 			continue
 		}
-		sh.present[k] = struct{}{}
+		s.present[k] = struct{}{}
 		fresh = append(fresh, k)
 	}
-	sh.size += len(fresh)
-	sh.spo.bulkBuild(tv, fresh, 0, 1, 2)
-	sh.pos.bulkBuild(tv, fresh, 1, 2, 0)
-	sh.osp.bulkBuild(tv, fresh, 2, 0, 1)
+	s.size += len(fresh)
+	s.spo.bulkBuild(tv, fresh, 0, 1, 2)
+	s.pos.bulkBuild(tv, fresh, 1, 2, 0)
+	s.osp.bulkBuild(tv, fresh, 2, 0, 1)
 	if len(fresh) > 0 {
-		sh.epoch.Add(1)
+		s.epoch.Add(1)
 	}
 	return len(fresh)
 }
@@ -282,8 +245,8 @@ func LoadNTriples(s *Store, r io.Reader) error {
 // are allocated at exact size, and the arrival-order tiebreaker keeps
 // the innermost insertion order identical to sequential Add. Each key
 // slice that grew is re-sorted exactly once, as is (for sortedInner
-// indexes) each innermost list that grew. Runs under the owning shard's
-// write lock, so the transient unsorted tails are never observable.
+// indexes) each innermost list that grew. Runs under the store's write
+// lock, so the transient unsorted tails are never observable.
 func (x *index) bulkBuild(tv termView, fresh [][3]ID, ai, bi, ci int) {
 	rows := make([][4]ID, len(fresh))
 	for i, k := range fresh {

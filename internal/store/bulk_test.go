@@ -209,16 +209,12 @@ func TestStoreAddAllStopsAtInvalid(t *testing.T) {
 // key walks while a loader stages and commits batches. Run with -race.
 // Readers must only ever observe fully committed batches: sorted
 // iteration, and a triple count that is a multiple of the batch size.
-// Strict whole-batch atomicity is the 1-shard contract — a multi-shard
-// store commits shard by shard and only guarantees per-shard atomicity
-// (covered by the shard tests) — so this test pins the single-shard
-// mode explicitly.
 func TestBulkConcurrentReaders(t *testing.T) {
 	const (
 		batches   = 20
 		batchSize = 100
 	)
-	s := NewSharded(1)
+	s := New()
 	l := NewBulkLoader(s)
 	knows := iri("knows")
 

@@ -157,34 +157,32 @@ func TestSortedKeyInvariant(t *testing.T) {
 		}
 	}
 	checkSorted("Match subjects", subjects(s))
-	s.rlockAll()
-	defer s.runlockAll()
-	for _, sh := range s.shards {
-		for _, x := range []struct {
-			name string
-			idx  index
-		}{{"spo", sh.spo}, {"pos", sh.pos}, {"osp", sh.osp}} {
-			checkSorted(x.name+" level-1", s.resolveAll(x.idx.keys))
-			if len(x.idx.keys) != len(x.idx.m) {
-				t.Fatalf("%s level-1: %d keys vs %d map slots",
-					x.name, len(x.idx.keys), len(x.idx.m))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, x := range []struct {
+		name string
+		idx  index
+	}{{"spo", s.spo}, {"pos", s.pos}, {"osp", s.osp}} {
+		checkSorted(x.name+" level-1", s.resolveAll(x.idx.keys))
+		if len(x.idx.keys) != len(x.idx.m) {
+			t.Fatalf("%s level-1: %d keys vs %d map slots",
+				x.name, len(x.idx.keys), len(x.idx.m))
+		}
+		for id, e := range x.idx.m {
+			checkSorted(x.name+" level-2", s.resolveAll(e.keys))
+			if len(e.keys) != len(e.lists) || len(e.keys) != len(e.m) {
+				t.Fatalf("%s entry %d: %d keys vs %d lists vs %d map slots",
+					x.name, id, len(e.keys), len(e.lists), len(e.m))
 			}
-			for id, e := range x.idx.m {
-				checkSorted(x.name+" level-2", s.resolveAll(e.keys))
-				if len(e.keys) != len(e.lists) || len(e.keys) != len(e.m) {
-					t.Fatalf("%s entry %d: %d keys vs %d lists vs %d map slots",
-						x.name, id, len(e.keys), len(e.lists), len(e.m))
+			for i, b := range e.keys {
+				if e.lists[i] != e.m[b] {
+					t.Fatalf("%s entry %d: lists[%d] does not back keys[%d]", x.name, id, i, i)
 				}
-				for i, b := range e.keys {
-					if e.lists[i] != e.m[b] {
-						t.Fatalf("%s entry %d: lists[%d] does not back keys[%d]", x.name, id, i, i)
-					}
-				}
-				if x.idx.sortedInner {
-					for b, lst := range e.m {
-						checkSorted(x.name+" innermost", s.resolveAll(*lst))
-						_ = b
-					}
+			}
+			if x.idx.sortedInner {
+				for b, lst := range e.m {
+					checkSorted(x.name+" innermost", s.resolveAll(*lst))
+					_ = b
 				}
 			}
 		}

@@ -9,8 +9,9 @@ import (
 )
 
 // TestEpochAdvancesOnMutation pins the epoch contract: every change to
-// the triple set moves the counter, and operations that change nothing
-// (duplicate Add, empty Commit, staging without commit) leave it alone.
+// the triple set moves the counter by exactly one (an Add, or a whole
+// committed batch), and operations that change nothing (duplicate Add,
+// empty Commit, staging without commit) leave it alone.
 func TestEpochAdvancesOnMutation(t *testing.T) {
 	s := New()
 	if s.Epoch() != 0 {
@@ -18,8 +19,8 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	}
 	s.MustAdd(tri(iri("a"), iri("p"), lit("1")))
 	e1 := s.Epoch()
-	if e1 == 0 {
-		t.Fatal("epoch did not advance on Add")
+	if e1 != 1 {
+		t.Fatalf("epoch after one Add = %d, want 1", e1)
 	}
 	// A duplicate changes nothing and must not advance the epoch: the
 	// cache layers above would otherwise discard entries for no reason.
@@ -32,15 +33,16 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 
 	l := NewBulkLoader(s)
 	l.MustAdd(tri(iri("b"), iri("p"), lit("2")))
+	l.MustAdd(tri(iri("b2"), iri("p"), lit("2")))
 	if s.Epoch() != e1 {
 		t.Errorf("epoch moved on staging (before commit): %d -> %d", e1, s.Epoch())
 	}
-	if n := l.Commit(); n != 1 {
-		t.Fatalf("Commit = %d, want 1", n)
+	if n := l.Commit(); n != 2 {
+		t.Fatalf("Commit = %d, want 2", n)
 	}
 	e2 := s.Epoch()
-	if e2 <= e1 {
-		t.Errorf("epoch did not advance on Commit: %d -> %d", e1, e2)
+	if e2 != e1+1 {
+		t.Errorf("a committed batch moved the epoch %d -> %d, want exactly one step", e1, e2)
 	}
 	// Committing an empty buffer, or a buffer of duplicates, publishes
 	// nothing and must not advance the epoch.
@@ -56,15 +58,15 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	}
 
 	// AddAll routes through the bulk path; a batch with fresh triples
-	// advances the epoch (by at least one, not necessarily per triple).
+	// advances the epoch once, not per triple.
 	if err := s.AddAll([]rdf.Triple{
 		tri(iri("c"), iri("p"), lit("3")),
 		tri(iri("d"), iri("p"), lit("4")),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() <= e2 {
-		t.Errorf("epoch did not advance on AddAll: %d -> %d", e2, s.Epoch())
+	if s.Epoch() != e2+1 {
+		t.Errorf("AddAll moved the epoch %d -> %d, want exactly one step", e2, s.Epoch())
 	}
 }
 

@@ -36,7 +36,7 @@ var recovery1M struct {
 func recovery1MSetup(b *testing.B) {
 	recovery1M.once.Do(func() {
 		recovery1M.triples = genTriples(1_000_000)
-		s := store.NewSharded(8)
+		s := store.New()
 		l := store.NewBulkLoader(s)
 		if err := l.AddAll(recovery1M.triples); err != nil {
 			b.Fatal(err)
@@ -61,7 +61,7 @@ func BenchmarkRecovery1M(b *testing.B) {
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, _, err := store.RestoreSnapshotBytes(recovery1M.snap, 0)
+			s, _, err := store.RestoreSnapshotBytes(recovery1M.snap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func BenchmarkRecovery1M(b *testing.B) {
 	b.Run("reingest", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := store.NewSharded(8)
+			s := store.New()
 			if err := store.LoadNTriples(s, bytes.NewReader(recovery1M.nt)); err != nil {
 				b.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func BenchmarkRecovery1M(b *testing.B) {
 // in-memory snapshot (the disk write is the OS's problem; the encode is
 // the stall writers can observe).
 func BenchmarkSnapshotSave(b *testing.B) {
-	s := store.NewSharded(8)
+	s := store.New()
 	l := store.NewBulkLoader(s)
 	if err := l.AddAll(genTriples(100_000)); err != nil {
 		b.Fatal(err)

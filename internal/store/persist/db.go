@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -18,7 +19,8 @@ import (
 // tmp-file + fsync + atomic rename — the manifest rename is the commit
 // point of the whole snapshot. Recovery walks manifests newest-first,
 // restores the first generation whose snapshot validates (older
-// generations are the fallback when the newest is corrupt), then
+// generations are the fallback when the newest is corrupt; a snapshot
+// that matches its manifest but does not decode stops recovery), then
 // replays every WAL from that generation forward, truncating torn
 // tails. The generation number is parsed from the manifest *filename*,
 // never its contents: filenames travel through rename calls as strings
@@ -132,9 +134,6 @@ type Options struct {
 	// triples have been logged to the current WAL. 0 disables automatic
 	// snapshots (explicit Snapshot calls still work).
 	SnapshotEvery int
-	// Shards configures a store built by recovery. Zero takes the store
-	// default, but keeps a snapshot's own count.
-	Shards int
 	// KeepGenerations is how many trailing generations survive snapshot
 	// cleanup. Minimum (and default) 2: the newest plus one fallback.
 	KeepGenerations int
@@ -184,7 +183,9 @@ type DB struct {
 // ready DB. Recovery never panics on corrupt files: the newest valid
 // generation wins, WAL tails beyond the last intact record are
 // truncated, and a completely empty or hopeless directory yields an
-// empty store.
+// empty store. A snapshot that matches its manifest checksum but that
+// this build cannot decode is not corruption: Open returns an error
+// naming its generation and leaves every generation in place.
 func Open(dir string, opts Options) (*DB, RecoveryInfo, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
@@ -234,6 +235,10 @@ func (db *DB) recover() (RecoveryInfo, error) {
 	}
 
 	// Newest-first: the first generation whose snapshot validates wins.
+	// A snapshot that matches its manifest checksum but does not decode
+	// is intact, just unreadable by this build: falling back past it
+	// (or to an empty store) would let later snapshots and cleanup
+	// delete the data, so recovery stops there instead.
 	var (
 		baseGen  uint64
 		haveBase bool
@@ -241,6 +246,9 @@ func (db *DB) recover() (RecoveryInfo, error) {
 	for i := len(manifestGens) - 1; i >= 0; i-- {
 		g := manifestGens[i]
 		snap, sinfo, err := db.loadGeneration(g)
+		if errors.Is(err, errUndecodable) {
+			return info, err
+		}
 		if err != nil {
 			info.Fallback = true
 			continue
@@ -252,11 +260,7 @@ func (db *DB) recover() (RecoveryInfo, error) {
 		break
 	}
 	if db.store == nil {
-		shards := db.opts.Shards
-		if shards <= 0 {
-			shards = store.DefaultShards()
-		}
-		db.store = store.NewSharded(shards)
+		db.store = store.New()
 		info.Fallback = info.Fallback || len(manifestGens) > 0
 	}
 
@@ -331,7 +335,13 @@ func (db *DB) recover() (RecoveryInfo, error) {
 	return info, nil
 }
 
-// loadGeneration validates and restores one snapshot generation.
+// errUndecodable marks a snapshot that matches its manifest checksum
+// but fails to decode.
+var errUndecodable = errors.New("intact but undecodable by this build")
+
+// loadGeneration validates and restores one snapshot generation. A
+// snapshot that passes the manifest checksum but fails to restore
+// returns an error wrapping errUndecodable.
 func (db *DB) loadGeneration(gen uint64) (*store.Store, store.SnapshotInfo, error) {
 	var sinfo store.SnapshotInfo
 	mdata, err := readAll(db.fs, manifestName(gen))
@@ -349,9 +359,9 @@ func (db *DB) loadGeneration(gen uint64) (*store.Store, store.SnapshotInfo, erro
 	if int64(len(sdata)) != m.Bytes || crc32.Checksum(sdata, castagnoli) != m.CRC32C {
 		return nil, sinfo, fmt.Errorf("persist: snapshot %d fails manifest checksum", gen)
 	}
-	s, sinfo, err := store.RestoreSnapshotBytes(sdata, db.opts.Shards)
+	s, sinfo, err := store.RestoreSnapshotBytes(sdata)
 	if err != nil {
-		return nil, sinfo, err
+		return nil, sinfo, fmt.Errorf("persist: snapshot generation %d (%s) is %w: %v", gen, snapName(gen), errUndecodable, err)
 	}
 	return s, sinfo, nil
 }

@@ -1,7 +1,12 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +33,7 @@ func batch(prefix string, n int) []rdf.Triple {
 
 // dumpStore renders every triple as one N-Triples line in the store's
 // term-sorted full-scan order, so stores holding the same triples give
-// the same string whatever their shard counts.
+// the same string whatever order they were built in.
 func dumpStore(t testing.TB, s *store.Store) string {
 	t.Helper()
 	var b strings.Builder
@@ -116,30 +121,92 @@ func TestDBSnapshotAndReopen(t *testing.T) {
 	}
 }
 
-// TestReopenShards pins how Options.Shards applies to a store recovered
-// from a snapshot: a positive count re-partitions it, zero keeps the
-// snapshot's own count.
-func TestReopenShards(t *testing.T) {
+// TestReopenLegacyPartitionedSnapshot recovers a data directory whose
+// only generation is store/testdata/legacy8.snap, a snapshot written by
+// an earlier build that partitioned the store into 8 shards, under a
+// manifest that matches it. Recovery must restore it (no fallback) to
+// the N-Triples dump that build produced.
+func TestReopenLegacyPartitionedSnapshot(t *testing.T) {
+	snap, err := os.ReadFile("../testdata/legacy8.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../testdata/legacy8.nt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	fs := NewMemFS()
-	db, _ := mustOpen(t, fs, Options{Shards: 8})
-	if err := db.AddAll(batch("a", 300)); err != nil {
+	writeGeneration(t, fs, 1, snap)
+	db, info := mustOpen(t, fs, Options{})
+	defer db.Close()
+	if info.Fallback || info.Generation != 1 {
+		t.Fatalf("recovery info %+v, want generation 1 without fallback", info)
+	}
+	if got := dumpStore(t, db.Store()); got != string(want) {
+		t.Fatalf("recovered dump differs from the writing build's dump:\n%s", got)
+	}
+}
+
+// TestOpenRejectsUndecodableSnapshot pins what recovery does with an
+// intact snapshot this build cannot decode: it matches its manifest
+// checksum, so it is not corruption, and falling back to an older
+// generation or an empty store would let the next snapshots' cleanup
+// delete the only readable copy of the data. Open must fail instead,
+// naming the generation.
+func TestOpenRejectsUndecodableSnapshot(t *testing.T) {
+	fs := NewMemFS()
+	db, _ := mustOpen(t, fs, Options{})
+	if err := db.AddAll(batch("a", 50)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	want := dumpStore(t, db.Store())
 	db.Close()
-	for _, tc := range []struct{ opt, want int }{{2, 2}, {0, 8}} {
-		db, _ := mustOpen(t, fs, Options{Shards: tc.opt})
-		if got := db.Store().Shards(); got != tc.want {
-			t.Errorf("reopen with Shards %d: store has %d shards, want %d", tc.opt, got, tc.want)
-		}
-		if dumpStore(t, db.Store()) != want {
-			t.Errorf("reopen with Shards %d: recovered dump differs", tc.opt)
-		}
-		db.Close()
+
+	// A future format version: bump the version field and re-seal the
+	// header CRC (it covers magic..term count, 40 bytes) and the
+	// manifest, so every checksum still holds.
+	fs.mu.Lock()
+	snap := bytes.Clone(fs.files[snapName(1)])
+	fs.mu.Unlock()
+	binary.LittleEndian.PutUint32(snap[8:], 2)
+	binary.LittleEndian.PutUint32(snap[40:], crc32.Checksum(snap[:40], castagnoli))
+	writeGeneration(t, fs, 1, snap)
+
+	db2, info, err := Open("", Options{FS: fs})
+	if err == nil {
+		db2.Close()
+		t.Fatalf("Open recovered %d triples (fallback %v) past an intact snapshot it cannot decode", info.Triples, info.Fallback)
 	}
+	if !strings.Contains(err.Error(), snapName(1)) {
+		t.Errorf("error %q does not name the generation's snapshot %s", err, snapName(1))
+	}
+	fs.mu.Lock()
+	_, kept := fs.files[snapName(1)]
+	fs.mu.Unlock()
+	if !kept {
+		t.Error("the undecodable snapshot was removed")
+	}
+}
+
+// writeGeneration installs snap as generation gen's snapshot under a
+// manifest whose size and CRC32C match it.
+func writeGeneration(t *testing.T, fs *MemFS, gen uint64, snap []byte) {
+	t.Helper()
+	m, err := json.Marshal(manifest{
+		Version:  1,
+		Snapshot: snapName(gen),
+		Bytes:    int64(len(snap)),
+		CRC32C:   crc32.Checksum(snap, castagnoli),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	fs.files[snapName(gen)] = snap
+	fs.files[manifestName(gen)] = m
+	fs.mu.Unlock()
 }
 
 func TestRecoveryFallbackToOlderGeneration(t *testing.T) {

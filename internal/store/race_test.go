@@ -83,19 +83,18 @@ func TestConcurrentAddMatchSubjects(t *testing.T) {
 	}
 }
 
-// TestDictPublicationRace pins the sharded dictionary's publication
-// contract under -race: a term's spine slot is fully written before its
-// ID can be learned through any synchronizing edge, so no reader ever
-// observes a torn or stale term at a just-allocated ID. Writers intern
-// brand-new terms through both the online path (Add, one range-allocating
-// dictionary shard at a time) and the batched bulk path (AddAll →
-// internAll); readers resolve IDs the three ways they can legitimately
-// learn them — inside MatchIDs callbacks (store-shard lock edge), via
-// Lookup round-trips on terms handed over a channel (dict-shard lock +
-// channel edge), and through rank-table builds scanning the spine while
-// ranges are still being filled.
+// TestDictPublicationRace pins the dictionary's publication contract
+// under -race: a term's spine slot is fully written before its ID can
+// be learned through any synchronizing edge, so no reader ever observes
+// a torn or stale term at a just-allocated ID. Writers intern brand-new
+// terms through both the online path (Add) and the batched bulk path
+// (AddAll → internAll); readers resolve IDs the three ways they can
+// legitimately learn them — inside MatchIDs callbacks (store lock
+// edge), via Lookup round-trips on terms handed over a channel
+// (dictionary lock + channel edge), and through rank-table builds
+// scanning the spine up to the atomic watermark while it still moves.
 func TestDictPublicationRace(t *testing.T) {
-	s := NewShardedDict(4, 8)
+	s := New()
 	knows := iri("knows")
 	s.MustAdd(tri(iri("seed"), knows, iri("seed2")))
 	knowsID, ok := s.Lookup(knows)
@@ -186,8 +185,8 @@ func TestDictPublicationRace(t *testing.T) {
 		}
 	}()
 	// Reader C: rank builds scan the spine for unlabeled terms while
-	// writers are still filling ranges; the build must skip in-flight
-	// slots without racing them.
+	// writers are still interning; the build must read only slots below
+	// the watermark, without racing the writes above it.
 	rg.Add(1)
 	go func() {
 		defer rg.Done()

@@ -9,19 +9,18 @@ import (
 
 // rankTable is a point-in-time order statistic over interned terms: for
 // every ID labeled at build time, label(id) is a uint64 whose numeric
-// order equals the terms' order, so the cross-shard merge can decide
-// most comparisons with one integer compare instead of a string walk.
-// Unlabeled IDs (interned after the table was built, or sitting in a
-// dictionary shard's in-flight range) report label 0, and comparisons
-// touching them fall back to rdf.Term.CompareTo — the table is a pure
-// accelerator, never a source of truth.
+// order equals the terms' order, so ORDER BY top-k (Store.OrderLabels)
+// and the snapshot writer can decide most comparisons with one integer
+// compare instead of a string walk. Unlabeled IDs (interned after the
+// table was built) report label 0, and comparisons touching them fall
+// back to rdf.Term.CompareTo — the table is a pure accelerator, never a
+// source of truth.
 //
 // A table is immutable once published: each rebuild fills a fresh flat
-// label array (indexed by ID; the small holes of partially used ranges
-// just hold zeroes) and swaps the dict's table pointer, so readers that
-// captured a table keep comparing against one consistent labeling for
-// the whole merge. Labels from different tables are never mixed (a
-// merger caches the table once), which is what makes full relabeling on
+// label array (indexed by ID; compaction holes just hold zeroes) and
+// swaps the dict's table pointer, so readers that captured a table keep
+// comparing against one consistent labeling. Labels from different
+// tables are never mixed, which is what makes full relabeling on
 // rebuild safe.
 type rankTable struct {
 	labels []uint64
@@ -36,15 +35,16 @@ func (t *rankTable) label(id ID) uint64 {
 }
 
 // rankMinTerms is the interned-term floor below which no rank table is
-// built: small stores merge fast enough on string compares.
+// built: small stores sort fast enough on string compares.
 const rankMinTerms = 4096
 
 // maybeBuildRanks kicks off a background rank rebuild when the labeled
-// share of the ID space has decayed below half. It is called on the
-// multi-shard wildcard read paths (the only consumers of labels) and
-// costs two atomic loads when there is nothing to do. The build runs in
-// one goroutine at a time; readers keep serving with the previous table
-// (or string compares) until the new one is published.
+// share of the ID space has decayed below half. Only PinRead and
+// OrderLabels call it — a plain MatchIDs must not start a build (a
+// throwaway store scanned once would stay alive until the build ends)
+// — and it costs two atomic loads when there is nothing to do. The
+// build runs in one goroutine at a time; readers keep serving with the
+// previous table (or string compares) until the new one is published.
 func (d *dict) maybeBuildRanks() {
 	total := d.terms.Load()
 	if total < rankMinTerms || total < 2*d.labeled.Load() {
@@ -65,48 +65,20 @@ func (d *dict) maybeBuildRanks() {
 // lifetime every term is sorted once and participates in O(1) merges
 // per doubling of the dictionary.
 //
-// Safety of the term scan: slots below the watermark that lie outside
-// every dictionary shard's in-flight [next, end) range were fully
-// written before that shard's mutex was released — acquiring each
-// shard's lock while reading its range gives the happens-before edge —
-// and ranges claimed after the watermark was read start at or above it.
-// In-flight slots are simply skipped; their terms get labeled by a
-// later build.
+// Safety of the term scan: the watermark is an atomic advanced only
+// after the new term's slot is written, so every slot below the loaded
+// watermark is fully written and covered by the spine loaded after it.
 func (d *dict) buildRanks() {
 	d.rankMu.Lock()
 	defer d.rankMu.Unlock()
 	w := d.next.Load()
 	tv := d.view()
 	old := d.ranks.Load()
-	type window struct{ lo, hi ID }
-	wins := make([]window, 0, len(d.shards))
-	for i := range d.shards {
-		ds := &d.shards[i]
-		ds.mu.RLock()
-		if ds.next < ds.end {
-			wins = append(wins, window{ds.next, ds.end})
-		}
-		ds.mu.RUnlock()
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i].lo < wins[j].lo })
-	// Collect the IDs this build adds: assigned, not yet labeled, and
-	// not in a shard's in-flight range. The scan walks the watermark
-	// once, skipping each in-flight window wholesale (the windows are
-	// sorted and the scan is monotone, so a cursor suffices).
+	// Collect the IDs this build adds: assigned (compaction holes hold
+	// the zero term) and not yet labeled.
 	var fresh []ID
-	wi := 0
 	for id := ID(1); id < w; id++ {
-		for wi < len(wins) && id >= wins[wi].hi {
-			wi++
-		}
-		if wi < len(wins) && id >= wins[wi].lo {
-			id = wins[wi].hi - 1 // loop increment lands on wins[wi].hi
-			continue
-		}
-		if old.label(id) != 0 {
-			continue
-		}
-		if tv.atPtr(id).Kind == rdf.KindInvalid {
+		if old.label(id) != 0 || tv.atPtr(id).Kind == rdf.KindInvalid {
 			continue
 		}
 		fresh = append(fresh, id)

@@ -16,14 +16,14 @@ import (
 // store, written in the same ID-space representation the staged bulk
 // loader uses, plus the slice of the term dictionary those IDs need.
 //
-// The encoding is *structural*: each shard section carries its three
+// The encoding is *structural*: the shard section carries the three
 // index permutations as CSR-style (key, level-2 key, inner-list) runs,
 // in the term-sorted order the live indexes already maintain. Because
 // restore preserves dictionary IDs exactly (terms are re-inserted under
-// their snapshotted IDs and the allocator watermark is restored), the
-// subject-hash shard routing and every sorted key slice come back
-// byte-identical without a single sort or term comparison — restoring a
-// snapshot costs decode + map construction, nothing else. That is what
+// their snapshotted IDs and the allocator watermark is restored), every
+// sorted key slice comes back byte-identical without a single sort or
+// term comparison — restoring a snapshot costs decode + map
+// construction, nothing else. That is what
 // makes restart-from-snapshot several times faster than re-ingesting an
 // N-Triples dump, which pays parsing, interning, and index sorting.
 //
@@ -49,6 +49,11 @@ import (
 //	                             then the concatenated inner IDs
 //	  kind 0xFF (end): empty payload
 //
+// This build writes shards = 1 and one shard section (index 0). Earlier
+// builds partitioned the store by subject hash and wrote one shard
+// section per partition; such a snapshot still restores, through the
+// packed path (RestoreSnapshotBytes).
+//
 // Every section payload carries a CRC32C; a flipped bit anywhere in the
 // file surfaces as a decode error, never as a silently wrong store.
 
@@ -68,8 +73,6 @@ type SnapshotInfo struct {
 	// Epoch is the store mutation epoch the snapshot captured; the
 	// triple set it contains is exactly the set that epoch names.
 	Epoch uint64
-	// Shards is the shard count of the snapshotted store.
-	Shards int
 	// Triples is the number of committed triples in the image.
 	Triples uint64
 	// Terms is the number of dictionary terms serialized (referenced
@@ -80,28 +83,19 @@ type SnapshotInfo struct {
 }
 
 // WriteSnapshot writes an epoch-consistent snapshot of the store to w
-// and returns what it wrote. All shard read locks are held while the
-// shard sections are encoded into memory — the cut is a single instant:
-// the stamped epoch, every index, and the triple count all belong to one
-// store state — and released before any byte reaches w, so writers are
+// and returns what it wrote. The read lock is held while the indexes
+// are encoded into memory — the cut is a single instant: the stamped
+// epoch, every index, and the triple count all belong to one store
+// state — and released before any byte reaches w, so writers are
 // stalled for the in-memory encode only, never for disk I/O.
 func (s *Store) WriteSnapshot(w io.Writer) (SnapshotInfo, error) {
-	var (
-		shardBuf []byte
-		triples  uint64
-	)
-	s.rlockAll()
-	epoch := uint64(0)
-	for _, sh := range s.shards {
-		epoch += sh.epoch.Load()
-	}
+	s.mu.RLock()
+	epoch := s.epoch.Load()
+	triples := uint64(s.size)
 	watermark := s.dict.next.Load()
 	refs := make([]uint64, (int(watermark)+63)/64)
-	for i, sh := range s.shards {
-		triples += uint64(sh.size)
-		shardBuf = appendShardSection(shardBuf, uint32(i), sh, refs)
-	}
-	s.runlockAll()
+	shardBuf := s.appendShardSection(nil, refs)
+	s.mu.RUnlock()
 
 	// The dictionary is append-only and term slots are immutable, so the
 	// referenced IDs collected under the locks resolve safely without
@@ -137,7 +131,7 @@ func (s *Store) WriteSnapshot(w io.Writer) (SnapshotInfo, error) {
 	out = append(out, snapshotMagic...)
 	out = binary.LittleEndian.AppendUint32(out, snapshotVersion)
 	out = binary.LittleEndian.AppendUint64(out, epoch)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.shards)))
+	out = binary.LittleEndian.AppendUint32(out, 1) // shards
 	out = binary.LittleEndian.AppendUint64(out, triples)
 	out = binary.LittleEndian.AppendUint32(out, watermark)
 	out = binary.LittleEndian.AppendUint32(out, uint32(terms))
@@ -148,7 +142,6 @@ func (s *Store) WriteSnapshot(w io.Writer) (SnapshotInfo, error) {
 
 	info := SnapshotInfo{
 		Epoch:   epoch,
-		Shards:  len(s.shards),
 		Triples: triples,
 		Terms:   terms,
 		Bytes:   int64(len(out)),
@@ -167,18 +160,18 @@ func appendSection(out []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
 }
 
-// appendShardSection encodes one shard's indexes. Caller must hold the
-// shard's read lock. Referenced dictionary IDs are recorded in refs
-// (from the SPO permutation, which mentions every position of every
-// triple exactly once).
-func appendShardSection(out []byte, idx uint32, sh *shard, refs []uint64) []byte {
+// appendShardSection encodes the indexes as shard section 0. Caller
+// must hold the read lock. Referenced dictionary IDs are recorded in
+// refs (from the SPO permutation, which mentions every position of
+// every triple exactly once).
+func (s *Store) appendShardSection(out []byte, refs []uint64) []byte {
 	var p []byte
-	p = binary.LittleEndian.AppendUint32(p, idx)
-	p = binary.LittleEndian.AppendUint64(p, sh.epoch.Load())
-	p = binary.LittleEndian.AppendUint32(p, uint32(sh.size))
-	p = appendIndexBlock(p, &sh.spo, refs)
-	p = appendIndexBlock(p, &sh.pos, nil)
-	p = appendIndexBlock(p, &sh.osp, nil)
+	p = binary.LittleEndian.AppendUint32(p, 0)
+	p = binary.LittleEndian.AppendUint64(p, s.epoch.Load())
+	p = binary.LittleEndian.AppendUint32(p, uint32(s.size))
+	p = appendIndexBlock(p, &s.spo, refs)
+	p = appendIndexBlock(p, &s.pos, nil)
+	p = appendIndexBlock(p, &s.osp, nil)
 	return appendSection(out, sectionShard, p)
 }
 
@@ -213,18 +206,17 @@ func appendIndexBlock(p []byte, x *index, refs []uint64) []byte {
 }
 
 // RestoreSnapshotBytes rebuilds a store from a snapshot image written
-// by WriteSnapshot. shards selects the new store's shard count; 0 (or
-// the snapshot's own count) takes the fast structural path, which
-// rebuilds every index without sorting because restore preserves
-// dictionary IDs and therefore subject-shard routing. A different shard
-// count falls back to re-partitioning the packed triples through the
-// bulk-commit path (still no term re-interning). The dictionary gets
-// DefaultDictShards shards.
+// by WriteSnapshot. A one-section snapshot takes the fast structural
+// path, which rebuilds every index without sorting because restore
+// preserves dictionary IDs. A snapshot written by an earlier build that
+// partitioned the store (several shard sections) is merged into the one
+// partition through the bulk-commit path instead: its key slices are
+// sorted once, but no term is re-interned.
 //
 // Corruption anywhere — bad magic, version, checksum, or truncation —
 // returns an error; RestoreSnapshotBytes never panics on hostile input
 // and never returns a partially restored store.
-func RestoreSnapshotBytes(data []byte, shards int) (*Store, SnapshotInfo, error) {
+func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 	rd := &sreader{b: data}
 	if string(rd.bytes(len(snapshotMagic))) != snapshotMagic {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: bad magic")
@@ -248,17 +240,14 @@ func RestoreSnapshotBytes(data []byte, shards int) (*Store, SnapshotInfo, error)
 	if snapShards < 1 || snapShards > 1<<16 || watermark < 1 {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: implausible header (shards=%d watermark=%d)", snapShards, watermark)
 	}
-	if shards <= 0 {
-		shards = snapShards
-	}
 
-	s := NewSharded(shards)
-	structural := shards == snapShards
+	s := New()
+	structural := snapShards == 1
 
 	var (
 		sawDict   bool
 		shardSeen = make([]bool, snapShards)
-		// packed collects the triples for the re-partitioning slow path.
+		// packed collects the triples of a multi-section snapshot.
 		packed [][3]ID
 		slabs  decodeSlabs
 	)
@@ -313,14 +302,17 @@ func RestoreSnapshotBytes(data []byte, shards int) (*Store, SnapshotInfo, error)
 		}
 	}
 	if !structural {
-		s.restorePacked(packed, epoch)
+		// IDs (and with them term order) are preserved, so the commit
+		// sorts key slices but never re-interns a term. The snapshot
+		// epoch is re-established explicitly.
+		s.commitBatch(s.dict.view(), packed)
 	}
+	s.epoch.Store(epoch)
 	if got := s.Len(); uint64(got) != triples {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: restored %d triples, header says %d", got, triples)
 	}
 	info := SnapshotInfo{
 		Epoch:   epoch,
-		Shards:  snapShards,
 		Triples: triples,
 		Terms:   termCount,
 		Bytes:   int64(len(data)),
@@ -329,13 +321,13 @@ func RestoreSnapshotBytes(data []byte, shards int) (*Store, SnapshotInfo, error)
 }
 
 // restore rebuilds the dictionary from a snapshot dictionary section:
-// every term goes back in under its snapshotted ID, and the global
+// every term goes back in under its snapshotted ID, and the
 // allocator watermark is restored, so IDs assigned after the restore
 // never collide with snapshotted ones. Single-threaded (the store is
 // not yet published); no locks are taken.
 //
 // The section arrives in strictly ascending term order (enforced here),
-// so restore does not populate the per-shard intern maps at all: the
+// so restore does not populate the intern map at all: the
 // sorted ID list is installed as the dictionary's base (see
 // dict.baseLookup) and term→ID resolution binary-searches it through
 // the spine. Skipping a million Term-keyed map inserts is most of what
@@ -343,7 +335,7 @@ func RestoreSnapshotBytes(data []byte, shards int) (*Store, SnapshotInfo, error)
 // duplicate-ID and duplicate-term rejection for checksummed-but-bogus
 // input. Because the base is term-sorted, the rank table is seeded in
 // O(n) too — a restored store starts with every term labeled, where a
-// re-ingested one pays a full sort on its first multi-shard merge.
+// re-ingested one pays a full sort on its first rank build.
 func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
 	d.ensureCovers(watermark - 1)
 	spine := *d.spine.Load()
@@ -469,14 +461,14 @@ func (ds *decodeSlabs) takeEntry() *entry {
 	return &ds.entries[len(ds.entries)-1]
 }
 
-// restoreShardSection decodes one shard section. In structural mode the
-// indexes are rebuilt in place (preserved IDs keep every key slice
-// term-sorted and every subject in its original shard); otherwise the
-// packed triples are collected for re-partitioning.
+// restoreShardSection decodes one shard section. In structural mode
+// (a one-section snapshot) the indexes are rebuilt in place, preserved
+// IDs keeping every key slice term-sorted; otherwise the packed triples
+// are collected for one bulk commit.
 func (s *Store) restoreShardSection(payload []byte, snapShards int, structural bool, slabs *decodeSlabs) (int, [][3]ID, error) {
 	rd := &sreader{b: payload}
 	idx := int(rd.u32())
-	shardEpoch := rd.u64()
+	rd.u64() // the section's epoch; the header's is the store's
 	size := int(rd.u32())
 	if rd.err != nil || idx < 0 || idx >= snapShards {
 		return 0, nil, fmt.Errorf("store: snapshot: bad shard section header")
@@ -489,34 +481,32 @@ func (s *Store) restoreShardSection(payload []byte, snapShards int, structural b
 		}
 		return idx, packed, nil
 	}
-	sh := s.shards[idx]
-	if err := decodeIndexBlock(rd, &sh.spo, slabs); err != nil {
+	if err := decodeIndexBlock(rd, &s.spo, slabs); err != nil {
 		return 0, nil, err
 	}
-	if err := decodeIndexBlock(rd, &sh.pos, slabs); err != nil {
+	if err := decodeIndexBlock(rd, &s.pos, slabs); err != nil {
 		return 0, nil, err
 	}
-	if err := decodeIndexBlock(rd, &sh.osp, slabs); err != nil {
+	if err := decodeIndexBlock(rd, &s.osp, slabs); err != nil {
 		return 0, nil, err
 	}
 	if rd.off != len(rd.b) {
 		return 0, nil, fmt.Errorf("store: snapshot: %d trailing bytes in shard section %d", len(rd.b)-rd.off, idx)
 	}
-	// present, size, and epoch derive from the SPO permutation.
-	sh.present = make(map[[3]ID]struct{}, size)
-	for _, sb := range sh.spo.keys {
-		e := sh.spo.m[sb]
+	// present and size derive from the SPO permutation.
+	s.present = make(map[[3]ID]struct{}, size)
+	for _, sb := range s.spo.keys {
+		e := s.spo.m[sb]
 		for i, p := range e.keys {
 			for _, o := range *e.lists[i] {
-				sh.present[[3]ID{sb, p, o}] = struct{}{}
+				s.present[[3]ID{sb, p, o}] = struct{}{}
 			}
 		}
 	}
-	if len(sh.present) != size {
-		return 0, nil, fmt.Errorf("store: snapshot: shard %d holds %d triples, section says %d", idx, len(sh.present), size)
+	if len(s.present) != size {
+		return 0, nil, fmt.Errorf("store: snapshot: shard %d holds %d triples, section says %d", idx, len(s.present), size)
 	}
-	sh.size = size
-	sh.epoch.Store(shardEpoch)
+	s.size = size
 	return idx, nil, nil
 }
 
@@ -600,32 +590,6 @@ func decodePackedTriples(rd *sreader, size int, slabs *decodeSlabs) ([][3]ID, er
 		return nil, fmt.Errorf("store: snapshot: shard SPO holds %d triples, section says %d", len(packed), size)
 	}
 	return packed, nil
-}
-
-// restorePacked is the slow restore path for a shard-count change:
-// partition the packed triples by the new store's subject routing and
-// commit shard by shard. IDs (and with them term order) are preserved,
-// so the commits sort key slices but never re-intern a term. The
-// snapshot epoch is re-established explicitly.
-func (s *Store) restorePacked(packed [][3]ID, epoch uint64) {
-	tv := s.dict.view()
-	parts := make([][][3]ID, len(s.shards))
-	for _, k := range packed {
-		i := s.shardIndex(k[0])
-		parts[i] = append(parts[i], k)
-	}
-	for i, part := range parts {
-		if len(part) > 0 {
-			s.shards[i].commitBatch(tv, part)
-		}
-	}
-	for i, sh := range s.shards {
-		if i == 0 {
-			sh.epoch.Store(epoch)
-		} else {
-			sh.epoch.Store(0)
-		}
-	}
 }
 
 // sreader is a bounds-checked little-endian reader over a byte slice.

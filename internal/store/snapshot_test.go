@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,9 +13,9 @@ import (
 
 // snapshotSample builds a store with mixed term kinds across both the
 // bulk and online paths, so snapshots cover every encoding case.
-func snapshotSample(t testing.TB, shards int) *Store {
+func snapshotSample(t testing.TB) *Store {
 	t.Helper()
-	s := NewSharded(shards)
+	s := New()
 	l := NewBulkLoader(s)
 	if err := l.AddAll(benchTriples(2000)); err != nil {
 		t.Fatal(err)
@@ -49,78 +50,85 @@ func dump(t testing.TB, s *Store) []byte {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			s := snapshotSample(t, shards)
-			var buf bytes.Buffer
-			info, err := s.WriteSnapshot(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Epoch != s.Epoch() {
-				t.Errorf("info.Epoch = %d, store epoch %d", info.Epoch, s.Epoch())
-			}
-			if info.Triples != uint64(s.Len()) {
-				t.Errorf("info.Triples = %d, store holds %d", info.Triples, s.Len())
-			}
-			if info.Bytes != int64(buf.Len()) {
-				t.Errorf("info.Bytes = %d, wrote %d", info.Bytes, buf.Len())
-			}
-
-			r, rinfo, err := RestoreSnapshotBytes(buf.Bytes(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rinfo != info {
-				t.Errorf("restore info %+v != write info %+v", rinfo, info)
-			}
-			if r.Epoch() != s.Epoch() {
-				t.Errorf("restored epoch %d, want %d", r.Epoch(), s.Epoch())
-			}
-			if got, want := dump(t, r), dump(t, s); !bytes.Equal(got, want) {
-				t.Fatalf("restored dump differs (%d vs %d bytes)", len(got), len(want))
-			}
-
-			// The restored store must stay fully usable: new terms get
-			// fresh IDs past the restored watermark, duplicates are
-			// still detected.
-			if added, err := r.Add(tri(iri("brand-new"), iri("p"), lit("new"))); err != nil || !added {
-				t.Fatalf("Add after restore = (%v, %v)", added, err)
-			}
-			if added, _ := r.Add(tri(iri("s0"), iri("age"), rdf.NewTypedLiteral("42", rdf.XSDInteger))); added {
-				t.Error("duplicate Add after restore reported added")
-			}
-		})
-	}
-}
-
-// TestSnapshotReshard restores into a different shard count: the slow
-// re-partitioning path must produce the same triple set and epoch.
-func TestSnapshotReshard(t *testing.T) {
-	s := snapshotSample(t, 8)
+	s := snapshotSample(t)
 	var buf bytes.Buffer
-	if _, err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, _, err := RestoreSnapshotBytes(buf.Bytes(), 3)
+	info, err := s.WriteSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if info.Epoch != s.Epoch() {
+		t.Errorf("info.Epoch = %d, store epoch %d", info.Epoch, s.Epoch())
+	}
+	if info.Triples != uint64(s.Len()) {
+		t.Errorf("info.Triples = %d, store holds %d", info.Triples, s.Len())
+	}
+	if info.Bytes != int64(buf.Len()) {
+		t.Errorf("info.Bytes = %d, wrote %d", info.Bytes, buf.Len())
+	}
+
+	r, rinfo, err := RestoreSnapshotBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rinfo != info {
+		t.Errorf("restore info %+v != write info %+v", rinfo, info)
+	}
 	if r.Epoch() != s.Epoch() {
-		t.Errorf("resharded epoch %d, want %d", r.Epoch(), s.Epoch())
+		t.Errorf("restored epoch %d, want %d", r.Epoch(), s.Epoch())
 	}
-	if !bytes.Equal(dump(t, r), dump(t, s)) {
-		t.Fatal("resharded dump differs")
+	if got, want := dump(t, r), dump(t, s); !bytes.Equal(got, want) {
+		t.Fatalf("restored dump differs (%d vs %d bytes)", len(got), len(want))
 	}
-	if added, err := r.Add(tri(iri("post-reshard"), iri("p"), lit("v"))); err != nil || !added {
-		t.Fatalf("Add after resharded restore = (%v, %v)", added, err)
+
+	// The restored store must stay fully usable: new terms get fresh
+	// IDs past the restored watermark, duplicates are still detected.
+	if added, err := r.Add(tri(iri("brand-new"), iri("p"), lit("new"))); err != nil || !added {
+		t.Fatalf("Add after restore = (%v, %v)", added, err)
+	}
+	if added, _ := r.Add(tri(iri("s0"), iri("age"), rdf.NewTypedLiteral("42", rdf.XSDInteger))); added {
+		t.Error("duplicate Add after restore reported added")
+	}
+}
+
+// TestSnapshotLegacyPartitioned restores testdata/legacy8.snap, written
+// by an earlier build that partitioned the store into 8 subject-hash
+// shards (so the file holds 8 shard sections and a sparse ID space),
+// and requires the N-Triples dump that build produced from the live
+// store: every triple, multibyte and numeric literals included, in the
+// same order. The restored store must then accept new triples and keep
+// detecting duplicates.
+func TestSnapshotLegacyPartitioned(t *testing.T) {
+	data, err := os.ReadFile("testdata/legacy8.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/legacy8.nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, info, err := RestoreSnapshotBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dump(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("restored dump differs from the writing build's dump:\n%s", got)
+	}
+	if info.Triples != uint64(r.Len()) || r.Epoch() != info.Epoch || info.Epoch == 0 {
+		t.Errorf("restore info %+v, store holds %d triples at epoch %d", info, r.Len(), r.Epoch())
+	}
+	if added, err := r.Add(tri(iri("post-restore"), iri("p"), lit("v"))); err != nil || !added {
+		t.Fatalf("Add after legacy restore = (%v, %v)", added, err)
+	}
+	name := rdf.NewLangLiteral("Zürich", "de")
+	if added, _ := r.Add(rdf.NewTriple(rdf.NewIRI("http://example.org/s0"), rdf.NewIRI("http://example.org/name"), name)); added {
+		t.Error("duplicate Add after legacy restore reported added")
 	}
 }
 
 // TestSnapshotDictCompaction: terms interned by staged-but-uncommitted
 // bulk triples must not survive a snapshot/restore cycle.
 func TestSnapshotDictCompaction(t *testing.T) {
-	s := snapshotSample(t, 4)
+	s := snapshotSample(t)
 	l := NewBulkLoader(s)
 	var staged []rdf.Triple
 	for i := 0; i < 500; i++ {
@@ -140,7 +148,7 @@ func TestSnapshotDictCompaction(t *testing.T) {
 	if info.Terms >= before {
 		t.Fatalf("snapshot kept %d terms, dictionary holds %d — no compaction", info.Terms, before)
 	}
-	r, _, err := RestoreSnapshotBytes(buf.Bytes(), 0)
+	r, _, err := RestoreSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +164,7 @@ func TestSnapshotDictCompaction(t *testing.T) {
 // byte offsets and truncates at every prefix length: decoding must
 // return an error (or, at worst, an identical store) and never panic.
 func TestSnapshotCorruption(t *testing.T) {
-	s := NewSharded(2)
+	s := New()
 	for i := 0; i < 40; i++ {
 		s.MustAdd(tri(iri(fmt.Sprintf("s%d", i)), iri("p"), lit(fmt.Sprintf("v%d", i))))
 	}
@@ -171,7 +179,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(data)
 			mut[off] ^= 1 << bit
-			r, _, err := RestoreSnapshotBytes(mut, 0)
+			r, _, err := RestoreSnapshotBytes(mut)
 			if err == nil {
 				// A flip that still decodes must decode to the truth
 				// (e.g. it landed in a CRC that then matched by
@@ -184,14 +192,14 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 	}
 	for n := 0; n < len(data); n++ {
-		if _, _, err := RestoreSnapshotBytes(data[:n], 0); err == nil {
+		if _, _, err := RestoreSnapshotBytes(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
 	}
 }
 
 func TestSnapshotEmptyStore(t *testing.T) {
-	s := NewSharded(4)
+	s := New()
 	var buf bytes.Buffer
 	info, err := s.WriteSnapshot(&buf)
 	if err != nil {
@@ -200,7 +208,7 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	if info.Triples != 0 || info.Terms != 0 {
 		t.Fatalf("empty snapshot info = %+v", info)
 	}
-	r, _, err := RestoreSnapshotBytes(buf.Bytes(), 0)
+	r, _, err := RestoreSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +223,9 @@ func TestSnapshotEmptyStore(t *testing.T) {
 // TestSnapshotConcurrentAdds races online writers against snapshot
 // writes. Every snapshot must be internally consistent: it decodes
 // cleanly, its stamped epoch matches the restored store's epoch, and
-// its triple count matches its own header — no torn shard state.
+// its triple count matches its own header — no torn state.
 func TestSnapshotConcurrentAdds(t *testing.T) {
-	s := NewSharded(8)
+	s := New()
 	const writers = 4
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -241,7 +249,7 @@ func TestSnapshotConcurrentAdds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, rinfo, err := RestoreSnapshotBytes(buf.Bytes(), 0)
+		r, rinfo, err := RestoreSnapshotBytes(buf.Bytes())
 		if err != nil {
 			t.Fatalf("round %d: snapshot under concurrent Adds does not decode: %v", round, err)
 		}
@@ -260,7 +268,7 @@ func TestSnapshotConcurrentAdds(t *testing.T) {
 	if _, err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := RestoreSnapshotBytes(buf.Bytes(), 0)
+	r, _, err := RestoreSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,16 +278,16 @@ func TestSnapshotConcurrentAdds(t *testing.T) {
 }
 
 // TestDumpNTriplesDeterministic pins the full-scan order to term order:
-// the same triples inserted in reverse through a different path and
-// shard count get different dictionary IDs but dump identically.
+// the same triples inserted in reverse through a different path get
+// different dictionary IDs but dump identically.
 func TestDumpNTriplesDeterministic(t *testing.T) {
-	a := snapshotSample(t, 8)
-	b := NewSharded(3)
+	a := snapshotSample(t)
+	b := New()
 	all := a.MatchSlice(rdf.Term{}, rdf.Term{}, rdf.Term{})
 	for i := len(all) - 1; i >= 0; i-- {
 		b.MustAdd(all[i])
 	}
 	if !bytes.Equal(dump(t, a), dump(t, b)) {
-		t.Fatal("full scans differ across construction order and shard count")
+		t.Fatal("full scans differ across construction order")
 	}
 }

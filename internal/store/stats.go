@@ -15,21 +15,15 @@ type PredicateFrequency struct {
 
 // PredicateFrequencies returns all predicates ordered by descending triple
 // count (ties broken by term order), mirroring initialization query Q1.
-// Per-predicate totals are maintained per shard on insert, so this is
-// O(#predicates × #shards).
+// Per-predicate totals are maintained on insert, so this is
+// O(#predicates).
 func (s *Store) PredicateFrequencies() []PredicateFrequency {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	tv := s.dict.view()
-	totals := make(map[ID]int)
-	for _, sh := range s.shards {
-		for p, e := range sh.pos.m {
-			totals[p] += e.total
-		}
-	}
-	out := make([]PredicateFrequency, 0, len(totals))
-	for p, n := range totals {
-		out = append(out, PredicateFrequency{Predicate: tv.at(p), Count: n})
+	out := make([]PredicateFrequency, 0, len(s.pos.m))
+	for p, e := range s.pos.m {
+		out = append(out, PredicateFrequency{Predicate: tv.at(p), Count: e.total})
 	}
 	sortFreq(out)
 	return out

@@ -2,136 +2,53 @@ package store
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sapphire/internal/rdf"
 )
 
-// defaultShards is the process-wide shard count Store.New uses, settable
-// once at startup via SetDefaultShards (the serving commands wire their
-// -shards flag to it before any store is built).
-var defaultShards atomic.Int32
-
-func init() {
-	defaultShards.Store(int32(runtime.GOMAXPROCS(0)))
-}
-
-// DefaultShards returns the shard count New uses: runtime.GOMAXPROCS at
-// process start unless overridden with SetDefaultShards.
-func DefaultShards() int {
-	return int(defaultShards.Load())
-}
-
-// SetDefaultShards overrides the shard count New uses for stores created
-// afterwards. n < 1 is clamped to 1. Intended for startup flag wiring;
-// existing stores are unaffected.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards.Store(int32(n))
-}
-
-// Store is a concurrency-safe in-memory triple store, horizontally
-// partitioned into shards keyed by a hash of the subject's dictionary
-// ID. Each shard owns its own SPO/POS/OSP indexes, RWMutex, and
-// mutation epoch; the two-way term dictionary is shared (it is
-// append-only, with lock-free resolution). Subject-bound operations
-// touch exactly one shard; wildcard-subject operations fan out across
-// shards and merge in term-sorted order, preserving the deterministic
-// iteration contract of the unsharded store. The zero value is not
-// usable; call New or NewSharded.
+// Store is a concurrency-safe in-memory triple store: one partition
+// holding the SPO/POS/OSP indexes and the dedup set under one RWMutex,
+// one mutation epoch, and the two-way term dictionary (append-only,
+// with its own lock and lock-free resolution). The zero value is not
+// usable; call New.
 type Store struct {
-	// dict interns terms to dense IDs; all shard indexes are over IDs.
-	dict   *dict
-	shards []*shard
+	// dict interns terms to dense IDs; the indexes are over IDs.
+	dict *dict
 
-	// mergeScratches recycles the slices and loser trees the
-	// cross-shard wildcard fan-outs use, so a wildcard Match allocates
-	// nothing in steady state.
-	mergeScratches sync.Pool
+	mu sync.RWMutex
+
+	// epoch counts committed mutations, bumped under the write lock
+	// (before it releases) whenever the triple set actually changes.
+	epoch atomic.Uint64
+
+	// Index permutations over dictionary IDs. POS keeps its innermost
+	// (subject) lists term-sorted; see index.sortedInner.
+	spo index
+	pos index
+	osp index
+
+	// present deduplicates the triples as packed ID triples.
+	present map[[3]ID]struct{}
+
+	size int
 }
 
-// scratch checks a mergeScratch out of the pool, reset for tv/rt.
-func (s *Store) scratch(tv termView, rt *rankTable) *mergeScratch {
-	sc, _ := s.mergeScratches.Get().(*mergeScratch)
-	if sc == nil {
-		sc = &mergeScratch{}
-	}
-	sc.reset(tv, rt)
-	return sc
-}
-
-// New returns an empty store with DefaultShards shards.
+// New returns an empty store.
 func New() *Store {
-	return NewSharded(DefaultShards())
-}
-
-// NewSharded returns an empty store with exactly n shards (n < 1 is
-// clamped to 1) and DefaultDictShards dictionary shards. A 1-shard
-// store behaves observationally like the pre-sharding single-store
-// implementation, including strict all-or-nothing visibility of
-// BulkLoader commits; with more shards a commit publishes shard by
-// shard, so a concurrent reader may observe a prefix of a batch (each
-// individual shard is still all-or-nothing).
-func NewSharded(n int) *Store {
-	return NewShardedDict(n, DefaultDictShards)
-}
-
-// NewShardedDict is NewSharded with an explicit term-dictionary shard
-// count (rounded up to a power of two, clamped to [1, 256]; values < 1
-// select DefaultDictShards). Dictionary sharding bounds interning lock
-// contention only — observable behavior is identical across any
-// (shards, dictShards) combination.
-func NewShardedDict(n, dictShards int) *Store {
-	if n < 1 {
-		n = 1
-	}
-	s := &Store{dict: newDict(dictShards), shards: make([]*shard, n)}
-	for i := range s.shards {
-		s.shards[i] = newShard()
-	}
-	return s
-}
-
-// Shards returns the number of shards the store was built with.
-//
-//sapphire:allow testonly internal/store/persist/db_test.go checks that Options.Shards reaches the recovered store
-func (s *Store) Shards() int { return len(s.shards) }
-
-// shardFor routes a subject ID to its owning shard. The multiplicative
-// hash decorrelates shard choice from the dense first-seen ID sequence,
-// so subjects interned in bursts (a sorted bulk load) still spread.
-func (s *Store) shardFor(si ID) *shard {
-	return s.shards[s.shardIndex(si)]
-}
-
-func (s *Store) shardIndex(si ID) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	h := (uint64(si) * 0x9E3779B97F4A7C15) >> 32
-	return int(h % uint64(len(s.shards)))
-}
-
-// rlockAll acquires every shard's read lock in shard order; runlockAll
-// releases them. Multi-shard readers hold all shard locks for the
-// duration of the fan-out so a scan observes each shard at a single
-// point in time. Writers only ever hold one shard lock at a time, so
-// the fixed acquisition order cannot deadlock.
-func (s *Store) rlockAll() {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
+	return &Store{
+		dict:    newDict(),
+		spo:     newIndex(false),
+		pos:     newIndex(true),
+		osp:     newIndex(false),
+		present: make(map[[3]ID]struct{}),
 	}
 }
 
-func (s *Store) runlockAll() {
-	for _, sh := range s.shards {
-		sh.mu.RUnlock()
-	}
-}
+// NewSharded returns New(); the shard count is ignored. It is kept only
+// because the serving benchmark (benchmark/stack.go) calls it.
+func NewSharded(int) *Store { return New() }
 
 // Add inserts a triple. It returns an error if the triple violates RDF
 // positional rules, and reports whether the triple was newly added.
@@ -140,52 +57,43 @@ func (s *Store) Add(tr rdf.Triple) (bool, error) {
 		return false, fmt.Errorf("store: invalid triple %s", tr)
 	}
 	si, pi, oi := s.dict.internTriple(tr)
-	sh := s.shardFor(si)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.present[[3]ID{si, pi, oi}]; dup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.present[[3]ID{si, pi, oi}]; dup {
 		return false, nil
 	}
-	sh.addLocked(s.dict.view(), si, pi, oi)
+	s.addLocked(s.dict.view(), si, pi, oi)
 	return true, nil
+}
+
+// addLocked inserts a fresh (non-duplicate, pre-checked) triple into the
+// three indexes and bumps the counters. Caller must hold the write lock
+// and have verified the triple is not in present.
+func (s *Store) addLocked(tv termView, si, pi, oi ID) {
+	s.present[[3]ID{si, pi, oi}] = struct{}{}
+	s.spo.add(tv, si, pi, oi)
+	s.pos.add(tv, pi, oi, si)
+	s.osp.add(tv, oi, si, pi)
+	s.size++
+	s.epoch.Add(1)
 }
 
 // Epoch returns the store's mutation epoch: a monotonic counter that
 // advances whenever the triple set changes (Add of a new triple,
-// BulkLoader.Commit with fresh triples). It is the sum of the per-shard
-// epochs, so it moves if and only if some shard's triple set changed.
-// Two Epoch reads returning the same value bracket a window in which
-// every query answer was computed against the same triple set, which is
-// exactly the guarantee a result cache needs: keying cached entries by
-// (query, epoch) makes invalidation free — a mutation moves the epoch
-// and every stale entry simply stops being addressable.
+// BulkLoader.Commit with fresh triples), once per change. Two Epoch
+// reads returning the same value bracket a window in which every query
+// answer was computed against the same triple set, which is exactly the
+// guarantee a result cache needs: keying cached entries by (query,
+// epoch) makes invalidation free — a mutation moves the epoch and every
+// stale entry simply stops being addressable.
 //
-// Epoch never takes a shard lock. It may be observed to advance
-// slightly before a writer releases its shard's write lock; a reader
-// that then evaluates a query blocks on that shard's read lock until
-// the writer is done, so the answer it computes is consistent with (or
-// newer than) the epoch it read — never older.
-//
-// The sum is read shard by shard, not atomically, so under concurrent
-// writes two distinct triple-set states can yield the same sum (bump A
-// then bump B passes through sums E and E+1, while a torn reader mixing
-// old-A with new-B also lands on E+... a colliding value). This does
-// not weaken the cache contract: every per-shard counter is monotone
-// and the shards are read at increasing times, so if a cached entry's
-// state S sums to the value a reader computed, S must have been the
-// current state at some instant inside that reader's read window —
-// were S already superseded before the window, every later per-shard
-// read would be ≥ S's vector with at least one strictly greater (sum
-// too large); were S not yet reached, at least one strictly smaller
-// (sum too small). Serving S is therefore exactly as linearizable as
-// the old store-global counter, which also named one instant within
-// the reader's window.
+// Epoch never takes the store lock. It may be observed to advance
+// slightly before a writer releases the write lock; a reader that then
+// evaluates a query blocks on the read lock until the writer is done,
+// so the answer it computes is consistent with (or newer than) the
+// epoch it read — never older.
 func (s *Store) Epoch() uint64 {
-	var e uint64
-	for _, sh := range s.shards {
-		e += sh.epoch.Load()
-	}
-	return e
+	return s.epoch.Load()
 }
 
 // AddAll inserts all triples, stopping at the first invalid one (valid
@@ -212,13 +120,9 @@ func (s *Store) MustAdd(tr rdf.Triple) {
 
 // Len returns the number of distinct triples.
 func (s *Store) Len() int {
-	s.rlockAll()
-	defer s.runlockAll()
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.size
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.size
 }
 
 // Contains reports whether the exact triple is present.
@@ -227,10 +131,9 @@ func (s *Store) Contains(tr rdf.Triple) bool {
 	if !ok || si == Wildcard || pi == Wildcard || oi == Wildcard {
 		return false
 	}
-	sh := s.shardFor(si)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok = sh.present[[3]ID{si, pi, oi}]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok = s.present[[3]ID{si, pi, oi}]
 	return ok
 }
 
@@ -261,7 +164,7 @@ func (s *Store) Match(sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
 		return
 	}
 	// The view is captured inside the first callback, i.e. after
-	// MatchIDs acquired the shard lock(s): every triple visible under
+	// MatchIDs acquired the read lock: every triple visible under
 	// those locks had its terms published before its insert completed,
 	// so one view covers the whole iteration (terms are interned
 	// strictly before their triples become visible). Bound positions
@@ -272,7 +175,7 @@ func (s *Store) Match(sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
 	var tv termView
 	switch {
 	case si == Wildcard && pi != Wildcard && oi == Wildcard:
-		// (?s P ?o): the POS sweep, the cross-shard merge workload.
+		// (?s P ?o): the POS sweep.
 		s.MatchIDs(si, pi, oi, func(a, _, c ID) bool {
 			if tv.chunks == nil {
 				tv = s.dict.view()
@@ -309,173 +212,123 @@ func (s *Store) Match(sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
 
 // MatchIDs streams every matching triple as a dictionary-ID tuple. A
 // Wildcard (zero) ID in any position matches every term. Iteration stops
-// early if fn returns false. The callback must not mutate the store.
-//
-// Subject-bound patterns lock and walk exactly one shard. Wildcard-
-// subject patterns take every shard's read lock and merge the per-shard
-// streams in term-sorted order, so iteration order is identical to a
-// single-shard store's regardless of shard count.
+// early if fn returns false. The callback runs under the read lock and
+// must not mutate the store.
 func (s *Store) MatchIDs(sub, pred, obj ID, fn func(s, p, o ID) bool) {
-	if sub != Wildcard {
-		sh := s.shardFor(sub)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		sh.matchLocked(sub, pred, obj, fn)
-		return
-	}
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		sh.matchLocked(sub, pred, obj, fn)
-		return
-	}
-	s.dict.maybeBuildRanks()
-	s.rlockAll()
-	defer s.runlockAll()
-	s.matchIDsLocked(sub, pred, obj, fn)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.matchLocked(sub, pred, obj, fn)
 }
 
-// matchIDsLocked is MatchIDs with every shard read lock already held.
-func (s *Store) matchIDsLocked(sub, pred, obj ID, fn func(s, p, o ID) bool) {
-	if sub != Wildcard {
-		s.shardFor(sub).matchLocked(sub, pred, obj, fn)
-		return
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].matchLocked(sub, pred, obj, fn)
-		return
-	}
-	switch {
-	case pred != Wildcard:
-		s.matchPredBoundLocked(pred, obj, fn)
-	case obj != Wildcard:
-		s.matchObjBoundLocked(obj, fn)
-	default:
-		s.matchScanLocked(fn)
-	}
-}
-
-// PinRead acquires every shard's read lock until the returned release is
-// called, letting the holder scan reentrantly via MatchIDsPinned: the
+// PinRead acquires the read lock until the returned release is called,
+// letting the holder scan reentrantly via MatchIDsPinned: the
 // evaluator's streaming join issues the next pattern's scan from inside
-// the current scan's callback, which must not re-acquire locks (a queued
-// writer would deadlock a nested read-lock acquisition). A pinned reader
-// sees one consistent store state for its whole evaluation; writers wait
-// for release, exactly as they wait out a single long wildcard scan.
+// the current scan's callback, which must not re-acquire the lock (a
+// queued writer would deadlock a nested read-lock acquisition). A
+// pinned reader sees one consistent store state for its whole
+// evaluation; writers wait for release, exactly as they wait out a
+// single long wildcard scan. PinRead also starts a background rank-table
+// build when the table has gone stale, since pinned evaluations are
+// what run ORDER BY.
 func (s *Store) PinRead() (release func()) {
 	s.dict.maybeBuildRanks()
-	s.rlockAll()
-	return s.runlockAll
+	s.mu.RLock()
+	return s.mu.RUnlock
 }
 
 // MatchIDsPinned is MatchIDs under a PinRead session: no locking, safe
 // to call from inside its own callbacks.
 func (s *Store) MatchIDsPinned(sub, pred, obj ID, fn func(s, p, o ID) bool) {
-	s.matchIDsLocked(sub, pred, obj, fn)
+	s.matchLocked(sub, pred, obj, fn)
 }
 
-// matchPredBoundLocked handles (?s P O) and (?s P ?o) across shards.
-// All shard read locks must be held.
-func (s *Store) matchPredBoundLocked(pred, obj ID, fn func(a, b, c ID) bool) {
-	sc := s.scratch(s.dict.view(), s.dict.ranks.Load())
-	defer s.mergeScratches.Put(sc)
-	for _, sh := range s.shards {
-		if e := sh.pos.m[pred]; e != nil {
-			sc.entries = append(sc.entries, e)
+// matchLocked walks the narrowest index for the pattern shape. Wildcard
+// positions iterate the incrementally maintained term-sorted key
+// slices, so no per-call sorting happens anywhere on this path. Caller
+// must hold the read or write lock.
+func (s *Store) matchLocked(sub, pred, obj ID, fn func(a, b, c ID) bool) {
+	switch {
+	case sub != Wildcard && pred != Wildcard && obj != Wildcard:
+		if _, ok := s.present[[3]ID{sub, pred, obj}]; ok {
+			fn(sub, pred, obj)
 		}
-	}
-	if len(sc.entries) == 0 {
-		return
-	}
-	if obj != Wildcard {
-		// Subjects for one (P, O) pair: disjoint term-sorted runs, one
-		// per shard (POS keeps innermost lists term-sorted).
-		for _, e := range sc.entries {
-			if subs := e.get(obj); len(subs) > 0 {
-				sc.inner = append(sc.inner, subs)
+	case sub != Wildcard && obj != Wildcard:
+		// (S ? O): probe OSP for exactly the predicates linking the pair
+		// instead of filtering the subject's whole out-edge set.
+		e := s.osp.m[obj]
+		if e == nil {
+			return
+		}
+		for _, p := range e.get(sub) {
+			if !fn(sub, p, obj) {
+				return
 			}
 		}
-		sc.outer.merge(sc.inner, func(sb ID, _ []int) bool {
-			return fn(sb, pred, obj)
-		})
-		return
-	}
-	// Objects merge across shards in term order; the same object can
-	// appear in several shards (its subjects are spread), so each
-	// distinct object merges the contributing shards' subject runs. The
-	// subject lists come from the merge cursors (posAt) against the
-	// key-parallel list slices — no per-object map probe — and the inner
-	// merger is reused across objects, its loser tree spinning up only
-	// when an object really spans shards.
-	for _, e := range sc.entries {
-		sc.keyLists = append(sc.keyLists, e.keys)
-		sc.lists = append(sc.lists, e.lists)
-	}
-	outer, lists := &sc.outer, sc.lists
-	outer.merge(sc.keyLists, func(o ID, which []int) bool {
-		if len(which) == 1 {
-			w := which[0]
-			for _, sb := range *lists[w][outer.posAt(w)] {
-				if !fn(sb, pred, o) {
-					return false
+	case sub != Wildcard:
+		e := s.spo.m[sub]
+		if e == nil {
+			return
+		}
+		if pred != Wildcard {
+			for _, o := range e.get(pred) {
+				if !fn(sub, pred, o) {
+					return
 				}
 			}
-			return true
+			return
 		}
-		sc.inner = sc.inner[:0]
-		for _, w := range which {
-			sc.inner = append(sc.inner, *lists[w][outer.posAt(w)])
-		}
-		return sc.innerM.merge(sc.inner, func(sb ID, _ []int) bool {
-			return fn(sb, pred, o)
-		})
-	})
-}
-
-// matchObjBoundLocked handles (?s ?p O) across shards: per-shard OSP
-// subject streams are disjoint (a subject lives in one shard) and term-
-// sorted, so they merge directly; each subject's predicate list comes
-// whole from its shard. All shard read locks must be held.
-func (s *Store) matchObjBoundLocked(obj ID, fn func(a, b, c ID) bool) {
-	sc := s.scratch(s.dict.view(), s.dict.ranks.Load())
-	defer s.mergeScratches.Put(sc)
-	for _, sh := range s.shards {
-		if e := sh.osp.m[obj]; e != nil {
-			sc.entries = append(sc.entries, e)
-		}
-	}
-	if len(sc.entries) == 0 {
-		return
-	}
-	for _, e := range sc.entries {
-		sc.keyLists = append(sc.keyLists, e.keys)
-		sc.lists = append(sc.lists, e.lists)
-	}
-	outer, lists := &sc.outer, sc.lists
-	outer.merge(sc.keyLists, func(sb ID, which []int) bool {
-		w := which[0]
-		for _, p := range *lists[w][outer.posAt(w)] {
-			if !fn(sb, p, obj) {
-				return false
+		for i, p := range e.keys {
+			for _, o := range *e.lists[i] {
+				if !fn(sub, p, o) {
+					return
+				}
 			}
 		}
-		return true
-	})
-}
-
-// matchScanLocked handles the full (?s ?p ?o) scan across shards:
-// subjects are disjoint term-sorted streams, and each subject's whole
-// out-edge set lives in its shard. All shard read locks must be held.
-func (s *Store) matchScanLocked(fn func(a, b, c ID) bool) {
-	sc := s.scratch(s.dict.view(), s.dict.ranks.Load())
-	defer s.mergeScratches.Put(sc)
-	for _, sh := range s.shards {
-		sc.keyLists = append(sc.keyLists, sh.spo.keys)
+	case pred != Wildcard:
+		e := s.pos.m[pred]
+		if e == nil {
+			return
+		}
+		if obj != Wildcard {
+			for _, sb := range e.get(obj) {
+				if !fn(sb, pred, obj) {
+					return
+				}
+			}
+			return
+		}
+		for i, o := range e.keys {
+			for _, sb := range *e.lists[i] {
+				if !fn(sb, pred, o) {
+					return
+				}
+			}
+		}
+	case obj != Wildcard:
+		e := s.osp.m[obj]
+		if e == nil {
+			return
+		}
+		for i, sb := range e.keys {
+			for _, p := range *e.lists[i] {
+				if !fn(sb, p, obj) {
+					return
+				}
+			}
+		}
+	default:
+		// Full scan: iterate SPO deterministically.
+		for _, sb := range s.spo.keys {
+			e := s.spo.m[sb]
+			for i, p := range e.keys {
+				for _, o := range *e.lists[i] {
+					if !fn(sb, p, o) {
+						return
+					}
+				}
+			}
+		}
 	}
-	sc.outer.merge(sc.keyLists, func(sb ID, which []int) bool {
-		return s.shards[which[0]].scanSubjectLocked(sb, fn)
-	})
 }
 
 // patternIDs maps a Term pattern to an ID pattern. ok is false when a
@@ -511,8 +364,7 @@ func (s *Store) MatchSlice(sub, pred, obj rdf.Term) []rdf.Triple {
 
 // Count returns the number of triples matching the pattern without
 // materializing them. Every pattern shape has full index coverage, so
-// the answer is a constant number of map probes per shard — no
-// iteration.
+// the answer is a constant number of map probes — no iteration.
 func (s *Store) Count(sub, pred, obj rdf.Term) int {
 	si, pi, oi, ok := s.patternIDs(sub, pred, obj)
 	if !ok {
@@ -522,26 +374,57 @@ func (s *Store) Count(sub, pred, obj rdf.Term) int {
 }
 
 // CountIDs is Count over dictionary IDs (Wildcard matches every term).
+// It answers every shape from index metadata: the present set for fully
+// bound patterns, innermost slice lengths for two-bound patterns, and
+// per-entry totals for one-bound patterns.
 func (s *Store) CountIDs(sub, pred, obj ID) int {
-	if sub != Wildcard {
-		sh := s.shardFor(sub)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.countLocked(sub, pred, obj)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	switch {
+	case sub != Wildcard && pred != Wildcard && obj != Wildcard:
+		if _, ok := s.present[[3]ID{sub, pred, obj}]; ok {
+			return 1
+		}
+		return 0
+	case sub != Wildcard && pred != Wildcard:
+		if e := s.spo.m[sub]; e != nil {
+			return len(e.get(pred))
+		}
+		return 0
+	case sub != Wildcard && obj != Wildcard:
+		if e := s.osp.m[obj]; e != nil {
+			return len(e.get(sub))
+		}
+		return 0
+	case sub != Wildcard:
+		if e := s.spo.m[sub]; e != nil {
+			return e.total
+		}
+		return 0
+	case pred != Wildcard && obj != Wildcard:
+		if e := s.pos.m[pred]; e != nil {
+			return len(e.get(obj))
+		}
+		return 0
+	case pred != Wildcard:
+		if e := s.pos.m[pred]; e != nil {
+			return e.total
+		}
+		return 0
+	case obj != Wildcard:
+		if e := s.osp.m[obj]; e != nil {
+			return e.total
+		}
+		return 0
+	default:
+		return s.size
 	}
-	s.rlockAll()
-	defer s.runlockAll()
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.countLocked(sub, pred, obj)
-	}
-	return n
 }
 
 // CardinalityEstimate returns the number of results for a pattern, used
 // by the endpoint cost model and by the federated source selection. With
 // the per-entry totals maintained on insert it is exact for every shape
-// and O(shards); it shares the implementation with Count.
+// and O(1); it shares the implementation with Count.
 func (s *Store) CardinalityEstimate(sub, pred, obj rdf.Term) int {
 	return s.Count(sub, pred, obj)
 }

@@ -278,7 +278,7 @@ func TestAddPropertyNoDuplicates(t *testing.T) {
 }
 
 // subjects returns the distinct subjects in the order a wildcard Match
-// streams them: term order, merged across shards.
+// streams them: term order.
 func subjects(s *Store) []rdf.Term {
 	var out []rdf.Term
 	s.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(tr rdf.Triple) bool {
