@@ -5,9 +5,10 @@
 #                         descend into it, so removed API could break it unseen)
 #   make race           - race-detector pass over the concurrency-sensitive packages
 #   make fuzz           - short fuzz smokes of the SPARQL parser, the
-#                         Jaro-Winkler kernel, the residual-bin trigram
-#                         index, the two-tier similarity search and the
-#                         completion suffix array (same jobs CI runs)
+#                         ORDER BY rank labels, the Jaro-Winkler kernel,
+#                         the residual-bin trigram index, the two-tier
+#                         similarity search and the completion suffix
+#                         array (same jobs CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
@@ -52,6 +53,7 @@ race:
 
 fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
+	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzOrderLabelsAgreeWithComparator' -fuzztime=30s
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSimilar' -fuzztime=30s

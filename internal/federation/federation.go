@@ -335,7 +335,7 @@ func (g *fedGraph) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool) 
 	}
 }
 
-func (g *fedGraph) OrderLabels() (label func(id uint32) uint64, exact bool) { return nil, false }
+func (g *fedGraph) OrderLabels() (label func(id uint32) uint64) { return nil }
 
 // fetchPattern returns the triples matching the pattern key (IDs of
 // gen) across relevant members, interned into gen and memoized there

@@ -10,6 +10,7 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -152,6 +153,28 @@ func (t *Term) CompareTo(u *Term) int {
 		return c
 	}
 	return strings.Compare(t.Datatype, u.Datatype)
+}
+
+// NumericValue returns the literal's lexical form as a float64 when it
+// parses as one, which is the single definition of "numeric literal":
+// SPARQL ORDER BY ranks two such literals by value instead of by term
+// order, and the store's rank labels mark exactly these terms. The
+// first-byte gate keeps ParseFloat (and the error it allocates on
+// failure) off ordinary strings; 'i', 'I', 'n' and 'N' pass it because
+// ParseFloat accepts "Inf", "infinity" and "NaN" spellings. Out-of-range
+// forms such as "1e400" are not numeric.
+func (t *Term) NumericValue() (float64, bool) {
+	if t.Kind != KindLiteral || len(t.Value) == 0 {
+		return 0, false
+	}
+	switch c := t.Value[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.',
+		c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(t.Value, 64)
+	return f, err == nil
 }
 
 // quoteLiteralTo escapes a literal lexical form per N-Triples rules,

@@ -203,3 +203,42 @@ func validUTF8NoControl(s string) bool {
 	}
 	return true
 }
+
+// TestNumericValue pins the one definition of "numeric literal": a
+// literal of any flavor whose lexical form strconv.ParseFloat accepts in
+// range, so every spelling ParseFloat takes gets past the first-byte
+// gate, and nothing else is numeric.
+func TestNumericValue(t *testing.T) {
+	cases := []struct {
+		term Term
+		want float64
+		ok   bool
+	}{
+		{NewLiteral("9"), 9, true},
+		{NewLiteral("-0"), 0, true},
+		{NewLiteral("+.5"), 0.5, true},
+		{NewLiteral("1e3"), 1000, true},
+		{NewLiteral("0x1p-2"), 0.25, true},
+		{NewTypedLiteral("42", XSDInteger), 42, true},
+		{NewLangLiteral("7", "en"), 7, true},
+		{NewLiteral("1e400"), 0, false}, // out of range
+		{NewLiteral("Nancy"), 0, false},
+		{NewLiteral(" 1"), 0, false},
+		{NewLiteral(""), 0, false},
+		{NewLiteral("Berlin"), 0, false},
+		{NewIRI("1"), 0, false},
+		{NewBlank("1"), 0, false},
+	}
+	for _, c := range cases {
+		got, ok := c.term.NumericValue()
+		if ok != c.ok || (ok && got != c.want) {
+			t.Errorf("%s: NumericValue() = (%v, %v), want (%v, %v)", c.term, got, ok, c.want, c.ok)
+		}
+	}
+	for _, lex := range []string{"Inf", "+inf", "-Infinity", "infinity", "NaN", "nan"} {
+		term := NewLiteral(lex)
+		if _, ok := term.NumericValue(); !ok {
+			t.Errorf("%q: ParseFloat accepts it, NumericValue does not", lex)
+		}
+	}
+}

@@ -70,14 +70,20 @@ SELECT DISTINCT ?b WHERE {
 
 // BenchmarkEvalOrderByLimit measures the bounded ORDER BY path on 10k
 // rows paged to 10: the top-k heap over uint64 rank labels (labels),
-// the same heap falling back to memoized term compares when no rank
-// table exists (termheap), and the old evaluator's strategy of
-// materializing and stable-sorting every row (materialize). The labels
-// row is the headline: microseconds against the old ~tens of
-// milliseconds.
+// the same heap over a store that also holds one numeric literal
+// (labels-numeric — every served store does, and its key column of
+// names must stay on the label path), the heap falling back to memoized
+// term compares when no rank table exists (termheap), and the old
+// evaluator's strategy of materializing and stable-sorting every row
+// (materialize). The label rows are the headline: microseconds against
+// the old ~tens of milliseconds.
 func BenchmarkEvalOrderByLimit(b *testing.B) {
 	s := benchGraph(10_000)
 	s.BuildOrderLabels()
+	sn := benchGraph(10_000)
+	sn.MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/p0"), rdf.NewIRI("http://x/age"),
+		rdf.NewTypedLiteral("42", rdf.XSDInteger)))
+	sn.BuildOrderLabels()
 	q := MustParse(`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n LIMIT 10`)
 	run := func(b *testing.B, eval func() (*Results, error)) {
 		b.ReportAllocs()
@@ -94,6 +100,9 @@ func BenchmarkEvalOrderByLimit(b *testing.B) {
 	}
 	b.Run("labels", func(b *testing.B) {
 		run(b, func() (*Results, error) { return Eval(s, q, Options{}) })
+	})
+	b.Run("labels-numeric", func(b *testing.B) {
+		run(b, func() (*Results, error) { return Eval(sn, q, Options{}) })
 	})
 	b.Run("termheap", func(b *testing.B) {
 		g := &countingGraph{Store: s, noLabels: true}

@@ -24,7 +24,12 @@
 // projection, ID-keyed DISTINCT, and an OFFSET/LIMIT slice whose
 // early-exit propagates back up the whole chain, for every query class.
 // Rows stay dictionary IDs end to end; terms materialize only when rows
-// leave the pipeline (or inside filter and order-key evaluation).
+// leave the pipeline (or inside filter and order-key evaluation). Each
+// pattern sequence is laid out once per evaluation as per-level frames
+// whose scan callbacks are bound up front, so the join allocates
+// nothing per row, and the top-k heap compares the graph's rank labels,
+// resolving terms only for pairs of numeric literals (which SPARQL
+// orders by value) or unlabeled IDs.
 //
 // # One execution contract
 //
@@ -35,8 +40,9 @@
 // "Serial evaluation"), so the Budget hook counts exactly the rows the
 // depth-first join touches. The one optional capability answers
 // "unsupported" by return value: OrderLabels may return a nil label
-// func, and ORDER BY then compares terms. An implementation must follow
-// the store's ID contract:
+// func, and ORDER BY then compares terms. Labels it does return must
+// follow term order and carry the numeric-literal bit (see IDGraph).
+// An implementation must follow the store's ID contract:
 //
 //   - The zero ID is the wildcard, mirroring the zero-Term convention
 //     of Match; no term ever has ID 0.

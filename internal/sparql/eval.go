@@ -38,13 +38,13 @@ type IDGraph interface {
 	// be called from inside its own callbacks.
 	MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool)
 	// OrderLabels exposes per-ID order labels (the store's rank table):
-	// label order equals term order for labeled IDs, 0 means unlabeled.
-	// exact reports whether label order equals the ORDER BY comparator
-	// order for every pair of terms in the graph — false as soon as any
-	// literal parses as a number, since SPARQL orders those by value.
-	// The top-k ORDER BY operator compares labels instead of terms when
-	// exact is true; a nil label means no labels exist.
-	OrderLabels() (label func(id uint32) uint64, exact bool)
+	// label order equals term order for labeled IDs, 0 means unlabeled,
+	// and a label's low bit is set exactly when its term is a numeric
+	// literal (rdf.Term.NumericValue). The top-k ORDER BY operator
+	// compares labels instead of terms unless a side is unlabeled or
+	// both sides are numeric, the one case where SPARQL's value order
+	// and term order differ. A nil label means no labels exist.
+	OrderLabels() (label func(id uint32) uint64)
 }
 
 // Binding maps variable names to terms for one solution row.
@@ -299,14 +299,12 @@ func orderResults(q *Query, res *Results) {
 	})
 }
 
-// compareTermsForOrder compares numerically when both terms parse as
-// numbers, else by term order.
+// compareTermsForOrder compares by value when both terms are numeric
+// literals (rdf.Term.NumericValue), else by term order.
 func compareTermsForOrder(a, b rdf.Term) int {
-	if a.IsLiteral() && b.IsLiteral() {
-		af, aerr := strconv.ParseFloat(a.Value, 64)
-		bf, berr := strconv.ParseFloat(b.Value, 64)
-		if aerr == nil && berr == nil {
-			switch {
+	if af, ok := a.NumericValue(); ok {
+		if bf, ok := b.NumericValue(); ok {
+			switch { // not cmp.Compare: NaN stays unordered against everything
 			case af < bf:
 				return -1
 			case af > bf:
@@ -316,7 +314,7 @@ func compareTermsForOrder(a, b rdf.Term) int {
 			}
 		}
 	}
-	return a.Compare(b)
+	return a.CompareTo(&b)
 }
 
 func pageResults(q *Query, res *Results) {

@@ -93,10 +93,7 @@ func (v Value) asNum() (float64, bool) {
 		f, err := strconv.ParseFloat(v.Str, 64)
 		return f, err == nil
 	case ValTerm:
-		if v.Term.IsLiteral() {
-			f, err := strconv.ParseFloat(v.Term.Value, 64)
-			return f, err == nil
-		}
+		return v.Term.NumericValue()
 	}
 	return 0, false
 }

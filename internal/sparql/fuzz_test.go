@@ -2,6 +2,9 @@ package sparql
 
 import (
 	"testing"
+
+	"sapphire/internal/rdf"
+	"sapphire/internal/store"
 )
 
 // fuzzSeedQueries is the FuzzParse seed corpus: every query shape the
@@ -141,4 +144,67 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 	if parseable == 0 || parseable == len(fuzzSeedQueries) {
 		t.Errorf("corpus balance off: %d/%d parseable", parseable, len(fuzzSeedQueries))
 	}
+}
+
+// orderLabelSeeds are lexical forms at the edges of "numeric literal":
+// digit strings whose term order and value order disagree, ParseFloat's
+// other spellings (signed zero, bare fraction, exponent, hex float,
+// Inf, infinity, NaN), a word that only starts like NaN, and the empty
+// form.
+var orderLabelSeeds = []string{"9", "10", "-0", "+.5", "1e3", "0x1p-2", "Inf", "infinity", "NaN", "Nancy", "", "x"}
+
+// FuzzOrderLabelsAgreeWithComparator checks the invariant the top-k
+// heap's label path rests on: for every pair of labeled terms that
+// compareLabels decides, its sign equals compareTermsForOrder's. Each
+// input adds two lexical forms to the seed forms, and every form is
+// interned as a plain, language-tagged, xsd:integer and xsd:double
+// literal, an IRI and a blank node, so kinds, tags and datatypes mix.
+// The property is pairwise on purpose: NaN ties every number under the
+// comparator, which makes it non-transitive, so no input is filtered
+// out and no total order is asked for.
+func FuzzOrderLabelsAgreeWithComparator(f *testing.F) {
+	for i := 0; i+1 < len(orderLabelSeeds); i += 2 {
+		f.Add(orderLabelSeeds[i], orderLabelSeeds[i+1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		s := store.New()
+		subj, pred := rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p")
+		var terms []rdf.Term
+		for _, lex := range append([]string{a, b}, orderLabelSeeds...) {
+			for _, term := range []rdf.Term{
+				rdf.NewLiteral(lex),
+				rdf.NewLangLiteral(lex, "en"),
+				rdf.NewTypedLiteral(lex, rdf.XSDInteger),
+				rdf.NewTypedLiteral(lex, rdf.XSDDouble),
+				rdf.NewIRI(lex),
+				rdf.NewBlank(lex),
+			} {
+				s.MustAdd(rdf.NewTriple(subj, pred, term))
+				terms = append(terms, term)
+			}
+		}
+		s.BuildOrderLabels()
+		label := s.OrderLabels()
+		labs := make([]uint64, len(terms))
+		for i, term := range terms {
+			id, ok := s.Lookup(term)
+			if !ok {
+				t.Fatalf("interned term %s not found", term)
+			}
+			if labs[i] = label(id); labs[i] == 0 {
+				t.Fatalf("term %s unlabeled after BuildOrderLabels", term)
+			}
+		}
+		for i, ti := range terms {
+			for j, tj := range terms {
+				c, ok := compareLabels(labs[i], labs[j])
+				if !ok {
+					continue // the heap compares these terms itself
+				}
+				if want := compareTermsForOrder(ti, tj); c != want {
+					t.Fatalf("labels order %s vs %s as %d, ORDER BY comparator as %d", ti, tj, c, want)
+				}
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"cmp"
 	"encoding/binary"
 	"sort"
 
@@ -91,28 +92,10 @@ func (x *exec) compilePos(n Node, ok *bool) patPos {
 	return patPos{slot: -1, id: id}
 }
 
-// scanPattern streams the pattern's matches for the current row as ID
-// triples, charging the budget per match. Returns false when production
-// stopped early (downstream satisfied, or budget error in x.err).
-func (x *exec) scanPattern(cp compiledPattern, row []uint32, yield func(ms, mp, mo uint32) bool) bool {
-	if !cp.ok {
-		return true
-	}
-	stopped := false
-	x.g.MatchIDsPinned(cp.s.value(row), cp.p.value(row), cp.o.value(row), func(ms, mp, mo uint32) bool {
-		if !x.tick() || !yield(ms, mp, mo) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	return !stopped
-}
-
 // levelBind records which row slots one join level binds: the pattern's
 // variable positions that are still unbound when the level starts. It is
-// computed once per level entry by runSeq and is the single source of
-// truth for the repeated-variable semantics.
+// computed once per level entry by joinSeq.run and is the single source
+// of truth for the repeated-variable semantics.
 type levelBind struct {
 	su, pu, ou int // slots this level binds; -1 = constant or already bound
 }
@@ -168,34 +151,91 @@ func (lb levelBind) clear(row []uint32) {
 	}
 }
 
-// runSeq joins pats[lvl:] into row depth-first — an index-nested-loop
+// joinSeq is one pattern sequence — a pattern group or an OPTIONAL
+// block — compiled once per evaluation into per-level frames over the
+// evaluation's shared row buffer, so the depth-first join allocates
+// nothing per row. Each level is entered at most once at a time: the
+// join is depth-first, and no operator feeds rows back into its own
+// upstream, so one frame per level holds all of a level's state.
+type joinSeq struct {
+	x      *exec
+	levels []joinLevel
+	row    []uint32
+	out    sink
+}
+
+// joinLevel is one level's frame: the state a per-call closure would
+// otherwise capture (the slots this entry binds, the early-stop flag),
+// and the scan callback, the method value onMatch bound once.
+type joinLevel struct {
+	seq     *joinSeq
+	depth   int
+	cp      compiledPattern
+	filter  *filterStage // level filter; nil when none
+	lb      levelBind    // slots the current entry binds
+	stopped bool         // the current entry's scan was told to stop
+	match   func(ms, mp, mo uint32) bool
+}
+
+// newJoinSeq lays out pats as frames. lfilters holds one filter stage
+// per level (nil entries for levels without one), or is nil.
+func (x *exec) newJoinSeq(pats []compiledPattern, lfilters []*filterStage, row []uint32, out sink) *joinSeq {
+	js := &joinSeq{x: x, levels: make([]joinLevel, len(pats)), row: row, out: out}
+	for i := range js.levels {
+		lv := &js.levels[i]
+		lv.seq, lv.depth, lv.cp = js, i, pats[i]
+		if lfilters != nil {
+			lv.filter = lfilters[i]
+		}
+		lv.match = lv.onMatch
+	}
+	return js
+}
+
+// run joins levels[lvl:] into the row depth-first — an index-nested-loop
 // join with no per-level materialization — pushing each completed row to
 // out. Level filters (single-group queries only) run the moment their
 // level binds, dropping rows before deeper scans ever start. Slots bound
 // at a level are reset to 0 on the way out, so sibling matches and later
 // pattern groups see a clean row. Returns false when production must
-// stop.
-func (x *exec) runSeq(pats []compiledPattern, lfilters []*filterStage, lvl int, row []uint32, out sink) bool {
-	if lvl == len(pats) {
-		return out.push(row)
+// stop (downstream satisfied, or budget error in x.err).
+func (js *joinSeq) run(lvl int) bool {
+	if lvl == len(js.levels) {
+		return js.out.push(js.row)
 	}
-	cp := pats[lvl]
-	lb := bindSpec(cp, row)
-	return x.scanPattern(cp, row, func(ms, mp, mo uint32) bool {
-		if !lb.apply(row, ms, mp, mo) {
-			return true
-		}
-		keep := true
-		if lfilters != nil && lfilters[lvl] != nil {
-			keep = x.applyFilterStage(lfilters[lvl], row)
-		}
-		ok := true
-		if keep && x.err == nil {
-			ok = x.runSeq(pats, lfilters, lvl+1, row, out)
-		}
-		lb.clear(row)
-		return ok && x.err == nil
-	})
+	lv := &js.levels[lvl]
+	if !lv.cp.ok {
+		return true
+	}
+	row := js.row
+	lv.lb = bindSpec(lv.cp, row)
+	lv.stopped = false
+	js.x.g.MatchIDsPinned(lv.cp.s.value(row), lv.cp.p.value(row), lv.cp.o.value(row), lv.match)
+	return !lv.stopped
+}
+
+// onMatch is a level's scan callback: it charges the budget for the
+// match, binds it, runs the level filter, descends, and clears the
+// level's slots on the way out.
+func (lv *joinLevel) onMatch(ms, mp, mo uint32) bool {
+	js, x := lv.seq, lv.seq.x
+	if !x.tick() {
+		lv.stopped = true
+		return false
+	}
+	if !lv.lb.apply(js.row, ms, mp, mo) {
+		return true
+	}
+	ok := true
+	if (lv.filter == nil || x.applyFilterStage(lv.filter, js.row)) && x.err == nil {
+		ok = js.run(lv.depth + 1)
+	}
+	lv.lb.clear(js.row)
+	if !ok || x.err != nil {
+		lv.stopped = true
+		return false
+	}
+	return true
 }
 
 // filterStage is a compiled batch of FILTER expressions sharing one
@@ -284,15 +324,14 @@ func (op *filterOp) flush() bool { return op.next.flush() }
 // free slots are disjoint from the row's bound ones), or forwarded
 // unextended when the block has no match.
 type leftJoinOp struct {
-	x       *exec
-	pats    []compiledPattern
+	seq     *joinSeq // the block, pushing to matchSink{op}
 	next    sink
 	matched bool
 }
 
 func (op *leftJoinOp) push(row []uint32) bool {
 	op.matched = false
-	if !op.x.runSeq(op.pats, nil, 0, row, matchSink{op}) {
+	if !op.seq.run(0) {
 		return false
 	}
 	if !op.matched {
@@ -464,9 +503,9 @@ func (op *sortAllOp) flush() bool {
 
 // topKOp is the bounded ORDER BY ?x LIMIT k path: a max-heap of the
 // Offset+Limit best rows seen so far, ordered by the store's uint64 rank
-// labels when they are exact for ORDER BY (integer compares, no term
-// resolution), falling back to memoized term compares per item when a
-// label is missing or numeric literals make label order inexact. Ties
+// labels (integer compares, no term resolution; see compareLabels),
+// falling back to memoized term compares for a pair the labels cannot
+// decide: a side is unlabeled, or both sides are numeric literals. Ties
 // break by arrival order (seq), reproducing the stable sort the generic
 // path uses, so the emitted page is byte-identical to sort-then-page.
 // Memory is O(k · row width) regardless of how many rows stream through.
@@ -517,20 +556,12 @@ func (op *topKOp) push(row []uint32) bool {
 	return true
 }
 
-// before reports whether a strictly precedes b in final output order.
-// Nonzero labels compare directly (label order == term order, and exact
-// ORDER BY order when the label path is enabled at all); any unlabeled
-// side falls back to the memoized terms. Equal keys order by arrival.
+// before reports whether a strictly precedes b in final output order:
+// by labels when compareLabels decides, else by the memoized terms.
+// Equal keys order by arrival.
 func (op *topKOp) before(a, b *topkItem) bool {
-	c := 0
-	if a.lab != 0 && b.lab != 0 {
-		switch {
-		case a.lab < b.lab:
-			c = -1
-		case a.lab > b.lab:
-			c = 1
-		}
-	} else {
+	c, ok := compareLabels(a.lab, b.lab)
+	if !ok {
 		c = compareTermsForOrder(op.term(a), op.term(b))
 	}
 	if op.desc {
@@ -540,6 +571,19 @@ func (op *topKOp) before(a, b *topkItem) bool {
 		return c < 0
 	}
 	return a.seq < b.seq
+}
+
+// compareLabels orders two rank labels the way compareTermsForOrder
+// orders their terms, reporting ok = false when the labels cannot
+// decide: a side is unlabeled (0), or both carry the numeric bit, since
+// SPARQL orders two numeric literals by value while labels follow term
+// order. For every other labeled pair the comparator is term order, so
+// label order is exact (FuzzOrderLabelsAgreeWithComparator).
+func compareLabels(a, b uint64) (c int, ok bool) {
+	if a == 0 || b == 0 || a&b&1 != 0 {
+		return 0, false
+	}
+	return cmp.Compare(a, b), true
 }
 
 func (op *topKOp) term(it *topkItem) rdf.Term {
@@ -635,9 +679,7 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp) {
 			if s, ok := pl.slots[q.OrderBy[0].Var]; ok {
 				op.keySlot = s
 			}
-			if label, exact := g.OrderLabels(); exact {
-				op.label = label // may be nil: term fallback per item
-			}
+			op.label = g.OrderLabels() // may be nil: term fallback per item
 			tail = op
 		} else {
 			op := &sortAllOp{x: x, keys: q.OrderBy, keySlots: make([]int, len(q.OrderBy)), next: tail}
@@ -701,11 +743,14 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	if st := x.newFilterStage(pl.endFilters); st != nil {
 		chain = &filterOp{x: x, st: st, next: chain}
 	}
+	row := make([]uint32, pl.width())
 	for j := len(optionals) - 1; j >= 0; j-- {
 		if st := x.newFilterStage(pl.optFilters[j]); st != nil {
 			chain = &filterOp{x: x, st: st, next: chain}
 		}
-		chain = &leftJoinOp{x: x, pats: optionals[j], next: chain}
+		lj := &leftJoinOp{next: chain}
+		lj.seq = x.newJoinSeq(optionals[j], nil, row, matchSink{lj})
+		chain = lj
 	}
 	if st := x.newFilterStage(pl.baseFilters); st != nil {
 		chain = &filterOp{x: x, st: st, next: chain}
@@ -724,9 +769,8 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 		}
 	}
 
-	row := make([]uint32, pl.width())
 	for _, grp := range groups {
-		if !x.runSeq(grp, lf, 0, row, chain) {
+		if !x.newJoinSeq(grp, lf, row, chain).run(0) {
 			break
 		}
 	}

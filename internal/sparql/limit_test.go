@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sapphire/internal/rdf"
@@ -267,9 +268,9 @@ func (c *countingGraph) ResolveID(id uint32) rdf.Term {
 	return c.Store.ResolveID(id)
 }
 
-func (c *countingGraph) OrderLabels() (func(uint32) uint64, bool) {
+func (c *countingGraph) OrderLabels() func(uint32) uint64 {
 	if c.noLabels {
-		return nil, true
+		return nil
 	}
 	return c.Store.OrderLabels()
 }
@@ -279,39 +280,85 @@ func (c *countingGraph) OrderLabels() (func(uint32) uint64, bool) {
 // compares uint64 labels inside the heap and resolves terms only for
 // the k surviving rows — tens of ResolveID calls, not 10 000. Without
 // labels the same query resolves a term per buffered row, which is the
-// regression this test would catch.
+// regression this test would catch. The numeric subtest is the state
+// every served store is in: one numeric literal interned anywhere must
+// not switch the label path off for a key column of names.
 func TestOrderByLimitResolvesOnlyK(t *testing.T) {
 	const n = 10_000
-	s := buildWide(t, n)
-	s.BuildOrderLabels()
 	q := MustParse(`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n LIMIT 10`)
+	for _, tc := range []struct {
+		name    string
+		numeric bool
+	}{{"names", false}, {"numeric-literal-in-store", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := buildWide(t, n)
+			if tc.numeric {
+				s.MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/p0"), rdf.NewIRI("http://x/age"),
+					rdf.NewTypedLiteral("42", rdf.XSDInteger)))
+			}
+			s.BuildOrderLabels()
 
-	cg := &countingGraph{Store: s}
-	res, err := Eval(cg, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(res.Rows))
-	}
-	// 2 columns × 10 rows resolved at collect; allow slack for any
-	// stray fallback compares, but stay orders of magnitude below n.
-	if cg.resolves > 100 {
-		t.Errorf("ORDER BY LIMIT 10 with labels resolved %d terms, want <= 100", cg.resolves)
-	}
+			cg := &countingGraph{Store: s}
+			res, err := Eval(cg, q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 10 {
+				t.Fatalf("rows = %d, want 10", len(res.Rows))
+			}
+			// 2 columns × 10 rows resolved at collect; allow slack for any
+			// stray fallback compares, but stay orders of magnitude below n.
+			if cg.resolves > 100 {
+				t.Errorf("ORDER BY LIMIT 10 with labels resolved %d terms, want <= 100", cg.resolves)
+			}
 
-	// Contrast: with no rank table the heap must fall back to term
-	// compares, resolving at least one term per distinct buffered row.
-	cg2 := &countingGraph{Store: s, noLabels: true}
-	if _, err := Eval(cg2, q, Options{}); err != nil {
-		t.Fatal(err)
+			// Contrast: with no rank table the heap must fall back to term
+			// compares, resolving at least one term per distinct buffered row.
+			cg2 := &countingGraph{Store: s, noLabels: true}
+			res2, err := Eval(cg2, q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cg2.resolves < n/2 {
+				t.Errorf("unlabeled ORDER BY resolved %d terms; expected >= %d — did the label path activate without a rank table?",
+					cg2.resolves, n/2)
+			}
+			if cg.resolves*10 > cg2.resolves {
+				t.Errorf("labels saved too little: %d resolves with labels vs %d without", cg.resolves, cg2.resolves)
+			}
+			if got, want := rowStrings(res), rowStrings(res2); !slices.Equal(got, want) {
+				t.Errorf("label page %q != term page %q", got, want)
+			}
+		})
 	}
-	if cg2.resolves < n/2 {
-		t.Errorf("unlabeled ORDER BY resolved %d terms; expected >= %d — did the label path activate without a rank table?",
-			cg2.resolves, n/2)
+}
+
+// TestJoinAllocsIndependentOfRows pins that the depth-first join
+// allocates nothing per row: a two-pattern join paged by ORDER BY LIMIT
+// (so the output, and what collect allocates, stays 10 rows) costs the
+// same number of allocations over 1 000 and over 10 000 joined rows.
+// A per-row closure or escaping flag in the join would add one or more
+// allocations per driving row.
+func TestJoinAllocsIndependentOfRows(t *testing.T) {
+	q := MustParse(`SELECT ?s ?n WHERE { ?s a <http://x/Person> . ?s <http://x/name> ?n . } ORDER BY ?n LIMIT 10`)
+	allocs := func(n int) float64 {
+		s := buildWide(t, n)
+		// Build the rank table now, so PinRead never starts a background
+		// build inside the measured runs.
+		s.BuildOrderLabels()
+		return testing.AllocsPerRun(20, func() {
+			res, err := Eval(s, q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 10 {
+				t.Fatalf("rows = %d, want 10", len(res.Rows))
+			}
+		})
 	}
-	if cg.resolves*10 > cg2.resolves {
-		t.Errorf("labels saved too little: %d resolves with labels vs %d without", cg.resolves, cg2.resolves)
+	small, large := allocs(1_000), allocs(10_000)
+	if large > small+8 {
+		t.Errorf("join allocated %.0f times over 10 000 rows vs %.0f over 1 000 — it allocates per row", large, small)
 	}
 }
 

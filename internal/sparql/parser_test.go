@@ -201,7 +201,7 @@ func (emptyGraph) Lookup(t rdf.Term) (uint32, bool)                            {
 func (emptyGraph) ResolveID(id uint32) rdf.Term                                { return rdf.Term{} }
 func (emptyGraph) PinRead() (release func())                                   { return func() {} }
 func (emptyGraph) MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool) {}
-func (emptyGraph) OrderLabels() (label func(id uint32) uint64, exact bool)     { return nil, false }
+func (emptyGraph) OrderLabels() (label func(id uint32) uint64)                 { return nil }
 
 func TestQueryStringRoundTrip(t *testing.T) {
 	srcs := []string{

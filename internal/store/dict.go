@@ -2,7 +2,6 @@ package store
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -94,13 +93,6 @@ type dict struct {
 	// so it is read without locks. Empty for stores that were never
 	// restored.
 	base []ID
-
-	// numericLits is set (and never cleared) the first time a literal
-	// whose lexical form parses as a float is interned. The evaluator's
-	// ORDER BY comparator ranks such literals numerically, which can
-	// disagree with plain term order — so the rank-label top-k fast path
-	// is only exact while this stays false. See Store.OrderLabels.
-	numericLits atomic.Bool
 }
 
 func newDict() *dict {
@@ -156,30 +148,7 @@ func (d *dict) internLocked(t rdf.Term) ID {
 	d.ids[t] = id
 	d.next.Store(id + 1)
 	d.terms.Add(1)
-	if !d.numericLits.Load() && isNumericLiteral(&t) {
-		d.numericLits.Store(true)
-	}
 	return id
-}
-
-// isNumericLiteral reports whether t is a literal whose lexical value
-// parses as a float — exactly the values the evaluator's ORDER BY
-// comparator ranks numerically instead of by term order. The first-byte
-// gate keeps ParseFloat off the intern hot path for ordinary strings
-// ('i'/'I'/'n'/'N' are included because ParseFloat accepts "Inf",
-// "infinity" and "NaN" spellings).
-func isNumericLiteral(t *rdf.Term) bool {
-	if t.Kind != rdf.KindLiteral || len(t.Value) == 0 {
-		return false
-	}
-	switch c := t.Value[0]; {
-	case c >= '0' && c <= '9', c == '+', c == '-', c == '.',
-		c == 'i', c == 'I', c == 'n', c == 'N':
-	default:
-		return false
-	}
-	_, err := strconv.ParseFloat(t.Value, 64)
-	return err == nil
 }
 
 // ensureCovers grows the published spine until the chunk holding id

@@ -41,7 +41,6 @@
 //	term := st.ResolveID(id)           // ID → term, O(1), lock-free
 //	st.MatchIDs(s, p, o, fn)           // pattern match over IDs
 //	st.CountIDs(s, p, o)               // exact count, O(1) for all shapes
-//	st.CardinalityEstimateIDs(s, p, o) // same, for cost models
 //
 // The evaluator's whole view of the store is one interface,
 // sparql.IDGraph: Lookup, ResolveID, CardinalityEstimate, OrderLabels,

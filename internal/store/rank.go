@@ -9,9 +9,10 @@ import (
 
 // rankTable is a point-in-time order statistic over interned terms: for
 // every ID labeled at build time, label(id) is a uint64 whose numeric
-// order equals the terms' order, so ORDER BY top-k (Store.OrderLabels)
-// and the snapshot writer can decide most comparisons with one integer
-// compare instead of a string walk. Unlabeled IDs (interned after the
+// order equals the terms' order (its low bit marks numeric literals, see
+// publishRanks), so ORDER BY top-k (Store.OrderLabels) and the snapshot
+// writer can decide most comparisons with one integer compare instead
+// of a string walk. Unlabeled IDs (interned after the
 // table was built) report label 0, and comparisons touching them fall
 // back to rdf.Term.CompareTo — the table is a pure accelerator, never a
 // source of truth.
@@ -105,13 +106,27 @@ func (d *dict) buildRanks() {
 	merged = append(merged, d.rankOrder[i:]...)
 	merged = append(merged, fresh[j:]...)
 
-	// Label evenly over the uint64 range (0 stays "unlabeled").
-	nt := &rankTable{labels: make([]uint64, w)}
-	stride := math.MaxUint64 / uint64(len(merged)+1)
-	for k, id := range merged {
-		nt.labels[id] = uint64(k+1) * stride
+	d.publishRanks(tv, merged, w)
+}
+
+// publishRanks labels order — every labeled ID, in term order — evenly
+// over the uint64 range and publishes the table. Label k is
+// (k+1)*stride with its low bit replaced by the numeric bit: 1 exactly
+// when the term is a numeric literal (rdf.Term.NumericValue). The stride
+// is at least 2^32-1 for any uint32 ID space, so consecutive labels stay
+// strictly ordered after the bit swap, and 0 stays "unlabeled". Caller
+// holds rankMu (or owns the dictionary exclusively, as restore does).
+func (d *dict) publishRanks(tv termView, order []ID, watermark ID) {
+	nt := &rankTable{labels: make([]uint64, watermark)}
+	stride := math.MaxUint64 / uint64(len(order)+1)
+	for k, id := range order {
+		lab := (uint64(k+1) * stride) &^ 1
+		if _, ok := tv.atPtr(id).NumericValue(); ok {
+			lab |= 1
+		}
+		nt.labels[id] = lab
 	}
-	d.rankOrder = merged
+	d.rankOrder = order
 	d.ranks.Store(nt)
-	d.labeled.Store(ID(len(merged)))
+	d.labeled.Store(ID(len(order)))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -361,9 +360,6 @@ func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
 			return fmt.Errorf("store: snapshot: dictionary section out of term order at term %d", i)
 		}
 		prev = slot
-		if !d.numericLits.Load() && isNumericLiteral(slot) {
-			d.numericLits.Store(true)
-		}
 		base = append(base, id)
 	}
 	if len(payload) != 0 {
@@ -375,14 +371,7 @@ func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
 	// Seed the rank table from the already-sorted base (same floor as
 	// maybeBuildRanks: tiny stores merge fine on string compares).
 	if termCount >= rankMinTerms {
-		nt := &rankTable{labels: make([]uint64, watermark)}
-		stride := math.MaxUint64 / uint64(termCount+1)
-		for k, id := range base {
-			nt.labels[id] = uint64(k+1) * stride
-		}
-		d.rankOrder = base
-		d.ranks.Store(nt)
-		d.labeled.Store(uint32(termCount))
+		d.publishRanks(d.view(), base, watermark)
 	}
 	return nil
 }
