@@ -7,8 +7,8 @@
 #   make fuzz           - short fuzz smokes of the SPARQL parser, the
 #                         ORDER BY rank labels, the Jaro-Winkler kernel,
 #                         the residual-bin trigram index, the two-tier
-#                         similarity search and the completion suffix
-#                         array (same jobs CI runs)
+#                         similarity search, the completion suffix
+#                         array and WAL replay (same jobs CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
@@ -18,8 +18,9 @@
 #                         PRs are judged by)
 #   make vet            - stock go vet only
 #   make lint           - sapphire-vet: stock go vet plus the repo's own
-#                         contract analyzers (pinlock, atomicfield, errcode,
-#                         unchecked, testonly — see docs/STATIC_ANALYSIS.md)
+#                         contract analyzers (pinlock, atomicfield: no
+#                         function-form sync/atomic call, errcode, unchecked,
+#                         testonly — see docs/STATIC_ANALYSIS.md)
 
 GO ?= go
 
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSimilar' -fuzztime=30s
 	$(GO) test ./internal/suffixtree/ -run '^$$' -fuzz 'FuzzSuffixSearch' -fuzztime=30s
+	$(GO) test ./internal/store/persist/ -run '^$$' -fuzz 'FuzzReplayWAL' -fuzztime=30s
 
 crashtest:
 	SAPPHIRE_CRASH_SEEDS=512 $(GO) test ./internal/store/persist/ -run 'TestCrashRecoveryProperty' -v -timeout=30m

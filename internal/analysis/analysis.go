@@ -11,9 +11,9 @@
 //     PinRead and its release, calls that acquire store or dictionary
 //     locks deadlock once a writer queues on the RWMutex
 //     (internal/store/doc.go, "ID-level API contract").
-//   - atomicfield: a struct field accessed through sync/atomic
-//     anywhere must be accessed through sync/atomic everywhere; one
-//     plain load or store next to an atomic one is a data race.
+//   - atomicfield: no call of a package-level sync/atomic function;
+//     atomics are typed (atomic.Uint64, atomic.Pointer[T]), so a
+//     plain load or store next to an atomic one cannot compile.
 //   - errcode: the HTTP error-envelope code set is closed — string
 //     literals flowing into a `code` position must belong to the
 //     declared Code* constants, and every declared code must appear in

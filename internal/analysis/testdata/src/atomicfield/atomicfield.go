@@ -1,48 +1,15 @@
 // Package atomicfield is the golden fixture for the atomicfield
-// analyzer: fields mixing sync/atomic and plain access.
+// analyzer: a function-form sync/atomic call and a typed atomic.
 package atomicfield
 
 import "sync/atomic"
 
 type counters struct {
-	epoch uint64 // accessed atomically → must be atomic everywhere
-	plain uint64 // never accessed atomically → free to use plainly
+	plain uint64
+	typed atomic.Uint64
 }
 
 func (c *counters) bump() {
-	atomic.AddUint64(&c.epoch, 1)
+	atomic.AddUint64(&c.plain, 1) // want `call of sync/atomic.AddUint64`
+	c.typed.Add(1)
 }
-
-func (c *counters) loadOK() uint64 {
-	return atomic.LoadUint64(&c.epoch)
-}
-
-func (c *counters) casOK() bool {
-	return atomic.CompareAndSwapUint64(&c.epoch, 0, 1)
-}
-
-func (c *counters) readRace() uint64 {
-	return c.epoch // want `field epoch is accessed via sync/atomic`
-}
-
-func (c *counters) writeRace() {
-	c.epoch = 0 // want `field epoch is accessed via sync/atomic`
-}
-
-func (c *counters) aliasRace() *uint64 {
-	return &c.epoch // want `field epoch is accessed via sync/atomic`
-}
-
-func (c *counters) plainIsFine() uint64 {
-	c.plain++
-	return c.plain
-}
-
-// Typed atomics need no analysis: the type system already forbids
-// plain access.
-type published struct {
-	spine atomic.Pointer[[]int]
-}
-
-func (p *published) swap(v *[]int) { p.spine.Store(v) }
-func (p *published) get() *[]int   { return p.spine.Load() }

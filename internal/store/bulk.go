@@ -9,12 +9,10 @@ import (
 	"sapphire/internal/rdf"
 )
 
-// BulkLoader is the staged bulk-load path into a Store. The incremental
-// Add keeps every index key slice term-sorted with a binary-search
-// insertion, which costs an O(n) memmove per new key — fine for the
-// online path, quadratic-ish for loading millions of triples at once
-// (datagen, bootstrap, N-Triples ingestion). The loader splits loading
-// into two stages instead:
+// BulkLoader is the store's write path. Store.AddAll commits through a
+// loader and Store.Add commits a one-triple batch through the same
+// commitBatch, so every insert, online or bulk, builds the indexes the
+// same way. Loading splits into two stages:
 //
 //  1. Add/AddAll intern terms into the store's dictionary and buffer
 //     the triples as packed 12-byte ID tuples. The store lock is not
@@ -26,25 +24,18 @@ import (
 //     observe a partially built index: a batch becomes visible all at
 //     once.
 //
-// Interleaving online Add calls with a staged load is safe; whichever
-// inserts a triple first wins the dedup.
+// Interleaving Store.Add calls with a staged load is safe; whichever
+// commits a triple first wins the dedup.
 //
 // A loader is safe for concurrent use by multiple goroutines and can be
-// reused: Commit drains the buffer, so alternating Add/Commit phases
-// load in stages while keeping peak buffer memory bounded.
-//
-// The staging buffer is capped: once it reaches the auto-commit
-// threshold (DefaultAutoCommit triples unless overridden with
-// SetAutoCommitThreshold), the loader commits inline, so a caller that
-// streams an arbitrarily large dump through Add/AddAll without ever
-// calling Commit still sees bounded loader memory. Callers that need
-// strict all-at-once visibility of a batch must keep the batch under
-// the threshold (or raise it).
+// reused: Commit drains the buffer. Nothing is visible before Commit,
+// so the buffer grows with what is staged; a caller streaming unbounded
+// input commits periodically, as LoadNTriples does.
 type BulkLoader struct {
 	s *Store
 
-	// mu guards buf and autoCommit; the loader deliberately has its own
-	// lock so staging contends with nothing but other stagers.
+	// mu guards buf; the loader deliberately has its own lock so
+	// staging contends with nothing but other stagers.
 	mu sync.Mutex
 
 	// buf holds the staged triples as packed ID tuples, in arrival
@@ -52,10 +43,6 @@ type BulkLoader struct {
 	// innermost slices, so a bulk load is observationally identical to
 	// sequential Add.
 	buf [][3]ID
-
-	// autoCommit is the staged-triple count at which Add/AddAll commit
-	// inline; <= 0 disables the cap.
-	autoCommit int
 
 	// Reusable scratch for the batched intern path: the flattened terms
 	// of one AddAll chunk and their assigned IDs. Guarded by mu.
@@ -68,25 +55,9 @@ type BulkLoader struct {
 // terms, small enough to keep the scratch buffers modest.
 const internChunk = 4096
 
-// DefaultAutoCommit is the staged-buffer cap a new BulkLoader starts
-// with: 1M staged triples ≈ 12 MB of packed IDs, while each commit
-// still amortizes its key-slice sorts over a large batch.
-const DefaultAutoCommit = 1 << 20
-
-// NewBulkLoader returns a bulk loader staging into s with the
-// DefaultAutoCommit buffer cap.
+// NewBulkLoader returns a bulk loader staging into s.
 func NewBulkLoader(s *Store) *BulkLoader {
-	return &BulkLoader{s: s, autoCommit: DefaultAutoCommit}
-}
-
-// SetAutoCommitThreshold changes the staged-triple count at which the
-// loader commits inline. n <= 0 disables auto-commit entirely, restoring
-// the unbounded stage-until-Commit behavior (the caller then owns the
-// buffer growth).
-func (l *BulkLoader) SetAutoCommitThreshold(n int) {
-	l.mu.Lock()
-	l.autoCommit = n
-	l.mu.Unlock()
+	return &BulkLoader{s: s}
 }
 
 // Add stages one triple. It returns an error if the triple violates RDF
@@ -99,7 +70,6 @@ func (l *BulkLoader) Add(tr rdf.Triple) error {
 	si, pi, oi := l.s.dict.internTriple(tr)
 	l.mu.Lock()
 	l.buf = append(l.buf, [3]ID{si, pi, oi})
-	l.maybeAutoCommitLocked()
 	l.mu.Unlock()
 	return nil
 }
@@ -137,7 +107,6 @@ func (l *BulkLoader) AddAll(triples []rdf.Triple) error {
 		l.ids = d.internAll(l.terms, l.ids[:0])
 		for i := range chunk {
 			l.buf = append(l.buf, [3]ID{l.ids[3*i], l.ids[3*i+1], l.ids[3*i+2]})
-			l.maybeAutoCommitLocked()
 		}
 		if err != nil {
 			return err
@@ -147,27 +116,12 @@ func (l *BulkLoader) AddAll(triples []rdf.Triple) error {
 	return nil
 }
 
-// maybeAutoCommitLocked commits inline when the staged buffer has
-// reached the auto-commit threshold. Caller must hold l.mu; concurrent
-// readers observe the flushed batch all-or-nothing exactly as with an
-// explicit Commit.
-func (l *BulkLoader) maybeAutoCommitLocked() {
-	if l.autoCommit > 0 && len(l.buf) >= l.autoCommit {
-		l.commitLocked()
-	}
-}
-
 // Commit publishes every staged triple into the store and drains the
 // buffer, returning how many were new (staged duplicates and triples
 // already present don't count).
 func (l *BulkLoader) Commit() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.commitLocked()
-}
-
-// commitLocked is Commit's body; caller must hold l.mu.
-func (l *BulkLoader) commitLocked() int {
 	if len(l.buf) == 0 {
 		return 0
 	}
@@ -201,19 +155,24 @@ func (s *Store) commitBatch(tv termView, batch [][3]ID) int {
 	return len(fresh)
 }
 
+// loadCommitEvery is how many staged triples LoadNTriples buffers
+// before it commits: 1M staged triples ≈ 12 MB of packed IDs, while
+// each commit still amortizes its key-slice sorts over a large batch.
+const loadCommitEvery = 1 << 20
+
 // LoadNTriples streams an N-Triples document into s through a
 // BulkLoader without materializing the document as a []rdf.Triple:
 // triples are staged in chunks as they parse (12 bytes each once
-// interned), and the loader's auto-commit cap (DefaultAutoCommit)
-// flushes the staging buffer periodically, so peak loader memory stays
-// bounded no matter the dump size. This is the ingestion path for large
-// dumps; both the public facade and the bootstrap warehouse builders
-// route through it.
+// interned) and committed every loadCommitEvery triples, so peak
+// loader memory stays bounded no matter the dump size. This is the
+// ingestion path for large dumps; both the public facade and the
+// bootstrap warehouse builders route through it.
 func LoadNTriples(s *Store, r io.Reader) error {
 	const chunk = 8192
 	l := NewBulkLoader(s)
 	rd := rdf.NewReader(r)
 	buf := make([]rdf.Triple, 0, chunk)
+	staged := 0
 	for {
 		tr, err := rd.Read()
 		if err == io.EOF {
@@ -228,6 +187,10 @@ func LoadNTriples(s *Store, r io.Reader) error {
 				return err
 			}
 			buf = buf[:0]
+			if staged += chunk; staged >= loadCommitEvery {
+				l.Commit()
+				staged = 0
+			}
 		}
 	}
 	if err := l.AddAll(buf); err != nil {
@@ -243,8 +206,8 @@ func LoadNTriples(s *Store, r io.Reader) error {
 // which groups every map key into one consecutive run: each entry is
 // probed once per run instead of once per triple, new innermost slices
 // are allocated at exact size, and the arrival-order tiebreaker keeps
-// the innermost insertion order identical to sequential Add. Each key
-// slice that grew is re-sorted exactly once, as is (for sortedInner
+// the innermost insertion order identical to one Add per triple. Each
+// key slice that grew is merged exactly once, as is (for sortedInner
 // indexes) each innermost list that grew. Runs under the store's write
 // lock, so the transient unsorted tails are never observable.
 func (x *index) bulkBuild(tv termView, fresh [][3]ID, ai, bi, ci int) {
@@ -308,8 +271,9 @@ func (x *index) bulkBuild(tv termView, fresh [][3]ID, ai, bi, ci int) {
 
 // smallTail is the appended-key count below which the tail-merge
 // helpers insert into the sorted prefix instead of re-sorting the whole
-// slice, so a small AddAll batch against a large store costs what the
-// incremental Add path would, not a full re-sort of every key.
+// slice, so a small batch against a large store (every Store.Add is a
+// one-triple batch) pays one binary-search insertion per new key, not a
+// full re-sort of every key.
 const smallTail = 16
 
 // mergeTail restores term order on a key slice whose first orig

@@ -154,7 +154,7 @@ func (d *dict) internLocked(t rdf.Term) ID {
 // ensureCovers grows the published spine until the chunk holding id
 // exists. Only chunk pointers are copied; chunk contents stay in place,
 // so readers holding an older spine lose nothing. Caller must hold d.mu
-// for writing (or own the dictionary exclusively, as restore does).
+// for writing.
 func (d *dict) ensureCovers(id ID) {
 	cur := *d.spine.Load()
 	want := int(id>>chunkShift) + 1
@@ -267,10 +267,11 @@ func (v termView) atPtr(id ID) *rdf.Term {
 // OSP): a level-one key → entry map plus the level-one keys maintained
 // in term order, so wildcard iteration never sorts. Level one keeps the
 // map probe per key (a level-one insert memmoves the keys slice, and a
-// parallel pointer slice would triple the bytes every online Add
+// parallel pointer slice would triple the bytes every one-triple commit
 // shifts); level two instead pairs its keys with a parallel inner-list
 // pointer slice, because that is the level the wildcard loops and the
-// snapshot writer walk key-by-key.
+// snapshot writer walk key-by-key. Commits maintain all of it
+// (index.bulkBuild).
 //
 // sortedInner additionally keeps the innermost ID lists term-sorted
 // (the POS permutation sets it), so (?s P O) and (?s P ?o) stream
@@ -304,55 +305,4 @@ func (e *entry) get(b ID) []ID {
 
 func newIndex(sortedInner bool) index {
 	return index{m: make(map[ID]*entry), sortedInner: sortedInner}
-}
-
-// add records the (a, b, c) path in the index. The caller guarantees the
-// triple is new (the store dedups via its present set), so c is appended
-// (or, with sortedInner, insertion-sorted) unconditionally. Key slices
-// and their parallel value slices are maintained sorted by term order
-// with a binary-search insertion: Add is the cold path, Match the hot
-// one. tv is a dictionary view covering every ID involved.
-func (x *index) add(tv termView, a, b, c ID) {
-	e := x.m[a]
-	if e == nil {
-		e = &entry{m: make(map[ID]*[]ID)}
-		x.m[a] = e
-		x.keys = insertSorted(tv, x.keys, a)
-	}
-	lst := e.m[b]
-	if lst == nil {
-		lst = new([]ID)
-		e.m[b] = lst
-		i := searchTerm(tv, e.keys, b)
-		e.keys = insertAt(e.keys, i, b)
-		e.lists = insertAt(e.lists, i, lst)
-	}
-	if x.sortedInner {
-		*lst = insertSorted(tv, *lst, c)
-	} else {
-		*lst = append(*lst, c)
-	}
-	e.total++
-}
-
-// searchTerm returns the term-order insertion position for id in keys.
-func searchTerm(tv termView, keys []ID, id ID) int {
-	t := tv.atPtr(id)
-	return sort.Search(len(keys), func(i int) bool {
-		return tv.atPtr(keys[i]).CompareTo(t) >= 0
-	})
-}
-
-// insertAt inserts v at position i, shifting the tail.
-func insertAt[T any](s []T, i int, v T) []T {
-	var zero T
-	s = append(s, zero)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// insertSorted inserts id into keys keeping term order.
-func insertSorted(tv termView, keys []ID, id ID) []ID {
-	return insertAt(keys, searchTerm(tv, keys, id), id)
 }

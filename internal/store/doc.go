@@ -58,8 +58,9 @@
 //   - IDs are append-only: assigned from 1 upward, never reused, never
 //     remapped. An ID observed once remains valid for the life of the
 //     store, so IDs can be cached across queries. A snapshot restore
-//     keeps only referenced terms, leaving holes, and nothing may
-//     assume ID order relates to term or arrival order. The converse
+//     keeps only referenced terms, leaving holes, and resumes
+//     allocating after the largest restored ID; nothing may assume ID
+//     order relates to term or arrival order. The converse
 //     does not hold either: an ID (and a successful Lookup) may exist
 //     for a term whose triples are still staged in a BulkLoader, or
 //     were never committed at all — pattern matches and counts for
@@ -72,14 +73,15 @@
 //     takes a lock, precisely so callbacks can resolve terms
 //     mid-iteration.
 //
-// # Bulk loading
+// # One write path
 //
-// Add keeps the sorted-key invariant with a binary-search insertion —
-// an O(n) memmove per new key, fine online, quadratic-ish for loading
-// datasets. BulkLoader (bulk.go) is the staged path: Add/AddAll intern
-// and buffer packed ID triples without taking the store lock (AddAll
-// interns in chunks, one dictionary lock acquisition per chunk), Commit
-// builds the indexes for the batch grouped by key and sorts each
-// touched key slice exactly once, under the write lock. Store.AddAll
-// routes through it automatically.
+// Every insert is a batch commit. BulkLoader (bulk.go) stages: its
+// Add/AddAll intern and buffer packed ID triples without taking the
+// store lock (AddAll interns in chunks, one dictionary lock acquisition
+// per chunk), and Commit builds the indexes for the batch grouped by
+// key under the write lock, restoring term order on each touched key
+// slice once. Store.AddAll commits through a loader, and Store.Add
+// commits a one-triple batch, so a single insert binary-search-inserts
+// its new keys (an O(n) memmove per new key, fine online,
+// quadratic-ish for loading datasets one triple at a time).
 package store

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -112,66 +114,28 @@ func TestEpochReadableDuringWrites(t *testing.T) {
 	}
 }
 
-// TestBulkAutoCommitCapsBuffer drives a loader past its auto-commit
-// threshold without ever calling Commit and checks the ROADMAP
-// contract: the staging buffer never exceeds the cap, and the
-// auto-committed triples are already visible to readers.
-func TestBulkAutoCommitCapsBuffer(t *testing.T) {
-	s := New()
-	l := NewBulkLoader(s)
-	const cap = 64
-	l.SetAutoCommitThreshold(cap)
-
-	for i := 0; i < 10*cap; i++ {
-		l.MustAdd(tri(iri(fmt.Sprintf("s%d", i)), iri("p"), lit(fmt.Sprint(i))))
-		if p := len(l.buf); p > cap {
-			t.Fatalf("pending = %d exceeds auto-commit threshold %d", p, cap)
+// TestLoadNTriplesBoundsStaging streams more than loadCommitEvery
+// triples through LoadNTriples and checks that it commits along the
+// way instead of staging the whole document: the first loadCommitEvery
+// lines (one triple, repeated) commit as one batch and the last line
+// as a second, so the epoch moves twice. Staging everything until the
+// end would commit once.
+func TestLoadNTriplesBoundsStaging(t *testing.T) {
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	go func() {
+		w := bufio.NewWriter(pw)
+		for i := 0; i < loadCommitEvery; i++ {
+			w.WriteString("<http://x/a> <http://x/p> <http://x/b> .\n")
 		}
-	}
-	// 10*cap staged, every full cap-sized buffer flushed inline: at most
-	// one partial buffer may still be pending.
-	if got := s.Len() + len(l.buf); got != 10*cap {
-		t.Fatalf("Len+Pending = %d, want %d", got, 10*cap)
-	}
-	if s.Len() < 9*cap {
-		t.Fatalf("auto-commit did not publish: Len = %d", s.Len())
-	}
-
-	// The AddAll path must respect the cap too, even mid-batch.
-	batch := make([]rdf.Triple, 3*cap)
-	for i := range batch {
-		batch[i] = tri(iri(fmt.Sprintf("t%d", i)), iri("p"), lit(fmt.Sprint(i)))
-	}
-	if err := l.AddAll(batch); err != nil {
+		w.WriteString("<http://x/a> <http://x/p> <http://x/c> .\n")
+		pw.CloseWithError(w.Flush())
+	}()
+	s := New()
+	if err := LoadNTriples(s, pr); err != nil {
 		t.Fatal(err)
 	}
-	if p := len(l.buf); p > cap {
-		t.Fatalf("pending after AddAll = %d exceeds threshold %d", p, cap)
-	}
-	l.Commit()
-	if s.Len() != 13*cap {
-		t.Fatalf("Len = %d, want %d", s.Len(), 13*cap)
-	}
-
-	// Disabling the cap restores stage-until-Commit.
-	l.SetAutoCommitThreshold(0)
-	for i := 0; i < 2*cap; i++ {
-		l.MustAdd(tri(iri(fmt.Sprintf("u%d", i)), iri("p"), lit(fmt.Sprint(i))))
-	}
-	if p := len(l.buf); p != 2*cap {
-		t.Fatalf("pending with cap disabled = %d, want %d", p, 2*cap)
-	}
-	l.Commit()
-}
-
-// TestBulkAutoCommitDefault pins the default threshold so callers can
-// rely on ~12 MB peak staging without configuring anything.
-func TestBulkAutoCommitDefault(t *testing.T) {
-	if DefaultAutoCommit != 1<<20 {
-		t.Fatalf("DefaultAutoCommit = %d, want %d", DefaultAutoCommit, 1<<20)
-	}
-	l := NewBulkLoader(New())
-	if l.autoCommit != DefaultAutoCommit {
-		t.Fatalf("new loader threshold = %d, want DefaultAutoCommit", l.autoCommit)
+	if s.Len() != 2 || s.Epoch() != 2 {
+		t.Fatalf("Len = %d, Epoch = %d; want 2 triples in 2 commits", s.Len(), s.Epoch())
 	}
 }

@@ -103,8 +103,9 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppend measures logging one online Add record (encode +
-// frame + append, no fsync).
+// BenchmarkWALAppend measures logging one one-triple batch, the record
+// pair an online /add of one fact writes (encode + frame + append, no
+// fsync).
 func BenchmarkWALAppend(b *testing.B) {
 	triples := genTriples(1 << 16)
 	w, err := createWAL(NewMemFS(), walName(0))
@@ -114,7 +115,8 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.appendAdd(triples[i&(len(triples)-1)]); err != nil {
+		j := i & (len(triples) - 1)
+		if err := w.appendBatch(triples[j : j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}

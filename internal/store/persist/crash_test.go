@@ -11,7 +11,7 @@ import (
 )
 
 // Crash-recovery property test. A deterministic script of mutations
-// (bulk batches, online adds, explicit snapshots) runs against a
+// (bulk batches, one-triple batches, explicit snapshots) runs against a
 // fault-injecting filesystem that kills the process at a chosen byte
 // offset of the cumulative write stream — failing cleanly, tearing the
 // write, or silently flipping a bit. After every injected crash the
@@ -25,7 +25,7 @@ import (
 
 // crashOp is one scripted mutation.
 type crashOp struct {
-	kind    byte // 'B' batch, 'A' add, 'S' snapshot
+	kind    byte // 'B' batch, 'A' one-triple batch, 'S' snapshot
 	triples []rdf.Triple
 }
 
@@ -64,10 +64,8 @@ func runScript(db *DB, ops []crashOp) (completed int, failed error) {
 	for _, op := range ops {
 		var err error
 		switch op.kind {
-		case 'B':
+		case 'B', 'A':
 			err = db.AddAll(op.triples)
-		case 'A':
-			_, err = db.Add(op.triples[0])
 		case 'S':
 			_, err = db.Snapshot()
 		}
@@ -182,7 +180,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 
 			// The recovered store must be fully usable.
-			if _, err := rec.Add(tr("post-recovery", "p", "v")); err != nil {
+			if err := rec.AddAll([]rdf.Triple{tr("post-recovery", "p", "v")}); err != nil {
 				t.Fatalf("%s: Add after recovery: %v", name, err)
 			}
 			rec.Close()

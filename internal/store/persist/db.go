@@ -84,8 +84,9 @@ type manifest struct {
 type FsyncPolicy int
 
 const (
-	// FsyncAlways syncs after every logged mutation: no committed
-	// mutation is ever lost, at the price of a disk round-trip per Add.
+	// FsyncAlways syncs after every logged batch: no committed
+	// mutation is ever lost, at the price of a disk round-trip per
+	// AddAll.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs on a timer (Options.FsyncInterval): a crash
 	// loses at most the last interval's mutations.
@@ -374,37 +375,9 @@ func (db *DB) Store() *store.Store {
 	return db.store
 }
 
-// Add durably logs one triple, then applies it. The triple is in the
-// WAL before the store ever sees it.
-//
-//sapphire:allow testonly the single-triple opAdd WAL record is written only here and replayed by recovery; the crash-recovery property test drives it, and dropping it is a WAL format change
-func (db *DB) Add(tr rdf.Triple) (bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return false, fmt.Errorf("persist: DB is closed")
-	}
-	if !tr.Valid() {
-		return false, fmt.Errorf("persist: invalid triple")
-	}
-	if err := db.wal.appendAdd(tr); err != nil {
-		return false, err
-	}
-	if db.opts.Fsync == FsyncAlways {
-		if err := db.wal.sync(); err != nil {
-			return false, err
-		}
-	}
-	added, err := db.store.Add(tr)
-	if err != nil {
-		return added, err
-	}
-	db.walTriples++
-	return added, db.maybeSnapshotLocked()
-}
-
 // AddAll durably logs a batch (chunked records plus a commit marker),
-// then applies it through the bulk loader. On replay the batch is
+// then applies it as one store commit. It is the DB's only logged
+// write; a single triple is a one-triple batch. On replay the batch is
 // all-or-nothing: without its commit marker on disk, none of it
 // survives.
 func (db *DB) AddAll(triples []rdf.Triple) error {
@@ -429,12 +402,9 @@ func (db *DB) AddAll(triples []rdf.Triple) error {
 			return err
 		}
 	}
-	bl := store.NewBulkLoader(db.store)
-	bl.SetAutoCommitThreshold(0)
-	if err := bl.AddAll(triples); err != nil {
+	if err := db.store.AddAll(triples); err != nil {
 		return err
 	}
-	bl.Commit()
 	db.walTriples += len(triples)
 	return db.maybeSnapshotLocked()
 }

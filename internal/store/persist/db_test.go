@@ -62,11 +62,13 @@ func TestDBRoundTrip(t *testing.T) {
 	if err := db.AddAll(batch("bulk", 500)); err != nil {
 		t.Fatal(err)
 	}
-	if added, err := db.Add(tr("online", "p", "v")); err != nil || !added {
-		t.Fatalf("Add = (%v, %v)", added, err)
-	}
-	if added, err := db.Add(tr("online", "p", "v")); err != nil || added {
-		t.Fatalf("duplicate Add = (%v, %v)", added, err)
+	for i := 0; i < 2; i++ { // the second is a duplicate: logged, not added
+		if err := db.AddAll([]rdf.Triple{tr("online", "p", "v")}); err != nil {
+			t.Fatal(err)
+		}
+		if n := db.Store().Len(); n != 501 {
+			t.Fatalf("Len after one-triple AddAll #%d = %d, want 501", i+1, n)
+		}
 	}
 	want := dumpStore(t, db.Store())
 	if err := db.Close(); err != nil {
@@ -97,7 +99,7 @@ func TestDBSnapshotAndReopen(t *testing.T) {
 		t.Fatalf("generation = %d, want 1", db.Generation())
 	}
 	// Post-snapshot mutations land in the new WAL.
-	if _, err := db.Add(tr("after", "p", "v")); err != nil {
+	if err := db.AddAll([]rdf.Triple{tr("after", "p", "v")}); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpStore(t, db.Store())
@@ -224,7 +226,7 @@ func TestRecoveryFallbackToOlderGeneration(t *testing.T) {
 	if _, err := db.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Add(tr("tail", "p", "v")); err != nil {
+	if err := db.AddAll([]rdf.Triple{tr("tail", "p", "v")}); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpStore(t, db.Store())
@@ -274,7 +276,7 @@ func TestTornWALTailTruncated(t *testing.T) {
 	}
 	// The truncated WAL must accept appends again and survive another
 	// restart.
-	if _, err := db2.Add(tr("post-truncate", "p", "v")); err != nil {
+	if err := db2.AddAll([]rdf.Triple{tr("post-truncate", "p", "v")}); err != nil {
 		t.Fatal(err)
 	}
 	want = dumpStore(t, db2.Store())
@@ -338,7 +340,7 @@ func TestSnapshotEvery(t *testing.T) {
 	fs := NewMemFS()
 	db, _ := mustOpen(t, fs, Options{Fsync: FsyncAlways, SnapshotEvery: 100})
 	for i := 0; i < 250; i++ {
-		if _, err := db.Add(tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("v%d", i))); err != nil {
+		if err := db.AddAll([]rdf.Triple{tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("v%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,7 +449,7 @@ func TestOSFS(t *testing.T) {
 	if _, err := db.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Add(tr("tail", "p", "v")); err != nil {
+	if err := db.AddAll([]rdf.Triple{tr("tail", "p", "v")}); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpStore(t, db.Store())
@@ -468,7 +470,7 @@ func TestOSFS(t *testing.T) {
 	}
 }
 
-// TestDBConcurrent races Adds, AddAlls, snapshots, and readers through
+// TestDBConcurrent races one-triple AddAlls, snapshots, and readers through
 // the DB; run under -race. The DB serializes mutations, the store
 // serves concurrent reads, and the final state must survive a restart.
 func TestDBConcurrent(t *testing.T) {
@@ -480,7 +482,7 @@ func TestDBConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, err := db.Add(tr(fmt.Sprintf("w%d-s%d", w, i), "p", "v")); err != nil {
+				if err := db.AddAll([]rdf.Triple{tr(fmt.Sprintf("w%d-s%d", w, i), "p", "v")}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -16,6 +16,8 @@ import (
 //	records: u32 payloadLen | u32 crc32c(payload) | payload
 //	payload: u8 op | body
 //	  opAdd    (1): one binary triple — applied immediately on replay.
+//	                Read only: earlier builds wrote it for single-triple
+//	                adds; this build logs every write as a batch.
 //	  opBatch  (2): u32 count | count binary triples — buffered on
 //	                replay, applied only when a commit marker follows.
 //	  opCommit (3): empty — applies all buffered batches atomically
@@ -136,13 +138,6 @@ func (w *wal) flush() error {
 	return nil
 }
 
-func (w *wal) appendAdd(tr rdf.Triple) error {
-	p := make([]byte, 0, 128)
-	p = append(p, opAdd)
-	p = rdf.AppendTriple(p, tr)
-	return w.appendRecord(p)
-}
-
 // appendBatch logs triples as chunked opBatch records followed by one
 // opCommit marker.
 func (w *wal) appendBatch(triples []rdf.Triple) error {
@@ -214,7 +209,6 @@ func replayWAL(fs FS, name string, s *store.Store) (walReplay, error) {
 	// Batches buffer through a dedicated loader and only reach the
 	// store when their commit marker proves they were fully logged.
 	bl := store.NewBulkLoader(s)
-	bl.SetAutoCommitThreshold(0)
 	pendingBytes := off // start of the oldest unapplied batch record
 
 	for int64(len(data))-off >= 8 {

@@ -19,7 +19,7 @@ import (
 // index permutations as CSR-style (key, level-2 key, inner-list) runs,
 // in the term-sorted order the live indexes already maintain. Because
 // restore preserves dictionary IDs exactly (terms are re-inserted under
-// their snapshotted IDs and the allocator watermark is restored), every
+// their snapshotted IDs and the allocator resumes above them), every
 // sorted key slice comes back byte-identical without a single sort or
 // term comparison — restoring a snapshot costs decode + map
 // construction, nothing else. That is what
@@ -320,10 +320,14 @@ func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 }
 
 // restore rebuilds the dictionary from a snapshot dictionary section:
-// every term goes back in under its snapshotted ID, and the
-// allocator watermark is restored, so IDs assigned after the restore
-// never collide with snapshotted ones. Single-threaded (the store is
-// not yet published); no locks are taken.
+// every term goes back in under its snapshotted ID, and the allocator
+// resumes after the largest of them, so IDs assigned after the restore
+// never collide with snapshotted ones. IDs between it and the header's
+// watermark are compaction holes that no triple references. Nothing is
+// sized by a header field before the section bounds it: the term count
+// must fit the section, and the spine grows only as far as the decoded
+// IDs reach. Single-threaded (the store is not yet published); no locks
+// are taken.
 //
 // The section arrives in strictly ascending term order (enforced here),
 // so restore does not populate the intern map at all: the
@@ -336,10 +340,15 @@ func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 // O(n) too — a restored store starts with every term labeled, where a
 // re-ingested one pays a full sort on its first rank build.
 func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
-	d.ensureCovers(watermark - 1)
+	// An entry is at least a u32 ID plus a kind byte and three empty
+	// length prefixes.
+	if termCount > len(payload)/8 {
+		return fmt.Errorf("store: snapshot: %d dictionary terms do not fit a %d-byte section", termCount, len(payload))
+	}
 	spine := *d.spine.Load()
 	base := make([]ID, 0, termCount)
 	var prev *rdf.Term
+	top := Wildcard
 	for i := 0; i < termCount; i++ {
 		if len(payload) < 4 {
 			return fmt.Errorf("store: snapshot: dictionary section truncated at term %d", i)
@@ -354,6 +363,10 @@ func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
 		if id == Wildcard || id >= watermark {
 			return fmt.Errorf("store: snapshot: dictionary ID %d out of range", id)
 		}
+		for int(id>>chunkShift) >= len(spine) {
+			spine = append(spine, new(termChunk))
+		}
+		top = max(top, id)
 		slot := &spine[id>>chunkShift][id&chunkMask]
 		*slot = t
 		if prev != nil && prev.CompareTo(slot) >= 0 {
@@ -365,13 +378,14 @@ func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
 	if len(payload) != 0 {
 		return fmt.Errorf("store: snapshot: %d trailing bytes in dictionary section", len(payload))
 	}
+	d.spine.Store(&spine)
 	d.base = base
-	d.next.Store(watermark)
+	d.next.Store(top + 1)
 	d.terms.Store(uint32(termCount))
 	// Seed the rank table from the already-sorted base (same floor as
 	// maybeBuildRanks: tiny stores merge fine on string compares).
 	if termCount >= rankMinTerms {
-		d.publishRanks(d.view(), base, watermark)
+		d.publishRanks(d.view(), base, top+1)
 	}
 	return nil
 }

@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,6 +198,46 @@ func TestSnapshotCorruption(t *testing.T) {
 	for n := 0; n < len(data); n++ {
 		if _, _, err := RestoreSnapshotBytes(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
+		}
+	}
+}
+
+// TestSnapshotHeaderSizesNothing crafts headers whose watermark or term
+// count claims 2^32-1, re-sealing the header CRC so that only the field
+// itself lies. Restore must fail, or restore the true store and take
+// an Add, within a few MB: nothing may be sized by a header field
+// before the file bounds it.
+func TestSnapshotHeaderSizesNothing(t *testing.T) {
+	s := New()
+	for i := 0; i < 3; i++ {
+		s.MustAdd(tri(iri(fmt.Sprintf("s%d", i)), iri("p"), lit(fmt.Sprint(i))))
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := dump(t, s)
+	for _, field := range []struct {
+		name string
+		off  int
+	}{{"watermark", 32}, {"terms", 36}} {
+		snap := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(snap[field.off:], math.MaxUint32)
+		binary.LittleEndian.PutUint32(snap[40:], crc32.Checksum(snap[:40], castagnoli))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, _, err := RestoreSnapshotBytes(snap)
+		var got []byte
+		if err == nil {
+			got = dump(t, r)
+			r.MustAdd(tri(iri("new"), iri("p"), lit("new")))
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<20 {
+			t.Errorf("%s = 2^32-1: restore and one Add allocated %d bytes", field.name, n)
+		}
+		if err == nil && (!bytes.Equal(got, want) || r.Len() != s.Len()+1) {
+			t.Errorf("%s = 2^32-1: restored a different store:\n%s", field.name, got)
 		}
 	}
 }

@@ -51,31 +51,15 @@ func New() *Store {
 func NewSharded(int) *Store { return New() }
 
 // Add inserts a triple. It returns an error if the triple violates RDF
-// positional rules, and reports whether the triple was newly added.
+// positional rules, and reports whether the triple was newly added. It
+// is a one-triple batch commit: the same path as BulkLoader.Commit,
+// whose small-tail merge inserts each new key into its sorted slice.
 func (s *Store) Add(tr rdf.Triple) (bool, error) {
 	if !tr.Valid() {
 		return false, fmt.Errorf("store: invalid triple %s", tr)
 	}
 	si, pi, oi := s.dict.internTriple(tr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.present[[3]ID{si, pi, oi}]; dup {
-		return false, nil
-	}
-	s.addLocked(s.dict.view(), si, pi, oi)
-	return true, nil
-}
-
-// addLocked inserts a fresh (non-duplicate, pre-checked) triple into the
-// three indexes and bumps the counters. Caller must hold the write lock
-// and have verified the triple is not in present.
-func (s *Store) addLocked(tv termView, si, pi, oi ID) {
-	s.present[[3]ID{si, pi, oi}] = struct{}{}
-	s.spo.add(tv, si, pi, oi)
-	s.pos.add(tv, pi, oi, si)
-	s.osp.add(tv, oi, si, pi)
-	s.size++
-	s.epoch.Add(1)
+	return s.commitBatch(s.dict.view(), [][3]ID{{si, pi, oi}}) == 1, nil
 }
 
 // Epoch returns the store's mutation epoch: a monotonic counter that
@@ -97,10 +81,10 @@ func (s *Store) Epoch() uint64 {
 }
 
 // AddAll inserts all triples, stopping at the first invalid one (valid
-// triples before it are still inserted). It routes through the staged
-// bulk-load path, so each index key slice is sorted once per batch
-// instead of insertion-sorted per new key — use it (or a BulkLoader
-// directly) for anything bigger than a handful of triples.
+// triples before it are still inserted) as one commit, so each index
+// key slice is sorted once per batch instead of once per Add — use it
+// (or a BulkLoader directly) for anything bigger than a handful of
+// triples.
 func (s *Store) AddAll(triples []rdf.Triple) error {
 	l := NewBulkLoader(s)
 	err := l.AddAll(triples)
@@ -169,45 +153,24 @@ func (s *Store) Match(sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
 	// so one view covers the whole iteration (terms are interned
 	// strictly before their triples become visible). Bound positions
 	// match only their own ID, so their term comes straight from the
-	// pattern — only wildcard positions resolve per row. The two
-	// hottest wildcard-subject shapes get branch-free callbacks; the
-	// generic form selects per-field source pointers.
+	// pattern — only wildcard positions resolve per row.
 	var tv termView
-	switch {
-	case si == Wildcard && pi != Wildcard && oi == Wildcard:
-		// (?s P ?o): the POS sweep.
-		s.MatchIDs(si, pi, oi, func(a, _, c ID) bool {
-			if tv.chunks == nil {
-				tv = s.dict.view()
-			}
-			return fn(rdf.Triple{S: *tv.atPtr(a), P: pred, O: *tv.atPtr(c)})
-		})
-	case si == Wildcard && pi != Wildcard && oi != Wildcard:
-		// (?s P O): subject runs for one predicate/object pair.
-		s.MatchIDs(si, pi, oi, func(a, _, _ ID) bool {
-			if tv.chunks == nil {
-				tv = s.dict.view()
-			}
-			return fn(rdf.Triple{S: *tv.atPtr(a), P: pred, O: obj})
-		})
-	default:
-		sp, pp, op := &sub, &pred, &obj
-		s.MatchIDs(si, pi, oi, func(a, b, c ID) bool {
-			if tv.chunks == nil {
-				tv = s.dict.view()
-			}
-			if si == Wildcard {
-				sp = tv.atPtr(a)
-			}
-			if pi == Wildcard {
-				pp = tv.atPtr(b)
-			}
-			if oi == Wildcard {
-				op = tv.atPtr(c)
-			}
-			return fn(rdf.Triple{S: *sp, P: *pp, O: *op})
-		})
-	}
+	sp, pp, op := &sub, &pred, &obj
+	s.MatchIDs(si, pi, oi, func(a, b, c ID) bool {
+		if tv.chunks == nil {
+			tv = s.dict.view()
+		}
+		if si == Wildcard {
+			sp = tv.atPtr(a)
+		}
+		if pi == Wildcard {
+			pp = tv.atPtr(b)
+		}
+		if oi == Wildcard {
+			op = tv.atPtr(c)
+		}
+		return fn(rdf.Triple{S: *sp, P: *pp, O: *op})
+	})
 }
 
 // MatchIDs streams every matching triple as a dictionary-ID tuple. A
