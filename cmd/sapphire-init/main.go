@@ -28,8 +28,8 @@ import (
 
 	"sapphire/internal/bootstrap"
 	"sapphire/internal/endpoint"
+	"sapphire/internal/serve"
 	"sapphire/internal/store"
-	"sapphire/internal/store/persist"
 )
 
 func main() {
@@ -65,45 +65,32 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
+	// A local warehouse has no timeouts to dodge; it takes the
+	// straight-line warehouse queries Q9/Q10.
 	var ep endpoint.Endpoint
 	initFn := bootstrap.Initialize
-	if *warehouse {
+	if *warehouse || *url == "" {
 		initFn = bootstrap.InitializeWarehouse
 	}
 	switch {
 	case *dataDir != "":
-		policy, err := persist.ParseFsyncPolicy(*fsync)
+		var seed func(*store.Store) error
+		if *data != "" {
+			seed = func(s *store.Store) error {
+				f, err := os.Open(*data)
+				if err == nil {
+					defer f.Close()
+					err = store.LoadNTriples(s, f)
+				}
+				return err
+			}
+		}
+		db, err := serve.Open(*dataDir, *fsync, 0, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		loadStart := time.Now()
-		db, info, err := persist.Open(*dataDir, persist.Options{Fsync: policy})
-		if err != nil {
-			log.Fatalf("open %s: %v", *dataDir, err)
-		}
 		defer db.Close()
-		st := db.Store()
-		switch {
-		case st.Len() > 0:
-			log.Printf("recovered %d triples from %s (generation %d) in %v",
-				st.Len(), *dataDir, info.Generation, time.Since(loadStart).Round(time.Millisecond))
-		case *data != "":
-			f, err := os.Open(*data)
-			if err != nil {
-				log.Fatalf("open data: %v", err)
-			}
-			err = db.Ingest(func(s *store.Store) error { return store.LoadNTriples(s, f) })
-			f.Close()
-			if err != nil {
-				log.Fatalf("bulk load failed: %v", err)
-			}
-			log.Printf("bulk-loaded and snapshotted %d triples in %v", st.Len(),
-				time.Since(loadStart).Round(time.Millisecond))
-		default:
-			log.Fatalf("data dir %s is empty and no -data dump was given", *dataDir)
-		}
-		ep = endpoint.NewLocal(*dataDir, st, endpoint.Limits{})
-		initFn = bootstrap.InitializeWarehouse
+		ep = endpoint.NewLocal(*dataDir, db.Store(), endpoint.Limits{})
 	case *data != "":
 		f, err := os.Open(*data)
 		if err != nil {
@@ -117,10 +104,7 @@ func main() {
 		}
 		log.Printf("bulk-loaded %d triples in %v", local.Store().Len(),
 			time.Since(loadStart).Round(time.Millisecond))
-		// A local warehouse has no timeouts to dodge; use the
-		// straight-line warehouse queries Q9/Q10.
 		ep = local
-		initFn = bootstrap.InitializeWarehouse
 	default:
 		ep = endpoint.NewClient(*url)
 	}

@@ -7,14 +7,17 @@
 //	POST /query    (body: SPARQL)    → federated execution
 //	POST /suggest  (body: SPARQL)    → QSM suggestions with answer counts
 //	POST /run      (body: SPARQL)    → answers + suggestions in one call
-//	GET  /stats                      → initialization statistics
+//	GET  /stats                      → initialization and serving statistics
+//
+// /sparql, /epoch and /healthz serve the same federation. With -data-dir
+// a durable store joins it as a member, POST /add writes to that store
+// as one WAL-logged batch, and SIGTERM/SIGINT snapshots it on exit.
 package main
 
 import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -23,27 +26,12 @@ import (
 
 	"sapphire"
 	"sapphire/internal/endpoint"
-	"sapphire/internal/sparql"
+	"sapphire/internal/serve"
 	"sapphire/internal/store/persist"
-	"sapphire/internal/webapi"
 )
 
-// fedEndpoint adapts the Sapphire client's federated execution to the
-// endpoint.Endpoint shape NewMux serves.
-type fedEndpoint struct{ client *sapphire.Client }
-
-func (f fedEndpoint) Name() string { return "sapphire-federation" }
-func (f fedEndpoint) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	return f.client.Query(ctx, query)
-}
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
 func main() {
-	var endpoints, cachedEndpoints multiFlag
+	var endpoints, cachedEndpoints []string
 	addr := flag.String("addr", ":8080", "listen address")
 	initTimeout := flag.Duration("init-timeout", 15*time.Minute, "per-endpoint initialization deadline")
 	epochPoll := flag.Duration("fed-epoch-poll", 0,
@@ -53,8 +41,10 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 0,
 		"take an automatic snapshot of the -data-dir store after this many WAL-logged triples (0 = only on shutdown)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy for -data-dir: always | interval | off")
-	flag.Var(&endpoints, "endpoint", "SPARQL endpoint URL to register (repeatable)")
-	flag.Var(&cachedEndpoints, "cached-endpoint", "URL=cachefile pair registering an endpoint from a saved cache (repeatable)")
+	flag.Func("endpoint", "SPARQL endpoint URL to register (repeatable)",
+		func(v string) error { endpoints = append(endpoints, v); return nil })
+	flag.Func("cached-endpoint", "URL=cachefile pair registering an endpoint from a saved cache (repeatable)",
+		func(v string) error { cachedEndpoints = append(cachedEndpoints, v); return nil })
 	flag.Parse()
 	if len(endpoints)+len(cachedEndpoints) == 0 && *dataDir == "" {
 		log.Fatal("at least one -endpoint, -cached-endpoint, or -data-dir is required")
@@ -66,24 +56,10 @@ func main() {
 
 	var db *persist.DB
 	if *dataDir != "" {
-		policy, err := persist.ParseFsyncPolicy(*fsync)
-		if err != nil {
+		var err error
+		if db, err = serve.Open(*dataDir, *fsync, *snapshotEvery, nil); err != nil {
 			log.Fatal(err)
 		}
-		start := time.Now()
-		var info persist.RecoveryInfo
-		db, info, err = persist.Open(*dataDir, persist.Options{
-			Fsync:         policy,
-			SnapshotEvery: *snapshotEvery,
-		})
-		if err != nil {
-			log.Fatalf("open %s: %v", *dataDir, err)
-		}
-		if db.Store().Len() == 0 {
-			log.Fatalf("data dir %s holds no triples; populate it first (sapphire-init -data dump.nt -data-dir %s)", *dataDir, *dataDir)
-		}
-		log.Printf("recovered %d triples from %s (generation %d) in %v",
-			db.Store().Len(), *dataDir, info.Generation, time.Since(start).Round(time.Millisecond))
 		ctx, cancel := context.WithTimeout(context.Background(), *initTimeout)
 		err = client.RegisterEndpoint(ctx, endpoint.NewLocal(*dataDir, db.Store(), endpoint.Limits{}))
 		cancel()
@@ -122,33 +98,12 @@ func main() {
 	log.Printf("cache ready: %d predicates, %d literals (%d significant)",
 		st.PredicateCount, st.LiteralCount, st.SignificantCount)
 
-	// The SPARQL-protocol surface (/sparql, /epoch, /healthz) rides
-	// alongside the JSON web API: queries POSTed to /sparql execute
-	// through the same federation as /query, so protocol-speaking tools
-	// (curl, SPARQL clients) can drive the server without the JSON
-	// wrapper. The federation spans remote members, so /epoch answers
-	// 404 (code "unsupported") — the fedEndpoint is not Epoched.
-	mux := endpoint.NewMux(fedEndpoint{client})
-	mux.Handle("/", webapi.Handler(client))
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	// The client is the served endpoint: /sparql runs the federation,
+	// and /epoch answers 404 (code "unsupported").
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}()
 	log.Printf("Sapphire server on %s", *addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := serve.Run(ctx, *addr, serve.Mux(client, db, client), db); err != nil {
 		log.Fatal(err)
-	}
-	if db != nil {
-		if _, err := db.Snapshot(); err != nil {
-			log.Printf("shutdown snapshot failed (WAL still covers the data): %v", err)
-		}
-		if err := db.Close(); err != nil {
-			log.Printf("close: %v", err)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -14,6 +15,33 @@ func TestPinLockGolden(t *testing.T)     { runWant(t, "pinlock", PinLock) }
 func TestAtomicFieldGolden(t *testing.T) { runWant(t, "atomicfield", AtomicField) }
 func TestErrCodeGolden(t *testing.T)     { runWant(t, "errcode", ErrCode) }
 func TestUncheckedGolden(t *testing.T)   { runWant(t, "unchecked", Unchecked) }
+
+// TestBannedLockMethodsExist keeps pinlock's closed list honest: every
+// name must be a method of an exported type of the real internal/store,
+// so a deleted or renamed store method cannot linger in the list.
+func TestBannedLockMethodsExist(t *testing.T) {
+	pkgs, err := LoadPatterns("../..", "./internal/store")
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("load internal/store: %d packages, %v", len(pkgs), err)
+	}
+	methods := map[string]bool{}
+	scope := pkgs[0].Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+		for i := 0; i < ms.Len(); i++ {
+			methods[ms.At(i).Obj().Name()] = true
+		}
+	}
+	for name := range bannedLockMethods {
+		if !methods[name] {
+			t.Errorf("bannedLockMethods names %s, which no exported type of internal/store has", name)
+		}
+	}
+}
 
 // TestTestOnlyGolden runs testonly over a fixture module: lib is the
 // internal package analyzed, app a non-test package of the same module

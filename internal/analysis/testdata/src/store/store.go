@@ -29,8 +29,6 @@ func (s *Store) Count(sub, pred, obj string) int { return 0 }
 
 func (s *Store) CountIDs(sub, pred, obj uint32) int { return 0 }
 
-func (s *Store) Subjects() []string { return nil }
-
 // Lock-free by construction — the designed callback exception.
 
 func (s *Store) ResolveID(id uint32) string { return "" }

@@ -59,8 +59,8 @@ type Epoched interface {
 }
 
 // StatsReporter is the optional Endpoint extension for serving
-// counters; the webapi stats surface aggregates these across all
-// registered endpoints that implement it.
+// counters; the /stats route (internal/serve) reports them for the
+// served endpoint and every federation member that implements it.
 type StatsReporter interface {
 	Stats() Stats
 }

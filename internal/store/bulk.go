@@ -1,8 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -215,15 +217,8 @@ func (x *index) bulkBuild(tv termView, fresh [][3]ID, ai, bi, ci int) {
 	for i, k := range fresh {
 		rows[i] = [4]ID{k[ai], k[bi], k[ci], ID(i)}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		p, q := &rows[i], &rows[j]
-		if p[0] != q[0] {
-			return p[0] < q[0]
-		}
-		if p[1] != q[1] {
-			return p[1] < q[1]
-		}
-		return p[3] < q[3]
+	slices.SortFunc(rows, func(p, q [4]ID) int {
+		return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1]), cmp.Compare(p[3], q[3]))
 	})
 	l1orig := len(x.keys)
 	for i := 0; i < len(rows); {

@@ -577,8 +577,8 @@ func (db *DB) syncLoop() {
 		case <-t.C:
 			db.mu.Lock()
 			if !db.closed && db.wal != nil {
-				// Background flush: a failure here is surfaced by the
-				// next Append's sync rather than crashing the loop.
+				// Background flush: a failure here is sticky on the
+				// WAL, so the next AddAll returns it.
 				_ = db.wal.sync()
 			}
 			db.mu.Unlock()

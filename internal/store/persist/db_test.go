@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -314,6 +316,42 @@ func TestUncommittedBatchDiscarded(t *testing.T) {
 	}
 	if info.TruncatedWALs != 1 {
 		t.Fatalf("TruncatedWALs = %d, want 1 (uncommitted tail)", info.TruncatedWALs)
+	}
+}
+
+// TestFailedAppendIsSticky fails the second record write of a
+// 5 000-triple batch, then lets writes succeed. The records the failed
+// batch already logged must never be committed by a later batch's
+// marker: every later AddAll fails, and a reopen recovers exactly the
+// acknowledged triples.
+func TestFailedAppendIsSticky(t *testing.T) {
+	mem := NewMemFS()
+	ffs := NewFaultFS(mem, FaultOnce, math.MaxInt64, 0)
+	db, _ := mustOpen(t, ffs, Options{Fsync: FsyncAlways})
+	if err := db.AddAll(batch("acked", 10)); err != nil {
+		t.Fatal(err)
+	}
+	big := batch("torn", 5000)
+	first := int64(8 + 5) // frame header, op byte and count of the first record
+	for _, tr := range big[:walBatchChunk] {
+		first += int64(len(rdf.AppendTriple(nil, tr)))
+	}
+	ffs.mu.Lock()
+	ffs.offset = ffs.written + first // the first byte of the second record
+	ffs.mu.Unlock()
+	if err := db.AddAll(big); !errors.Is(err, errFaultInjected) {
+		t.Fatalf("AddAll over the failing write = %v, want the injected fault", err)
+	}
+	if err := db.AddAll([]rdf.Triple{tr("after", "p", "fault")}); !errors.Is(err, errFaultInjected) {
+		t.Errorf("AddAll after a failed append = %v, want the sticky fault", err)
+	}
+	live := dumpStore(t, db.Store())
+	db.Close()
+
+	rec, _ := mustOpen(t, mem, Options{Fsync: FsyncAlways})
+	defer rec.Close()
+	if got := rec.Store().Len(); got != 10 || dumpStore(t, rec.Store()) != live {
+		t.Fatalf("reopen recovered %d triples, want the 10 acknowledged (live %d)", got, strings.Count(live, "\n"))
 	}
 }
 

@@ -147,6 +147,10 @@ const (
 	// otherwise continues normally — silent media corruption that only
 	// checksums can catch.
 	FaultBitFlip
+	// FaultOnce fails the write that reaches the offset without
+	// persisting any of its bytes, then lets every later operation
+	// succeed — a transient I/O error the process lives through.
+	FaultOnce
 )
 
 func (m FaultMode) String() string {
@@ -159,6 +163,8 @@ func (m FaultMode) String() string {
 		return "torn"
 	case FaultBitFlip:
 		return "bitflip"
+	case FaultOnce:
+		return "once"
 	}
 	return fmt.Sprintf("FaultMode(%d)", int(m))
 }
@@ -222,7 +228,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	f.fs.tripped = true
 	k := int(f.fs.offset - start)
 	switch f.fs.mode {
-	case FaultError:
+	case FaultError, FaultOnce:
 		// The op fails cleanly: none of its bytes reach the platter.
 		f.fs.mu.Unlock()
 		return 0, errFaultInjected

@@ -68,6 +68,10 @@ type wal struct {
 	// size tracks bytes logged (including pending), so the DB can
 	// expose WAL growth.
 	size int64
+	// err is the first append, flush or sync failure; every later call
+	// returns it, since a later commit marker would commit what a failed
+	// batch left in the file. Only a new WAL (reopen, snapshot) clears it.
+	err error
 }
 
 // createWAL creates (truncates) a WAL file and writes its magic.
@@ -101,6 +105,9 @@ func openWALAppend(fs FS, name string, size int64) (*wal, error) {
 // records, which replay handles the same way — truncate at the first
 // bad frame.
 func (w *wal) appendRecord(payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	w.buf = w.buf[:0]
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, castagnoli))
@@ -116,7 +123,8 @@ func (w *wal) appendRecord(payload []byte) error {
 	n, err := w.f.Write(w.buf)
 	w.size += int64(n)
 	if err != nil {
-		return fmt.Errorf("persist: appending WAL record: %w", err)
+		w.err = fmt.Errorf("persist: appending WAL record: %w", err)
+		return w.err
 	}
 	return nil
 }
@@ -127,13 +135,14 @@ func (w *wal) appendRecord(payload []byte) error {
 // stream where replay's truncate-at-first-bad-frame recovery handles a
 // lost tail cleanly.
 func (w *wal) flush() error {
-	if len(w.pending) == 0 {
-		return nil
+	if w.err != nil || len(w.pending) == 0 {
+		return w.err
 	}
 	_, err := w.f.Write(w.pending)
 	w.pending = w.pending[:0]
 	if err != nil {
-		return fmt.Errorf("persist: flushing WAL buffer: %w", err)
+		w.err = fmt.Errorf("persist: flushing WAL buffer: %w", err)
+		return w.err
 	}
 	return nil
 }
@@ -164,7 +173,10 @@ func (w *wal) sync() error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		w.err = fmt.Errorf("persist: syncing WAL: %w", err)
+	}
+	return w.err
 }
 
 func (w *wal) close() error {

@@ -384,10 +384,11 @@ func (s *Store) CountIDs(sub, pred, obj ID) int {
 	}
 }
 
-// CardinalityEstimate returns the number of results for a pattern, used
-// by the endpoint cost model and by the federated source selection. With
-// the per-entry totals maintained on insert it is exact for every shape
-// and O(1); it shares the implementation with Count.
+// CardinalityEstimate returns the number of results for a pattern: the
+// sparql planner's join-order estimate, the endpoint's admission check
+// and the SPARQL-by-example baseline's seed choice. With the per-entry
+// totals maintained on insert it is exact for every shape and O(1); it
+// shares the implementation with Count.
 func (s *Store) CardinalityEstimate(sub, pred, obj rdf.Term) int {
 	return s.Count(sub, pred, obj)
 }

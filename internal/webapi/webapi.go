@@ -1,12 +1,12 @@
-// Package webapi exposes a sapphire.Client as the JSON HTTP API served
-// by cmd/sapphire-server — the interface the paper's web UI talks to
-// (Figure 1's client ↔ Sapphire server arrows):
+// Package webapi exposes a sapphire.Client as the JSON HTTP API that
+// internal/serve mounts beside the SPARQL protocol routes whenever it
+// is given a client (cmd/sapphire-server) — the interface the paper's
+// web UI talks to (Figure 1's client ↔ Sapphire server arrows):
 //
 //	GET  /complete?term=...        QCM auto-completions
 //	POST /query    (SPARQL body)   federated execution
 //	POST /suggest  (SPARQL body)   QSM suggestions
 //	POST /run      (SPARQL body)   answers + suggestions
-//	GET  /stats                    initialization statistics
 package webapi
 
 import (
@@ -67,12 +67,6 @@ func Handler(client *sapphire.Client) http.Handler {
 			"suggestions": SuggestionsJSON(sugs),
 		})
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, statsResponse{
-			InitStats: client.Stats(),
-			Serving:   client.ServingStats(r.Context()),
-		})
-	})
 	return mux
 }
 
@@ -92,16 +86,6 @@ func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
 		return "", false
 	}
 	return string(body), true
-}
-
-// statsResponse is the /stats payload: the initialization statistics
-// inlined at the top level (unchanged wire shape for existing clients)
-// plus the live serving counters — federation request count, member
-// epochs, and result-cache hit/miss/evict/coalesced numbers — under
-// "serving".
-type statsResponse struct {
-	sapphire.InitStats
-	Serving sapphire.ServingStats `json:"serving"`
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -162,17 +162,6 @@ func TestSuggestEndpoint(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	srv := apiServer(t)
-	var stats map[string]any
-	if code := getJSON(t, srv.URL+"/stats", &stats); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if stats["PredicateCount"].(float64) == 0 {
-		t.Errorf("stats = %v", stats)
-	}
-}
-
 func TestErrorPaths(t *testing.T) {
 	srv := apiServer(t)
 	// GET on a POST-only route.

@@ -239,19 +239,26 @@ func (c *Client) ServingStats(ctx context.Context) ServingStats {
 		wg.Add(1)
 		go func(i int, ep endpoint.Endpoint) {
 			defer wg.Done()
-			es := EndpointServingStats{Name: ep.Name()}
-			if e, ok := ep.(endpoint.Epoched); ok {
-				es.Epoch, es.EpochKnown = e.Epoch(ctx)
-			}
-			if s, ok := ep.(endpoint.StatsReporter); ok {
-				st := s.Stats()
-				es.Stats = &st
-			}
-			out.Endpoints[i] = es
+			out.Endpoints[i] = EndpointServingStatsOf(ctx, ep)
 		}(i, ep)
 	}
 	wg.Wait()
 	return out
+}
+
+// EndpointServingStatsOf is one endpoint's serving record: its name,
+// its epoch where it reports one (probed with ctx) and its counters
+// where it keeps them.
+func EndpointServingStatsOf(ctx context.Context, ep endpoint.Endpoint) EndpointServingStats {
+	es := EndpointServingStats{Name: ep.Name()}
+	if e, ok := ep.(endpoint.Epoched); ok {
+		es.Epoch, es.EpochKnown = e.Epoch(ctx)
+	}
+	if s, ok := ep.(endpoint.StatsReporter); ok {
+		st := s.Stats()
+		es.Stats = &st
+	}
+	return es
 }
 
 // Complete returns up to k auto-complete suggestions for the term being
@@ -263,6 +270,9 @@ func (c *Client) Complete(term string) []Completion {
 	}
 	return m.Complete(term)
 }
+
+// Name makes the client an endpoint.Endpoint serving its federation.
+func (c *Client) Name() string { return "sapphire-federation" }
 
 // Query executes a SPARQL query across the registered endpoints.
 func (c *Client) Query(ctx context.Context, query string) (*Results, error) {
