@@ -5,7 +5,8 @@
 #                         descend into it, so removed API could break it unseen)
 #   make race           - race-detector pass over the concurrency-sensitive packages
 #   make fuzz           - short fuzz smokes of the SPARQL parser, the
-#                         ORDER BY rank labels, the Jaro-Winkler kernel,
+#                         ORDER BY rank labels, grouped aggregates
+#                         against the reference, the Jaro-Winkler kernel,
 #                         the residual-bin trigram index, the two-tier
 #                         similarity search, the completion suffix
 #                         array and WAL replay (same jobs CI runs)
@@ -55,6 +56,7 @@ race:
 fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzOrderLabelsAgreeWithComparator' -fuzztime=30s
+	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzAggregateAgreesWithReference' -fuzztime=30s
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSimilar' -fuzztime=30s

@@ -21,12 +21,21 @@ import (
 
 // Open opens the durable store in dir under the named fsync policy
 // (always | interval | off), recovering from its newest snapshot and
-// WAL. An empty store is filled through seed and snapshotted; with a
-// nil seed an empty store is an error.
+// WAL. An empty store is filled through seed and snapshotted. With a
+// nil seed, a dir that holds no snapshot is an error, reported before
+// anything is created or changed, and so is a recovered empty store.
 func Open(dir, fsync string, snapshotEvery int, seed func(*store.Store) error) (*persist.DB, error) {
 	policy, err := persist.ParseFsyncPolicy(fsync)
 	if err != nil {
 		return nil, err
+	}
+	unseeded := fmt.Errorf("data dir %s holds no triples; populate it first (sapphire-init -data dump.nt -data-dir %s)", dir, dir)
+	if seed == nil {
+		if ok, err := persist.HasSnapshot(dir); err != nil {
+			return nil, fmt.Errorf("open %s: %w", dir, err)
+		} else if !ok {
+			return nil, unseeded
+		}
 	}
 	start := time.Now()
 	db, info, err := persist.Open(dir, persist.Options{Fsync: policy, SnapshotEvery: snapshotEvery})
@@ -40,7 +49,7 @@ func Open(dir, fsync string, snapshotEvery int, seed func(*store.Store) error) (
 		return db, nil
 	}
 	if seed == nil {
-		err = fmt.Errorf("data dir %s holds no triples; populate it first (sapphire-init -data dump.nt -data-dir %s)", dir, dir)
+		err = unseeded
 	} else if err = db.Ingest(seed); err != nil {
 		err = fmt.Errorf("seed %s: %w", dir, err)
 	}
@@ -89,7 +98,8 @@ type stats struct {
 // Run serves h on addr until ctx ends, then shuts down gracefully:
 // listening stops and in-flight requests get 10 s to finish.
 // Only then, if db is not nil, is the store snapshotted and closed, so
-// no request still running can write behind the shutdown snapshot.
+// no request still running can write behind the shutdown snapshot. The
+// snapshot is skipped when the newest one already holds the store.
 func Run(ctx context.Context, addr string, h http.Handler, db *persist.DB) error {
 	srv := &http.Server{Addr: addr, Handler: h}
 	served := make(chan error, 1)
@@ -102,7 +112,11 @@ func Run(ctx context.Context, addr string, h http.Handler, db *persist.DB) error
 		err = srv.Shutdown(sctx)
 		cancel()
 		<-served // ErrServerClosed: the serving goroutine has exited
-		if db != nil {
+		switch {
+		case db == nil:
+		case db.SnapshotCurrent():
+			log.Printf("shutdown: nothing logged since snapshot generation %d, none written", db.Generation())
+		default:
 			if info, serr := db.Snapshot(); serr != nil {
 				err = errors.Join(err, fmt.Errorf("shutdown snapshot (the WAL still covers the data): %w", serr))
 			} else {

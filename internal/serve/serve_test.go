@@ -3,12 +3,17 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -332,5 +337,94 @@ func TestOpenEmptyWithoutSeed(t *testing.T) {
 	}
 	if _, err := serve.Open(t.TempDir(), "sometimes", 0, seedSmall); err == nil {
 		t.Fatal("Open accepted an unknown fsync policy")
+	}
+}
+
+// TestFailedOpenLeavesDirAsFound: Open with no seed on a missing or
+// empty directory fails and leaves no directory, WAL or snapshot
+// behind, and it removes nothing a directory already held: not the
+// files of a seeding still under way in another process, and not a
+// dangling symlink.
+func TestFailedOpenLeavesDirAsFound(t *testing.T) {
+	root := t.TempDir()
+	missing := filepath.Join(root, "a", "b")
+	if db, err := serve.Open(missing, "always", 0, nil); err == nil {
+		db.Close()
+		t.Fatal("Open on a missing dir with no seed succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(root, "a")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed Open left %s behind (stat: %v)", filepath.Join(root, "a"), err)
+	}
+
+	link := filepath.Join(root, "link")
+	if err := os.Symlink(filepath.Join(root, "nowhere"), link); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := serve.Open(link, "always", 0, nil); err == nil {
+		db.Close()
+		t.Fatal("Open on a dangling symlink with no seed succeeded")
+	}
+	if _, err := os.Lstat(link); err != nil {
+		t.Errorf("failed Open removed the symlink: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "nowhere")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed Open created the symlink's target (stat: %v)", err)
+	}
+
+	seeding := []string{"manifest-0000000000000001.json.tmp", "snap-0000000000000001.snap", "wal-0000000000000000.wal", "wal-0000000000000001.wal"}
+	for _, held := range [][]string{nil, {"notes.txt"}, seeding} {
+		dir := t.TempDir()
+		for _, name := range held {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("mine"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if db, err := serve.Open(dir, "always", 0, nil); err == nil {
+			db.Close()
+			t.Fatal("Open on a dir without triples and no seed succeeded")
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, held) {
+			t.Errorf("failed Open left %v in a dir that held %v", names, held)
+		}
+	}
+}
+
+// TestIdleRunWritesNoSnapshot: a process that logs nothing between
+// recovery and shutdown writes no new snapshot generation.
+func TestIdleRunWritesNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	db, err := serve.Open(dir, "always", 0, seedSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := db.Generation()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = serve.Open(dir, "always", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := serve.Run(ctx, "127.0.0.1:0", http.NotFoundHandler(), db); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rec, info, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if info.Generation != seeded {
+		t.Errorf("an idle restart moved the snapshot generation from %d to %d", seeded, info.Generation)
 	}
 }

@@ -44,6 +44,7 @@ func BenchmarkEvalTwoHopJoin(b *testing.B) {
 func BenchmarkEvalAggregate(b *testing.B) {
 	s := benchGraph(2000)
 	q := MustParse(`SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY DESC(?n)`)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Eval(s, q, Options{}); err != nil {
@@ -76,7 +77,9 @@ SELECT DISTINCT ?b WHERE {
 // term compares when no rank table exists (termheap), and the old
 // evaluator's strategy of materializing and stable-sorting every row
 // (materialize). The label rows are the headline: microseconds against
-// the old ~tens of milliseconds.
+// the old ~tens of milliseconds. ages pages 10 000 integer ages, a key
+// column the labels never decide (both sides numeric): the heap
+// compares values parsed once per kept row.
 func BenchmarkEvalOrderByLimit(b *testing.B) {
 	s := benchGraph(10_000)
 	s.BuildOrderLabels()
@@ -84,7 +87,14 @@ func BenchmarkEvalOrderByLimit(b *testing.B) {
 	sn.MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/p0"), rdf.NewIRI("http://x/age"),
 		rdf.NewTypedLiteral("42", rdf.XSDInteger)))
 	sn.BuildOrderLabels()
+	sa := benchGraph(10_000)
+	for i := 0; i < 10_000; i++ {
+		sa.MustAdd(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/p%d", i)), rdf.NewIRI("http://x/age"),
+			rdf.NewTypedLiteral(fmt.Sprint((i*7919)%100), rdf.XSDInteger)))
+	}
+	sa.BuildOrderLabels()
 	q := MustParse(`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n LIMIT 10`)
+	qa := MustParse(`SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY ?a LIMIT 10`)
 	run := func(b *testing.B, eval func() (*Results, error)) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -103,6 +113,9 @@ func BenchmarkEvalOrderByLimit(b *testing.B) {
 	})
 	b.Run("labels-numeric", func(b *testing.B) {
 		run(b, func() (*Results, error) { return Eval(sn, q, Options{}) })
+	})
+	b.Run("ages", func(b *testing.B) {
+		run(b, func() (*Results, error) { return Eval(sa, qa, Options{}) })
 	})
 	b.Run("termheap", func(b *testing.B) {
 		g := &countingGraph{Store: s, noLabels: true}

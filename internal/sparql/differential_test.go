@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +119,228 @@ func refEval(g *store.Store, q *Query) (*Results, error) {
 	res := &Results{Vars: projVars, Rows: rows}
 	pageResults(q, res)
 	return res, nil
+}
+
+// The reference's aggregate and modifier tail, below up to refJoin, is
+// the evaluator's map-row code from before grouping ran over ID rows
+// (groupOp): one Binding per solution, grouped by row key, sorted and
+// paged as whole rows. FuzzAggregateAgreesWithReference and the
+// differential battery hold groupOp to it.
+
+// rowKey builds the composite dedup/grouping key for a row in a single
+// preallocated builder pass — no per-term String allocations. The bytes
+// are identical to joining the terms' N-Triples forms with NUL, keeping
+// the deterministic tie-break order stable.
+func rowKey(row Binding, vars []string) string {
+	var b strings.Builder
+	b.Grow(24 * len(vars))
+	for i, v := range vars {
+		if i > 0 {
+			b.WriteByte(0)
+		}
+		row[v].StringTo(&b)
+	}
+	return b.String()
+}
+
+// projectionNames returns the output column names (aggregate aliases
+// included).
+func projectionNames(q *Query) []string {
+	if q.SelectAll {
+		return q.Vars()
+	}
+	vars := make([]string, 0, len(q.Projections))
+	for _, p := range q.Projections {
+		vars = append(vars, p.Name())
+	}
+	return vars
+}
+
+// aggregateResults computes grouped aggregates over the full solution
+// rows. With no GROUP BY all rows form one group.
+func aggregateResults(q *Query, rows []Binding) (*Results, error) {
+	groups := make(map[string][]Binding)
+	var order []string
+	for _, row := range rows {
+		key := rowKey(row, q.GroupBy)
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], row)
+	}
+	if len(rows) == 0 && len(q.GroupBy) == 0 {
+		// Aggregates over the empty solution set yield one row (COUNT=0).
+		order = append(order, "")
+		groups[""] = nil
+	}
+	sort.Strings(order)
+
+	vars := make([]string, len(q.Projections))
+	for i, p := range q.Projections {
+		vars[i] = p.Name()
+	}
+	res := &Results{Vars: vars}
+	for _, key := range order {
+		grows := groups[key]
+		out := make(Binding, len(q.Projections))
+		for _, p := range q.Projections {
+			switch p.Agg {
+			case AggNone:
+				if len(grows) > 0 {
+					out[p.Name()] = grows[0][p.Var]
+				}
+			case AggCount:
+				out[p.Name()] = countAgg(grows, p)
+			case AggMax, AggMin, AggSum, AggAvg:
+				t, err := numericAgg(grows, p)
+				if err != nil {
+					return nil, err
+				}
+				out[p.Name()] = t
+			}
+		}
+		res.Rows = append(res.Rows, out)
+	}
+	if q.Distinct {
+		seen := make(map[string]bool, len(res.Rows))
+		out := res.Rows[:0]
+		names := projectionNames(q)
+		for _, row := range res.Rows {
+			key := rowKey(row, names)
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, row)
+			}
+		}
+		res.Rows = out
+	}
+	return res, nil
+}
+
+func countAgg(rows []Binding, p Projection) rdf.Term {
+	if p.Var == "" {
+		return intLit(len(rows))
+	}
+	if !p.AggDistinct {
+		n := 0
+		for _, r := range rows {
+			if _, ok := r[p.Var]; ok {
+				n++
+			}
+		}
+		return intLit(n)
+	}
+	seen := make(map[rdf.Term]bool)
+	for _, r := range rows {
+		if t, ok := r[p.Var]; ok {
+			seen[t] = true
+		}
+	}
+	return intLit(len(seen))
+}
+
+func numericAgg(rows []Binding, p Projection) (rdf.Term, error) {
+	var vals []float64
+	for _, r := range rows {
+		t, ok := r[p.Var]
+		if !ok {
+			continue
+		}
+		f, err := strconv.ParseFloat(t.Value, 64)
+		if err != nil {
+			return rdf.Term{}, fmt.Errorf("sparql: %s over non-numeric value %s", p.Agg, t)
+		}
+		vals = append(vals, f)
+	}
+	if len(vals) == 0 {
+		return intLit(0), nil
+	}
+	switch p.Agg {
+	case AggMax:
+		m := vals[0]
+		for _, v := range vals[1:] {
+			if v > m {
+				m = v
+			}
+		}
+		return floatLit(m), nil
+	case AggMin:
+		m := vals[0]
+		for _, v := range vals[1:] {
+			if v < m {
+				m = v
+			}
+		}
+		return floatLit(m), nil
+	case AggSum:
+		s := 0.0
+		for _, v := range vals {
+			s += v
+		}
+		return floatLit(s), nil
+	default: // AggAvg
+		s := 0.0
+		for _, v := range vals {
+			s += v
+		}
+		return floatLit(s / float64(len(vals))), nil
+	}
+}
+
+// orderResults sorts aggregate output rows by the ORDER BY keys (whose
+// variables name output columns, unlike the pre-projection ordering of
+// plain queries), falling back to a total deterministic row-key order
+// when no keys were given — grouped rows come out of a map, so they need
+// a canonical order of their own.
+func orderResults(q *Query, res *Results) {
+	keys := q.OrderBy
+	sort.SliceStable(res.Rows, func(i, j int) bool {
+		a, b := res.Rows[i], res.Rows[j]
+		for _, k := range keys {
+			c := compareTermsForOrder(a[k.Var], b[k.Var])
+			if c != 0 {
+				if k.Desc {
+					return c > 0
+				}
+				return c < 0
+			}
+		}
+		if len(keys) > 0 {
+			return false
+		}
+		return rowKey(a, res.Vars) < rowKey(b, res.Vars)
+	})
+}
+
+func pageResults(q *Query, res *Results) {
+	if q.Offset > 0 {
+		if q.Offset >= len(res.Rows) {
+			res.Rows = nil
+		} else {
+			res.Rows = res.Rows[q.Offset:]
+		}
+	}
+	if q.Limit >= 0 && q.Limit < len(res.Rows) {
+		res.Rows = res.Rows[:q.Limit]
+	}
+}
+
+// compareTermsForOrder compares by value when both terms are numeric
+// literals (rdf.Term.NumericValue), else by term order.
+func compareTermsForOrder(a, b rdf.Term) int {
+	if af, ok := a.NumericValue(); ok {
+		if bf, ok := b.NumericValue(); ok {
+			switch { // not cmp.Compare: NaN stays unordered against everything
+			case af < bf:
+				return -1
+			case af > bf:
+				return 1
+			default:
+				return 0
+			}
+		}
+	}
+	return a.CompareTo(&b)
 }
 
 // refJoin enumerates the group's solutions depth-first in pattern

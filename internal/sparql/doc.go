@@ -1,6 +1,6 @@
 // Package sparql implements the subset of SPARQL 1.1 that Sapphire needs:
 // SELECT queries with triple patterns, FILTER expressions, DISTINCT,
-// aggregates (COUNT), GROUP BY, ORDER BY, LIMIT and OFFSET, and PREFIX
+// aggregates (COUNT, SUM, AVG, MIN, MAX), GROUP BY, ORDER BY, LIMIT and OFFSET, and PREFIX
 // declarations. This covers every query in the paper: the Ivy League
 // example in Section 1, the initialization queries Q1–Q10 in Appendix A,
 // and the user-study queries in Appendix B.
@@ -21,8 +21,10 @@
 // executes as a chain of push-based operators (iter.go) — depth-first
 // index-nested-loop join with inline level filters, left joins for
 // OPTIONAL, ORDER BY as a bounded top-k heap or a full stable sort,
-// projection, ID-keyed DISTINCT, and an OFFSET/LIMIT slice whose
-// early-exit propagates back up the whole chain, for every query class.
+// projection (or, for aggregate queries, a grouping sink that folds ID
+// rows into per-group cells and emits the groups in their final order),
+// ID-keyed DISTINCT, and an OFFSET/LIMIT slice whose early-exit
+// propagates back up the whole chain, for every query class.
 // Rows stay dictionary IDs end to end; terms materialize only when rows
 // leave the pipeline (or inside filter and order-key evaluation). Each
 // pattern sequence is laid out once per evaluation as per-level frames
@@ -48,6 +50,8 @@
 //     of Match; no term ever has ID 0.
 //   - IDs are append-only for the life of the graph, so solution rows
 //     can carry raw IDs between operators.
+//   - IDs stay below 2³¹: IDs with the top bit set are the
+//     evaluation's own, the terms grouping computes (aggregate values).
 //   - The depth-first join issues the next level's scan from inside the
 //     current level's MatchIDsPinned callback, and resolves terms there
 //     too, so neither may take a lock the pin already holds.

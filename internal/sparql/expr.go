@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"sapphire/internal/rdf"
 )
@@ -303,14 +304,13 @@ func (e BinExpr) ExprVars(set map[string]bool) {
 }
 
 // valuesEqual implements SPARQL term/value equality with numeric
-// promotion.
+// promotion. Both sides compare as numbers only when at least one is a
+// genuinely numeric value/literal: two plain strings that happen to
+// parse still compare as strings below, and are never parsed.
 func valuesEqual(a, b Value) bool {
-	if an, ok := a.asNum(); ok {
-		if bn, ok2 := b.asNum(); ok2 {
-			// Only treat both as numeric when at least one side is a
-			// genuinely numeric value/literal; two plain strings that
-			// happen to parse are still compared as strings below.
-			if isNumericValue(a) || isNumericValue(b) {
+	if isNumericValue(a) || isNumericValue(b) {
+		if an, ok := a.asNum(); ok {
+			if bn, ok := b.asNum(); ok {
 				return an == bn
 			}
 		}
@@ -407,13 +407,14 @@ func (e FuncExpr) Eval(b Binding) (Value, error) {
 		_, bound := b[ve.Name]
 		return boolVal(bound), nil
 	}
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
+	var buf [3]Value // every built-in takes at most 3 arguments
+	args := buf[:0]
+	for _, a := range e.Args {
 		v, err := a.Eval(b)
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	switch e.Name {
 	case "isliteral":
@@ -470,7 +471,7 @@ func (e FuncExpr) Eval(b Binding) (Value, error) {
 		if err := arity(e, 1); err != nil {
 			return Value{}, err
 		}
-		return numVal(float64(len([]rune(args[0].asStr())))), nil
+		return numVal(float64(utf8.RuneCountInString(args[0].asStr()))), nil
 	case "contains":
 		if err := arity(e, 2); err != nil {
 			return Value{}, err

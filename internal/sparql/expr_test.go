@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sapphire/internal/rdf"
+	"sapphire/internal/store"
 )
 
 // evalExpr parses a filter expression embedded in a query and evaluates
@@ -229,4 +230,46 @@ func TestValueCoercions(t *testing.T) {
 	mustTrue(t, `str(?bool) = "true"`, b)
 	// xsd:boolean literals do not participate in arithmetic.
 	mustErr(t, "?bool + 1 = 2", b)
+}
+
+// TestFilterStageAllocatesNothing pins the FILTER shapes of the §5
+// crawl's literal queries (Q5/Q6 and Q8) to zero allocations per row on
+// literal rows: the fixed argument array, rune counting without a
+// []rune, and no ParseFloat of two plain strings in lang(?o) = 'en'.
+func TestFilterStageAllocatesNothing(t *testing.T) {
+	s := store.New()
+	subj, name := rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/name")
+	objects := []rdf.Term{
+		rdf.NewLangLiteral("Jack Kerouac", "en"), // passes
+		rdf.NewLangLiteral("Jack Kerouac", "de"),
+		rdf.NewLangLiteral(strings.Repeat("é", 90), "en"),
+		rdf.NewTypedLiteral("320", rdf.XSDInteger),
+	}
+	for _, o := range objects {
+		s.MustAdd(rdf.NewTriple(subj, name, o))
+	}
+	for _, filter := range []string{
+		`isliteral(?o) && lang(?o) = 'en' && strlen(str(?o)) < 80`, // Q5, Q6
+		`lang(?o) = 'en' && strlen(str(?o)) < 80`,                  // Q8
+	} {
+		q := MustParse(`SELECT ?o WHERE { ?s ?p ?o . FILTER (` + filter + `) }`)
+		pl, err := newPlan(s, q, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := &exec{pl: pl, g: s}
+		st := x.newFilterStage(q.Filters)
+		row := make([]uint32, pl.width())
+		row[pl.slots["s"]], _ = s.Lookup(subj)
+		row[pl.slots["p"]], _ = s.Lookup(name)
+		for i, o := range objects {
+			row[pl.slots["o"]], _ = s.Lookup(o)
+			if got := x.applyFilterStage(st, row); got != (i == 0) {
+				t.Errorf("%s on %s = %v, want %v", filter, o, got, i == 0)
+			}
+			if n := testing.AllocsPerRun(100, func() { x.applyFilterStage(st, row) }); n != 0 {
+				t.Errorf("%s on %s: %v allocations per row, want 0", filter, o, n)
+			}
+		}
+	}
 }

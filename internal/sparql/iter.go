@@ -3,9 +3,8 @@ package sparql
 import (
 	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
-
-	"sapphire/internal/rdf"
 )
 
 // sink is one operator of the streaming pipeline. Rows are uint32 ID
@@ -27,7 +26,8 @@ type exec struct {
 	budget Budget
 	err    error
 
-	fb Binding // reusable scratch for filter evaluation
+	fb    Binding     // reusable scratch for filter evaluation
+	owned *ownedTerms // set by grouping, the one operator that owns terms
 }
 
 // tick charges the budget for one intermediate row.
@@ -397,9 +397,8 @@ func (op *distinctOp) push(row []uint32) bool {
 func (op *distinctOp) flush() bool { return op.next.flush() }
 
 // sliceOp implements OFFSET/LIMIT with early exit: once the limit is
-// satisfied it returns false, stopping every upstream producer — for any
-// query shape whose tail reaches this operator streamingly (everything
-// except ORDER BY and aggregates, which must see all rows first).
+// satisfied it returns false, stopping every upstream producer. Behind
+// a buffering operator (ORDER BY, grouping) it stops the flush instead.
 type sliceOp struct {
 	skip   int
 	remain int // -1 = no limit
@@ -429,7 +428,7 @@ func (op *sliceOp) push(row []uint32) bool {
 func (op *sliceOp) flush() bool { return op.next.flush() }
 
 // collectOp materializes projected rows into Bindings — the only point
-// where ordinary queries resolve IDs to terms.
+// where output IDs, graph or owned, resolve to terms.
 type collectOp struct {
 	x    *exec
 	vars []string
@@ -440,7 +439,7 @@ func (op *collectOp) push(row []uint32) bool {
 	nb := make(Binding, len(op.vars))
 	for i, v := range op.vars {
 		if row[i] != 0 {
-			nb[v] = op.x.g.ResolveID(row[i])
+			nb[v] = op.x.term(row[i])
 		}
 	}
 	op.rows = append(op.rows, nb)
@@ -450,64 +449,63 @@ func (op *collectOp) push(row []uint32) bool {
 func (op *collectOp) flush() bool { return true }
 
 // sortAllOp is the generic ORDER BY: buffer every full row with its
-// resolved key terms, stable-sort at flush, then stream downstream
-// (project → distinct → slice). Used for multi-key ORDER BY, DISTINCT +
-// ORDER BY, and unlimited ORDER BY — the shapes the top-k heap cannot
-// serve.
+// key terms, stable-sort at flush, then stream downstream (project →
+// distinct → slice). Used for multi-key ORDER BY, DISTINCT + ORDER BY,
+// and unlimited ORDER BY — the shapes the top-k heap cannot serve.
 type sortAllOp struct {
 	x        *exec
 	keys     []OrderKey
 	keySlots []int
-	rows     []sortRow
+	rows     []uint32    // buffered rows, back to back
+	ot       []orderTerm // their key terms, per row × key
 	next     sink
 }
 
-type sortRow struct {
-	row   []uint32
-	terms []rdf.Term
-}
-
 func (op *sortAllOp) push(row []uint32) bool {
-	cp := append([]uint32(nil), row...)
-	kt := make([]rdf.Term, len(op.keySlots))
-	for i, s := range op.keySlots {
-		if s >= 0 && row[s] != 0 {
-			kt[i] = op.x.g.ResolveID(row[s])
-		}
+	op.rows = append(op.rows, row...)
+	for _, s := range op.keySlots {
+		op.ot = append(op.ot, newOrderTerm(op.x.term(slotValue(row, s))))
 	}
-	op.rows = append(op.rows, sortRow{row: cp, terms: kt})
 	return true
 }
 
 func (op *sortAllOp) flush() bool {
-	sort.SliceStable(op.rows, func(i, j int) bool {
-		a, b := &op.rows[i], &op.rows[j]
-		for k, key := range op.keys {
-			c := compareTermsForOrder(a.terms[k], b.terms[k])
-			if c != 0 {
-				if key.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	for i := range op.rows {
-		if !op.next.push(op.rows[i].row) {
+	n, w := len(op.ot)/len(op.keys), op.x.pl.width()
+	perm := identity(n)
+	sortByKeys(perm, op.ot, op.keys)
+	for _, i := range perm {
+		if !op.next.push(op.rows[i*w : (i+1)*w]) {
 			break
 		}
 	}
 	return op.next.flush()
 }
 
+// sortByKeys stably sorts perm, row indices, by the ORDER BY keys; ot
+// holds each row's key terms (row i's at ot[i*len(keys):]).
+func sortByKeys(perm []int, ot []orderTerm, keys []OrderKey) {
+	nk := len(keys)
+	slices.SortStableFunc(perm, func(a, b int) int {
+		for k, key := range keys {
+			if c := compareOrder(&ot[a*nk+k], &ot[b*nk+k]); c != 0 {
+				if key.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
+}
+
 // topKOp is the bounded ORDER BY ?x LIMIT k path: a max-heap of the
 // Offset+Limit best rows seen so far, ordered by the store's uint64 rank
 // labels (integer compares, no term resolution; see compareLabels),
-// falling back to memoized term compares for a pair the labels cannot
-// decide: a side is unlabeled, or both sides are numeric literals. Ties
-// break by arrival order (seq), reproducing the stable sort the generic
-// path uses, so the emitted page is byte-identical to sort-then-page.
+// falling back to memoized terms, numeric values parsed once, for a
+// pair the labels cannot decide: a side is unlabeled, or both sides are
+// numeric literals. Ties break by arrival order (seq), reproducing the
+// stable sort the generic path uses, so the emitted page is
+// byte-identical to sort-then-page.
 // Memory is O(k · row width) regardless of how many rows stream through.
 type topKOp struct {
 	x       *exec
@@ -516,6 +514,7 @@ type topKOp struct {
 	keySlot int // -1: the key variable is bound nowhere (all keys tie)
 	label   func(uint32) uint64
 	heap    []topkItem // max-heap: root = last of the kept rows in output order
+	rows    []uint32   // the kept rows back to back; an item's ri indexes them
 	seq     int
 	next    sink
 }
@@ -524,14 +523,18 @@ type topkItem struct {
 	lab      uint64
 	id       uint32
 	resolved bool
-	t        rdf.Term
+	ot       orderTerm
 	seq      int
-	row      []uint32
+	ri       int
 }
 
 func (op *topKOp) push(row []uint32) bool {
 	if op.k == 0 {
 		return false
+	}
+	if op.heap == nil {
+		n := min(op.k, 1024) // a page's worth up front; a deeper heap grows by append
+		op.heap, op.rows = make([]topkItem, 0, n), make([]uint32, 0, n*len(row))
 	}
 	it := topkItem{seq: op.seq}
 	op.seq++
@@ -545,12 +548,14 @@ func (op *topKOp) push(row []uint32) bool {
 		if !op.before(&it, &op.heap[0]) {
 			return true // at or after the current worst: not in the top k
 		}
-		it.row = append(op.heap[0].row[:0], row...)
+		it.ri = op.heap[0].ri
+		copy(op.rows[it.ri*len(row):], row)
 		op.heap[0] = it
 		op.siftDown(0)
 		return true
 	}
-	it.row = append([]uint32(nil), row...)
+	it.ri = len(op.heap)
+	op.rows = append(op.rows, row...)
 	op.heap = append(op.heap, it)
 	op.siftUp(len(op.heap) - 1)
 	return true
@@ -562,7 +567,7 @@ func (op *topKOp) push(row []uint32) bool {
 func (op *topKOp) before(a, b *topkItem) bool {
 	c, ok := compareLabels(a.lab, b.lab)
 	if !ok {
-		c = compareTermsForOrder(op.term(a), op.term(b))
+		c = compareOrder(op.term(a), op.term(b))
 	}
 	if op.desc {
 		c = -c
@@ -573,9 +578,9 @@ func (op *topKOp) before(a, b *topkItem) bool {
 	return a.seq < b.seq
 }
 
-// compareLabels orders two rank labels the way compareTermsForOrder
-// orders their terms, reporting ok = false when the labels cannot
-// decide: a side is unlabeled (0), or both carry the numeric bit, since
+// compareLabels orders two rank labels the way compareOrder orders
+// their terms, reporting ok = false when the labels cannot decide: a
+// side is unlabeled (0), or both carry the numeric bit, since
 // SPARQL orders two numeric literals by value while labels follow term
 // order. For every other labeled pair the comparator is term order, so
 // label order is exact (FuzzOrderLabelsAgreeWithComparator).
@@ -586,14 +591,11 @@ func compareLabels(a, b uint64) (c int, ok bool) {
 	return cmp.Compare(a, b), true
 }
 
-func (op *topKOp) term(it *topkItem) rdf.Term {
+func (op *topKOp) term(it *topkItem) *orderTerm {
 	if !it.resolved {
-		if it.id != 0 {
-			it.t = op.x.g.ResolveID(it.id)
-		}
-		it.resolved = true
+		it.ot, it.resolved = newOrderTerm(op.x.term(it.id)), true
 	}
-	return it.t
+	return &it.ot
 }
 
 func (op *topKOp) siftUp(i int) {
@@ -627,39 +629,24 @@ func (op *topKOp) siftDown(i int) {
 
 func (op *topKOp) flush() bool {
 	sort.Slice(op.heap, func(i, j int) bool { return op.before(&op.heap[i], &op.heap[j]) })
+	w := op.x.pl.width()
 	for i := range op.heap {
-		if !op.next.push(op.heap[i].row) {
+		if !op.next.push(op.rows[op.heap[i].ri*w : (op.heap[i].ri+1)*w]) {
 			break
 		}
 	}
 	return op.next.flush()
 }
 
-// buildTail assembles the modifier tail of the pipeline — ORDER BY
-// (top-k heap | stable sort) → project → DISTINCT → OFFSET/LIMIT slice
-// → collect — and returns its entry sink and the terminal collector.
-// Aggregate queries collect full rows directly (their modifiers apply
-// after grouping).
-func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp) {
+// buildTail assembles the modifier tail of the pipeline and returns its
+// entry sink and the terminal collector: ORDER BY (top-k heap | stable
+// sort) → project, or for aggregate queries the grouping sink, which
+// emits projected rows in their final order; then DISTINCT →
+// OFFSET/LIMIT slice → collect.
+func buildTail(x *exec, projVars []string) (sink, *collectOp) {
 	q, pl, g := x.pl.q, x.pl, x.g
-	projSlots := make([]int, len(projVars))
-	identity := len(projVars) == pl.width()
-	for i, v := range projVars {
-		if s, ok := pl.slots[v]; ok {
-			projSlots[i] = s
-		} else {
-			projSlots[i] = -1
-		}
-		if projSlots[i] != i {
-			identity = false
-		}
-	}
-
 	collect := &collectOp{x: x, vars: projVars}
 	var tail sink = collect
-	if aggregates {
-		return tail, collect
-	}
 	if q.Offset > 0 || q.Limit >= 0 {
 		remain := q.Limit
 		if remain < 0 {
@@ -670,25 +657,27 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp) {
 	if q.Distinct {
 		tail = &distinctOp{seen: make(map[string]struct{}), next: tail}
 	}
+	if q.HasAggregates() {
+		return newGroupOp(x, tail), collect
+	}
+	projSlots := make([]int, len(projVars))
+	identity := len(projVars) == pl.width()
+	for i, v := range projVars {
+		projSlots[i] = x.slotOf(v)
+		identity = identity && projSlots[i] == i
+	}
 	if !identity {
 		tail = &projectOp{slots: projSlots, buf: make([]uint32, len(projSlots)), next: tail}
 	}
 	if len(q.OrderBy) > 0 {
 		if len(q.OrderBy) == 1 && q.Limit >= 0 && !q.Distinct {
-			op := &topKOp{x: x, k: q.Offset + q.Limit, desc: q.OrderBy[0].Desc, keySlot: -1, next: tail}
-			if s, ok := pl.slots[q.OrderBy[0].Var]; ok {
-				op.keySlot = s
-			}
+			op := &topKOp{x: x, k: q.Offset + q.Limit, desc: q.OrderBy[0].Desc, keySlot: x.slotOf(q.OrderBy[0].Var), next: tail}
 			op.label = g.OrderLabels() // may be nil: term fallback per item
 			tail = op
 		} else {
 			op := &sortAllOp{x: x, keys: q.OrderBy, keySlots: make([]int, len(q.OrderBy)), next: tail}
 			for i, k := range q.OrderBy {
-				if s, ok := pl.slots[k.Var]; ok {
-					op.keySlots[i] = s
-				} else {
-					op.keySlots[i] = -1
-				}
+				op.keySlots[i] = x.slotOf(k.Var)
 			}
 			tail = op
 		}
@@ -702,23 +691,21 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp) {
 //	  → [left join per OPTIONAL block, its stage filters after it]
 //	  → [end-stage filters]
 //	  → ORDER BY (top-k heap | stable sort) — buffering, pre-projection
-//	  → project → DISTINCT (ID hash set) → OFFSET/LIMIT slice → collect
-//
-// Aggregate queries collect full rows instead of the modifier tail and
-// reuse the grouped-aggregation code path unchanged.
+//	    → project, or for aggregates GROUP BY (buffering, see groupOp)
+//	  → DISTINCT (ID hash set) → OFFSET/LIMIT slice → collect
 func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	q := pl.q
 	aggregates := q.HasAggregates()
 	var projVars []string
-	switch {
-	case aggregates:
+	if q.SelectAll {
 		projVars = pl.varNames
-	case q.SelectAll:
-		projVars = pl.varNames
-	default:
+	} else {
 		projVars = make([]string, len(q.Projections))
 		for i, p := range q.Projections {
 			projVars[i] = p.Var
+			if aggregates {
+				projVars[i] = p.Name()
+			}
 		}
 	}
 
@@ -726,8 +713,8 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	// plan time with zero scans, zero budget ticks, and zero locking.
 	// (Without this, an ORDER BY tail would build an Offset-sized top-k
 	// heap and a plain tail would scan Offset+1 rows, only to emit
-	// nothing.) Aggregates keep the full path: their projection names
-	// are computed by the aggregation tail.
+	// nothing.) Aggregates keep the full path: a non-numeric SUM, MIN,
+	// MAX or AVG value fails the query whatever its LIMIT.
 	if !aggregates && q.Limit == 0 {
 		return &Results{Vars: projVars}, nil
 	}
@@ -738,7 +725,7 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	//sapphire:allow pinlock Lookup takes only the dictionary lock, which no writer holds while it waits for the store lock (interning runs before the store write lock is taken), so it cannot deadlock against the pin (docs/ARCHITECTURE.md "Lock-free ResolveID"); looking constants up under the pin keeps the whole evaluation on one store state
 	groups, optionals := x.compile(pl.groups), x.compile(pl.optionals)
 
-	tail, collect := buildTail(x, projVars, aggregates)
+	tail, collect := buildTail(x, projVars)
 	chain := tail
 	if st := x.newFilterStage(pl.endFilters); st != nil {
 		chain = &filterOp{x: x, st: st, next: chain}
@@ -780,16 +767,6 @@ func runPlan(g IDGraph, pl *plan, opts Options) (*Results, error) {
 	tail.flush()
 	if x.err != nil {
 		return nil, x.err
-	}
-
-	if aggregates {
-		res, err := aggregateResults(q, collect.rows)
-		if err != nil {
-			return nil, err
-		}
-		orderResults(q, res)
-		pageResults(q, res)
-		return res, nil
 	}
 	return &Results{Vars: projVars, Rows: collect.rows}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -175,6 +176,10 @@ type DB struct {
 	// SnapshotEvery.
 	walTriples int
 	closed     bool
+	// stale is set when recovery did not restore the store from the
+	// newest snapshot alone (it fell back to an older generation or
+	// replayed WAL records), until the next snapshot.
+	stale bool
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -212,6 +217,25 @@ func Open(dir string, opts Options) (*DB, RecoveryInfo, error) {
 		go db.syncLoop()
 	}
 	return db, info, nil
+}
+
+// HasSnapshot reports whether dir holds a snapshot manifest, without
+// creating or changing anything: a missing dir holds none. A data dir
+// that was ever seeded holds one, since seeding ends in a snapshot.
+func HasSnapshot(dir string) (bool, error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	for _, e := range entries {
+		if _, ok := parseGen(e.Name(), manifestPrefix, manifestSuffix); ok {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 func (db *DB) recover() (RecoveryInfo, error) {
@@ -333,6 +357,7 @@ func (db *DB) recover() (RecoveryInfo, error) {
 
 	info.Triples = db.store.Len()
 	info.Epoch = db.store.Epoch()
+	db.stale = info.Fallback || info.WALRecords > 0
 	return info, nil
 }
 
@@ -536,6 +561,7 @@ func (db *DB) snapshotLocked() (store.SnapshotInfo, error) {
 	db.wal = nw
 	db.gen = gen
 	db.walTriples = 0
+	db.stale = false
 	db.cleanupLocked()
 	return sinfo, nil
 }
@@ -621,6 +647,16 @@ func (db *DB) Generation() uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.gen
+}
+
+// SnapshotCurrent reports whether the newest snapshot already holds the
+// store: the WAL holds no record, and recovery restored that snapshot
+// alone, with no fallback and no WAL record replayed. A snapshot taken
+// then would only repeat it.
+func (db *DB) SnapshotCurrent() bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return !db.stale && db.wal != nil && db.wal.size == int64(len(walMagic))
 }
 
 // WALSize reports the current WAL's byte length.

@@ -582,3 +582,81 @@ func TestIngestBypassesWALButSnapshots(t *testing.T) {
 		t.Fatal("ingested state lost")
 	}
 }
+
+// TestSnapshotCurrent: the newest snapshot holds the store right after
+// it is taken and after a clean reopen, not once a batch is logged, not
+// after recovery fell back past an unreadable newest generation, and
+// not after recovery replayed the WAL of a snapshot that failed.
+func TestSnapshotCurrent(t *testing.T) {
+	fs := NewMemFS()
+	db, _ := mustOpen(t, fs, Options{Fsync: FsyncAlways})
+	check := func(db *DB, want bool, when string) {
+		t.Helper()
+		if got := db.SnapshotCurrent(); got != want {
+			t.Errorf("%s: SnapshotCurrent = %v, want %v", when, got, want)
+		}
+	}
+	for gen := 1; gen <= 2; gen++ {
+		if err := db.AddAll(batch(fmt.Sprint("gen", gen), 50)); err != nil {
+			t.Fatal(err)
+		}
+		check(db, false, "after a logged batch")
+		if _, err := db.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		check(db, true, "after a snapshot")
+	}
+	db.Close()
+	db, _ = mustOpen(t, fs, Options{Fsync: FsyncAlways})
+	check(db, true, "after a clean reopen")
+	db.Close()
+
+	fs.mu.Lock()
+	snap2 := fs.files[snapName(2)]
+	snap2[len(snap2)/2] ^= 0x40
+	fs.mu.Unlock()
+	db, info := mustOpen(t, fs, Options{Fsync: FsyncAlways})
+	if !info.Fallback {
+		t.Fatal("recovery did not fall back")
+	}
+	check(db, false, "after a fallback recovery")
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, true, "after the snapshot that follows it")
+
+	// A snapshot whose manifest rename fails leaves the next generation's
+	// bare WAL behind; recovery restores the older snapshot and replays
+	// the batch logged after it, which no snapshot holds.
+	if err := db.AddAll(batch("unsnapshotted", 50)); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	failing := &failManifestRenameFS{MemFS: fs}
+	db, _ = mustOpen(t, failing, Options{Fsync: FsyncAlways})
+	if _, err := db.Snapshot(); err == nil {
+		t.Fatal("a snapshot whose manifest rename fails succeeded")
+	}
+	db.Close()
+	db, info = mustOpen(t, fs, Options{Fsync: FsyncAlways})
+	defer db.Close()
+	if info.WALRecords == 0 {
+		t.Fatal("recovery replayed no WAL record")
+	}
+	check(db, false, "after recovery replayed a WAL")
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, true, "after the snapshot that follows it")
+}
+
+// failManifestRenameFS fails every rename onto a manifest name, the
+// commit point of a snapshot.
+type failManifestRenameFS struct{ *MemFS }
+
+func (f *failManifestRenameFS) Rename(oldName, newName string) error {
+	if strings.HasPrefix(newName, manifestPrefix) {
+		return errFaultInjected
+	}
+	return f.MemFS.Rename(oldName, newName)
+}
