@@ -2,7 +2,6 @@ package endpoint
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
@@ -10,47 +9,6 @@ import (
 // class sweep joined with literal retrieval, the paper's canonical
 // "literal retrieval over a large class" shape.
 const benchQuery = `SELECT ?s ?n WHERE { ?s a <http://x/Person> . ?s <http://x/name> ?n . }`
-
-// BenchmarkCachedQueryCanonicalHit measures the hit path the raw
-// pre-key bypasses: every iteration sends a previously unseen textual
-// variant of the same query, so each call pays parse + canonicalization
-// and then hits the shared canonical entry. The raw-key hit it is
-// compared against is the sparql-hot workload of benchmark/run.sh
-// (endpoint.local_query_us); the delta is the parse cost the raw
-// pre-key saves.
-func BenchmarkCachedQueryCanonicalHit(b *testing.B) {
-	// Budget sized so the per-variant raw aliases filed during the run
-	// never force an eviction of the single canonical entry (each alias
-	// is charged ~entryOverhead/2 + len(raw) bytes).
-	budget := int64(b.N)*512 + (1 << 20)
-	ep := NewLocal("bench", testStore(b, 2000), Limits{CacheBytes: budget})
-	ctx := context.Background()
-	if _, err := ep.Query(ctx, benchQuery); err != nil {
-		b.Fatal(err)
-	}
-	// Pre-build the unique variants: a numbered comment line keeps the
-	// canonical form identical while making every raw string new, so no
-	// iteration can ride the raw pre-key.
-	variants := make([]string, b.N)
-	for i := range variants {
-		variants[i] = fmt.Sprintf("# v%d\n%s", i, benchQuery)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ep.Query(ctx, variants[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := ep.Stats()
-	if st.CacheRawHits != 0 {
-		b.Fatalf("%d raw hits leaked into the canonical-hit benchmark", st.CacheRawHits)
-	}
-	if st.CacheMisses != 1 {
-		b.Fatalf("misses = %d, want 1 (eviction churn distorted the run)", st.CacheMisses)
-	}
-}
 
 // BenchmarkCachedQueryParallel hammers the hit path from all cores —
 // the "N users repeat the same query" serving shape the cache exists

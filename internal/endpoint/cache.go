@@ -10,7 +10,7 @@ import (
 )
 
 // resultCache is the endpoint-layer query result cache: an LRU over
-// evaluated result sets, keyed by (canonical query string, store
+// evaluated result sets, keyed by (query text as received, store
 // mutation epoch).
 //
 // The epoch in the key is the whole invalidation story. A mutation
@@ -22,6 +22,11 @@ import (
 // why the eval callback reports whether its result is safe to cache
 // (the endpoint re-reads the epoch after evaluation and declines when a
 // write landed mid-eval).
+//
+// The text is the key as sent, unparsed: a repeat costs one epoch load
+// and one map probe, with no parse. Two spellings of one query are two
+// entries; the clients that repeat queries (the §5 crawl, the
+// federation's pattern fetches, the benchmark) resend the same bytes.
 //
 // Capacity is accounted in bytes (estimated result footprint plus key),
 // not entry count, because SPARQL result sets vary by orders of
@@ -37,33 +42,20 @@ import (
 // Cached *sparql.Results are shared between callers and must be treated
 // as read-only; every consumer in this repo already does (the results
 // table sorts through its own index indirection).
-//
-// In front of the canonical key sits a raw-string pre-key: after a
-// query string has been answered once, the exact string (pre-parse,
-// pre-canonicalization) is filed as an alias of its canonical entry, so
-// a repeated identical string skips the ~22 µs parse+String round trip
-// and the hit path collapses to one epoch load and one map probe.
-// Aliases share their entry's LRU position and are charged to the byte
-// budget, so textual variants can't grow unbounded; an epoch move
-// orphans aliases exactly like canonical keys (they stop being
-// addressable and are reclaimed when their entry evicts).
 type resultCache struct {
 	maxBytes int64
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recently used
 	entries map[cacheKey]*list.Element
-	raws    map[cacheKey]*list.Element // raw-string aliases → same entries
 	flights map[cacheKey]*flight
 	bytes   int64
 
-	hits, rawHits, misses, evicted, coalesced int64
+	hits, misses, evicted, coalesced int64
 }
 
-// cacheKey addresses one cached result: the query in canonical form
-// (sparql.Query.String(), so textual variants of the same query share
-// an entry) and the store epoch the result was computed at. The raw
-// alias map reuses the same shape with the unparsed query string.
+// cacheKey addresses one cached result: the query text as received and
+// the store epoch the result was computed at.
 type cacheKey struct {
 	query string
 	epoch uint64
@@ -71,7 +63,6 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key  cacheKey
-	raws []cacheKey // alias keys pointing at this entry, dropped with it
 	res  *sparql.Results
 	size int64
 }
@@ -89,64 +80,8 @@ func newResultCache(maxBytes int64) *resultCache {
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		entries:  make(map[cacheKey]*list.Element),
-		raws:     make(map[cacheKey]*list.Element),
 		flights:  make(map[cacheKey]*flight),
 	}
-}
-
-// getRaw probes the raw-string pre-key. A hit serves the shared result
-// with zero parsing work; a miss reports false and the caller falls
-// through to the parse + canonical-key path.
-func (c *resultCache) getRaw(key cacheKey) (*sparql.Results, bool) {
-	c.mu.Lock()
-	el, ok := c.raws[key]
-	if !ok {
-		// A query string already in canonical form has no alias
-		// (addRawAlias skips the self-alias) — it lives in the
-		// canonical map under the very same key. Probing it here keeps
-		// exactly-canonical repeats on the no-parse path too. This is
-		// sound because canonicalization is idempotent (FuzzParse pins
-		// parse→String→parse as a fixed point): a raw string equal to
-		// a filed canonical key is that entry's canonical form.
-		el, ok = c.entries[key]
-	}
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	c.rawHits++
-	res := el.Value.(*cacheEntry).res
-	c.mu.Unlock()
-	return res, true
-}
-
-// addRawAlias files the raw query string as an alias of the canonical
-// entry so the next identical string skips the parse. No-op when the
-// canonical entry isn't cached (non-cacheable result, already evicted)
-// or the alias exists. Alias bytes are charged to the entry so the LRU
-// budget stays honest.
-func (c *resultCache) addRawAlias(raw, canonical cacheKey) {
-	if raw == canonical {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.raws[raw]; dup {
-		return
-	}
-	el, ok := c.entries[canonical]
-	if !ok {
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	c.raws[raw] = el
-	e.raws = append(e.raws, raw)
-	cost := int64(len(raw.query)) + entryOverhead/2
-	e.size += cost
-	c.bytes += cost
-	c.evictOverBudgetLocked()
 }
 
 // getOrCompute returns the cached result for key, or evaluates it via
@@ -238,12 +173,6 @@ func (c *resultCache) insertLocked(key cacheKey, res *sparql.Results, size int64
 	}
 	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, size: size})
 	c.bytes += size
-	c.evictOverBudgetLocked()
-}
-
-// evictOverBudgetLocked drops LRU-tail entries (and their raw aliases)
-// until the byte budget holds.
-func (c *resultCache) evictOverBudgetLocked() {
 	for c.bytes > c.maxBytes {
 		tail := c.ll.Back()
 		if tail == nil {
@@ -252,21 +181,17 @@ func (c *resultCache) evictOverBudgetLocked() {
 		e := tail.Value.(*cacheEntry)
 		c.ll.Remove(tail)
 		delete(c.entries, e.key)
-		for _, r := range e.raws {
-			delete(c.raws, r)
-		}
 		c.bytes -= e.size
 		c.evicted++
 	}
 }
 
 // counters returns a snapshot of the hit/miss/evict/coalesced counters
-// plus the live byte and entry gauges. rawHits is the subset of hits
-// served by the raw-string pre-key (no parse).
-func (c *resultCache) counters() (hits, rawHits, misses, evicted, coalesced, bytes int64, entries int) {
+// plus the live byte and entry gauges.
+func (c *resultCache) counters() (hits, misses, evicted, coalesced, bytes int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.rawHits, c.misses, c.evicted, c.coalesced, c.bytes, len(c.entries)
+	return c.hits, c.misses, c.evicted, c.coalesced, c.bytes, len(c.entries)
 }
 
 // entryOverhead approximates the fixed per-entry cost (list element,

@@ -44,27 +44,41 @@ func mustQuery(t testing.TB, ep Endpoint, q string) *sparql.Results {
 }
 
 // TestCacheHitServesIdenticalResult pins the basic contract: the second
-// identical query is a hit, returns the same rows, and textual variants
-// of the same query share one entry via canonicalization.
+// identical query text is a hit and returns the same rows. The key is
+// the text as sent, so a second spelling of the same query is a second
+// entry with a byte-identical answer, and every hit is an exact-text
+// hit (CacheRawHits == CacheHits after every call).
 func TestCacheHitServesIdenticalResult(t *testing.T) {
 	ep := NewLocal("c", testStore(t, 20), Limits{CacheBytes: 1 << 20})
 	q := `SELECT ?s ?n WHERE { ?s a <http://x/Person> . ?s <http://x/name> ?n . }`
-	first := dump(mustQuery(t, ep, q))
-	second := dump(mustQuery(t, ep, q))
-	if first != second {
-		t.Fatalf("hit differs from miss:\n%s\nvs\n%s", first, second)
-	}
-	// Same query, different whitespace/formatting: one cache entry.
 	variant := "SELECT ?s ?n\nWHERE {\n  ?s a <http://x/Person> .\n  ?s <http://x/name> ?n .\n}"
-	if d := dump(mustQuery(t, ep, variant)); d != first {
-		t.Fatalf("canonicalized variant differs:\n%s", d)
-	}
-	st := ep.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != 2 {
-		t.Errorf("stats = hits %d misses %d, want 2/1", st.CacheHits, st.CacheMisses)
-	}
-	if st.CacheEntries != 1 || st.CacheBytes <= 0 {
-		t.Errorf("gauges = entries %d bytes %d", st.CacheEntries, st.CacheBytes)
+	var first string
+	for i, step := range []struct {
+		query                 string
+		hits, misses, entries int64
+	}{
+		{q, 0, 1, 1},
+		{q, 1, 1, 1},
+		{variant, 1, 2, 2},
+		{variant, 2, 2, 2},
+	} {
+		d := dump(mustQuery(t, ep, step.query))
+		if i == 0 {
+			first = d
+		} else if d != first {
+			t.Fatalf("call %d answered differently:\n%s\nvs\n%s", i, d, first)
+		}
+		st := ep.Stats()
+		if st.CacheHits != step.hits || st.CacheMisses != step.misses || int64(st.CacheEntries) != step.entries {
+			t.Errorf("call %d: hits %d misses %d entries %d, want %d/%d/%d",
+				i, st.CacheHits, st.CacheMisses, st.CacheEntries, step.hits, step.misses, step.entries)
+		}
+		if st.CacheRawHits != st.CacheHits {
+			t.Errorf("call %d: CacheRawHits %d != CacheHits %d", i, st.CacheRawHits, st.CacheHits)
+		}
+		if st.CacheBytes <= 0 {
+			t.Errorf("call %d: cache bytes %d", i, st.CacheBytes)
+		}
 	}
 }
 
@@ -179,7 +193,7 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 	// Wait until every follower is parked on the flight, then release
 	// the leader.
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		_, _, _, _, coalesced, _, _ := c.counters()
+		_, _, _, coalesced, _, _ := c.counters()
 		if coalesced == followers {
 			break
 		}
@@ -196,7 +210,7 @@ func TestCacheSingleflightCoalesces(t *testing.T) {
 			t.Fatalf("caller %d got %p, want shared %p", i, res, want)
 		}
 	}
-	hits, _, misses, _, coalesced, _, _ := c.counters()
+	hits, misses, _, coalesced, _, _ := c.counters()
 	if misses != 1 || coalesced != followers || hits != 0 {
 		t.Errorf("counters = hits %d misses %d coalesced %d, want 0/1/%d", hits, misses, coalesced, followers)
 	}
@@ -242,7 +256,7 @@ func TestCacheFlightLeaderCanceled(t *testing.T) {
 		followerDone <- res
 	}()
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		_, _, _, _, coalesced, _, _ := c.counters()
+		_, _, _, coalesced, _, _ := c.counters()
 		if coalesced == 1 {
 			break
 		}
@@ -298,7 +312,7 @@ func TestCacheFlightLeaderPanics(t *testing.T) {
 		waiterErr <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		_, _, _, _, coalesced, _, _ := c.counters()
+		_, _, _, coalesced, _, _ := c.counters()
 		if coalesced == 1 {
 			break
 		}
@@ -344,7 +358,7 @@ func TestCacheUncacheableNotStored(t *testing.T) {
 	if evals != 3 {
 		t.Errorf("evals = %d, want 3 (uncacheable result was stored)", evals)
 	}
-	if _, _, _, _, _, bytes, entries := c.counters(); bytes != 0 || entries != 0 {
+	if _, _, _, _, bytes, entries := c.counters(); bytes != 0 || entries != 0 {
 		t.Errorf("cache not empty: %d bytes, %d entries", bytes, entries)
 	}
 }
@@ -532,102 +546,4 @@ func TestCachedQueryConcurrentWithWrites(t *testing.T) {
 	}
 	t.Logf("concurrent run: queries=%d hits=%d misses=%d coalesced=%d",
 		st.Queries, st.CacheHits, st.CacheMisses, st.CacheCoalesced)
-}
-
-// TestRawPreKey pins the raw-string fast path: an exact repeat of a
-// query string is served without parsing (CacheRawHits), a textual
-// variant pays one parse and shares the canonical entry, a repeat of
-// that variant rides its own alias, and a store mutation makes every
-// alias unreachable (no stale serves).
-func TestRawPreKey(t *testing.T) {
-	s := testStore(t, 10)
-	ep := NewLocal("c", s, Limits{CacheBytes: 1 << 20})
-	q := `SELECT ?s WHERE { ?s a <http://x/Person> . }`
-	variant := "SELECT ?s\nWHERE { ?s a <http://x/Person> . }"
-
-	first := dump(mustQuery(t, ep, q))
-	if st := ep.Stats(); st.CacheRawHits != 0 || st.CacheMisses != 1 {
-		t.Fatalf("after miss: %+v", st)
-	}
-	if d := dump(mustQuery(t, ep, q)); d != first {
-		t.Fatal("raw hit served different result")
-	}
-	if st := ep.Stats(); st.CacheRawHits != 1 || st.CacheHits != 1 {
-		t.Fatalf("exact repeat should be a raw hit: %+v", st)
-	}
-	// Variant: canonical hit (parse paid), not a raw hit — then its own
-	// repeat becomes a raw hit through the newly filed alias.
-	if d := dump(mustQuery(t, ep, variant)); d != first {
-		t.Fatal("variant served different result")
-	}
-	if st := ep.Stats(); st.CacheRawHits != 1 || st.CacheHits != 2 {
-		t.Fatalf("variant first use must be a canonical (non-raw) hit: %+v", st)
-	}
-	if d := dump(mustQuery(t, ep, variant)); d != first {
-		t.Fatal("variant raw hit served different result")
-	}
-	if st := ep.Stats(); st.CacheRawHits != 2 {
-		t.Fatalf("variant repeat should ride its alias: %+v", st)
-	}
-
-	// A mutation orphans every alias: the same strings re-evaluate and
-	// see the new row.
-	s.MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/fresh"), rdf.NewIRI(rdf.RDFType), rdf.NewIRI("http://x/Person")))
-	if got := len(mustQuery(t, ep, q).Rows); got != 11 {
-		t.Fatalf("stale raw serve after mutation: %d rows, want 11", got)
-	}
-	if got := len(mustQuery(t, ep, variant).Rows); got != 11 {
-		t.Fatalf("stale variant serve after mutation: %d rows, want 11", got)
-	}
-}
-
-// TestRawAliasEvictionCleanup fills a tiny cache until eviction churn
-// and then checks the alias map holds no orphans: every surviving alias
-// must point at an element the canonical map still owns — an evicted
-// entry must take its aliases with it.
-func TestRawAliasEvictionCleanup(t *testing.T) {
-	ep := NewLocal("c", testStore(t, 50), Limits{CacheBytes: 4 << 10})
-	for i := 0; i < 50; i++ {
-		q := fmt.Sprintf(`SELECT ?n WHERE { <http://x/p%d> <http://x/name> ?n . }`, i)
-		mustQuery(t, ep, q)
-		mustQuery(t, ep, q) // file + exercise the alias
-	}
-	st := ep.Stats()
-	if st.CacheEvicted == 0 {
-		t.Fatalf("no eviction churn: %+v", st)
-	}
-	c := ep.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.raws) == 0 {
-		t.Fatal("no aliases survived at all")
-	}
-	for raw, el := range c.raws {
-		e := el.Value.(*cacheEntry)
-		if got, ok := c.entries[e.key]; !ok || got != el {
-			t.Fatalf("alias %q points at an evicted entry %q", raw.query, e.key.query)
-		}
-	}
-}
-
-// TestRawPreKeyCanonicalSpelling pins the fallback for clients that
-// send query text already in canonical form (sparql.Query.String()
-// output, e.g. machine-generated queries): there is no alias to file —
-// the raw key IS the canonical key — and the repeat must still ride
-// the no-parse path.
-func TestRawPreKeyCanonicalSpelling(t *testing.T) {
-	ep := NewLocal("c", testStore(t, 10), Limits{CacheBytes: 1 << 20})
-	q, err := sparql.Parse(`SELECT ?s WHERE { ?s a <http://x/Person> . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonical := q.String()
-	first := dump(mustQuery(t, ep, canonical))
-	if d := dump(mustQuery(t, ep, canonical)); d != first {
-		t.Fatal("canonical repeat served different result")
-	}
-	st := ep.Stats()
-	if st.CacheRawHits != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Fatalf("canonical repeat should skip the parse: %+v", st)
-	}
 }

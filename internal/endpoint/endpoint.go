@@ -76,9 +76,10 @@ type Stats struct {
 	Rows     int64
 
 	// CacheHits counts queries served straight from the result cache
-	// (zero evaluation work). CacheRawHits is the subset of CacheHits
-	// answered by the raw-string pre-key, which also skips the parse +
-	// canonicalization step. CacheMisses counts evaluations triggered
+	// (no parse, no evaluation). CacheRawHits always equals CacheHits:
+	// every hit is an exact-text hit now that the text is the key, and
+	// the field stays only because benchmark/main.go's sparql-hot gate
+	// still reads it. CacheMisses counts evaluations triggered
 	// by a cache-enabled query; CacheCoalesced counts queries that
 	// arrived while an identical evaluation was in flight and shared
 	// its outcome instead of evaluating again. CacheEvicted counts
@@ -102,20 +103,20 @@ type Limits struct {
 	// produced this many intermediate rows — the deterministic stand-in
 	// for a wall-clock execution timeout.
 	MaxIntermediateRows int
-	// RejectEstimateAbove rejects queries whose summed per-pattern
-	// cardinality estimate exceeds this bound, modelling endpoints that
-	// refuse obviously expensive queries outright. The store's
-	// estimates are exact (per-entry totals maintained on insert), so
-	// this threshold reads directly as "refuse queries whose patterns
-	// really touch more than N rows" — there is no inflation margin to
-	// pad for.
+	// RejectEstimateAbove rejects queries whose admission estimate
+	// (sparql.AdmissionEstimate: per pattern group, the exact count of
+	// the pattern the planner drives the join with, summed over UNION
+	// branches) exceeds this bound, modelling endpoints that refuse
+	// obviously expensive queries outright. The store's counts are
+	// exact, so the threshold reads directly as "refuse queries whose
+	// driving scans really touch more than N rows".
 	RejectEstimateAbove int
 	// Latency is added to every query to model network round trip plus
 	// queueing; used by the response-time experiments. It applies to
 	// cache hits too: a result cache saves evaluation, not the wire.
 	Latency time.Duration
 	// CacheBytes bounds the endpoint's query result cache: evaluated
-	// result sets are kept in an LRU keyed by (canonical query, store
+	// result sets are kept in an LRU keyed by (query text, store
 	// epoch) until their estimated footprint exceeds this many bytes.
 	// 0 disables caching. See resultCache for the design.
 	CacheBytes int64
@@ -132,8 +133,7 @@ const DefaultRejectEstimate = 100_000
 
 // DefaultCacheBytes is the result-cache budget the serving commands
 // default to: 64 MiB holds tens of thousands of typical interactive
-// result sets while staying a small fraction of the store's own
-// footprint (~711 bytes/triple).
+// result sets.
 const DefaultCacheBytes int64 = 64 << 20
 
 // DefaultLimits returns the resource constraints a simulated public
@@ -182,52 +182,29 @@ func (l *Local) Stats() Stats {
 	st := l.stats
 	l.mu.Unlock()
 	if l.cache != nil {
-		st.CacheHits, st.CacheRawHits, st.CacheMisses, st.CacheEvicted,
+		st.CacheHits, st.CacheMisses, st.CacheEvicted,
 			st.CacheCoalesced, st.CacheBytes, st.CacheEntries = l.cache.counters()
+		st.CacheRawHits = st.CacheHits
 	}
 	return st
 }
 
 // Query implements Endpoint. It enforces admission control, the
 // intermediate-row budget, and context cancellation. With a result
-// cache configured (Limits.CacheBytes > 0), a repeated query at an
-// unchanged store epoch is served from the cache with zero evaluation
-// work — an exact repeat of a previously answered query string skips
-// even the parse via the raw-string pre-key, textual variants pay one
-// parse + canonicalization and share the entry — and concurrent
-// identical misses coalesce into a single evaluation.
+// cache configured (Limits.CacheBytes > 0), a repeat of a query text at
+// an unchanged store epoch is served from the cache with no parse and
+// no evaluation, and concurrent identical misses coalesce into a single
+// evaluation. A parse error, a rejection or a timeout files nothing.
 func (l *Local) Query(ctx context.Context, query string) (*sparql.Results, error) {
 	l.mu.Lock()
 	l.stats.Queries++
 	l.mu.Unlock()
 
-	// Raw-string pre-key: an exact repeat at an unchanged epoch needs
-	// no parsing at all. The probe happens before the parse on purpose;
-	// unparsable strings can never have been filed (aliases are created
-	// only after a successful evaluation), so error behavior for bad
-	// queries is unchanged.
-	var epoch uint64
-	if l.cache != nil {
-		epoch = l.store.Epoch()
-		if res, ok := l.cache.getRaw(cacheKey{query: query, epoch: epoch}); ok {
-			if err := l.simulateLatency(ctx); err != nil {
-				return nil, err
-			}
-			l.mu.Lock()
-			l.stats.Rows += int64(len(res.Rows))
-			l.mu.Unlock()
-			return res, nil
-		}
-	}
-
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("endpoint %s: %w: %v", l.name, ErrParse, err)
-	}
 	if err := l.simulateLatency(ctx); err != nil {
 		return nil, err
 	}
 	var res *sparql.Results
+	var err error
 	if l.cache != nil {
 		// The epoch read before evaluation is the key's epoch. A cached
 		// entry therefore always answers: "what did this query return
@@ -235,22 +212,14 @@ func (l *Local) Query(ctx context.Context, query string) (*sparql.Results, error
 		// flag below refuses to file a result when a write landed
 		// between the epoch read and the end of evaluation, so a result
 		// computed against newer data is never served for an old epoch.
-		// The epoch from the raw probe above is reused: reading it
-		// earlier can only make the refusal more conservative.
-		key := cacheKey{query: q.String(), epoch: epoch}
-		res, err = l.cache.getOrCompute(ctx, key,
+		epoch := l.store.Epoch()
+		res, err = l.cache.getOrCompute(ctx, cacheKey{query: query, epoch: epoch},
 			func() (*sparql.Results, bool, error) {
-				r, err := l.eval(ctx, q)
-				if err != nil {
-					return nil, false, err
-				}
-				return r, l.store.Epoch() == epoch, nil
+				r, err := l.eval(ctx, query)
+				return r, err == nil && l.store.Epoch() == epoch, err
 			})
-		if err == nil {
-			l.cache.addRawAlias(cacheKey{query: query, epoch: epoch}, key)
-		}
 	} else {
-		res, err = l.eval(ctx, q)
+		res, err = l.eval(ctx, query)
 	}
 	if err != nil {
 		return nil, err
@@ -275,11 +244,15 @@ func (l *Local) simulateLatency(ctx context.Context) error {
 	}
 }
 
-// eval runs admission control and evaluation for a parsed query — the
+// eval parses the query, runs admission control and evaluates it — the
 // work a cache hit skips entirely.
-func (l *Local) eval(ctx context.Context, q *sparql.Query) (*sparql.Results, error) {
+func (l *Local) eval(ctx context.Context, query string) (*sparql.Results, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, fmt.Errorf("endpoint %s: %w: %v", l.name, ErrParse, err)
+	}
 	if l.limits.RejectEstimateAbove > 0 {
-		if est := l.estimate(q); est > l.limits.RejectEstimateAbove {
+		if est := sparql.AdmissionEstimate(l.store, q); est > l.limits.RejectEstimateAbove {
 			l.mu.Lock()
 			l.stats.Rejected++
 			l.mu.Unlock()
@@ -324,17 +297,4 @@ func (l *Local) eval(ctx context.Context, q *sparql.Query) (*sparql.Results, err
 		return nil, fmt.Errorf("endpoint %s: %w", l.name, err)
 	}
 	return res, nil
-}
-
-// estimate is the admission cost of a query: the planner's post-reorder
-// first-pattern cardinality per pattern group (sparql.AdmissionEstimate).
-// Estimating the driving scan the planner actually runs — instead of
-// summing every textual pattern — admits cheap-but-badly-written queries
-// whose first written pattern is a huge sweep the greedy plan never
-// executes first, while still rejecting queries whose cheapest driving
-// scan really does touch too many rows. The store's estimates are exact
-// (per-entry totals maintained on insert), so the threshold is a real
-// row bound on the driving scans, not a fudge factor.
-func (l *Local) estimate(q *sparql.Query) int {
-	return sparql.AdmissionEstimate(l.store, q)
 }

@@ -78,12 +78,6 @@ func fromJSONTerm(jt jsonTerm) (rdf.Term, error) {
 	}
 }
 
-// EpochHeader carries the endpoint's mutation epoch on every query
-// response from an Epoched endpoint; NewMux's /epoch route reads it
-// without running a query. Federated callers use the epoch to
-// invalidate their caches only when a member's data actually changed.
-const EpochHeader = "X-Sapphire-Epoch"
-
 // MaxQueryBytes bounds the request body Handler accepts for a query.
 // Bodies over the limit are refused with 413 / code "too_large" — never
 // silently truncated into a different (possibly valid!) query.
@@ -100,10 +94,8 @@ const MaxQueryBytes = 1 << 20
 // and requests that accept JSON get the structured error envelope (see
 // the code set in errors.go) instead of a plain-text body.
 //
-// Every query response from an Epoched endpoint bears the EpochHeader
-// (the epoch read before evaluation, so a cached downstream entry keyed
-// by it can never claim data newer than it serves). The epoch probe
-// itself is NewMux's /epoch route; a bare Handler does not answer it.
+// The epoch probe is NewMux's /epoch route; a bare Handler does not
+// answer it.
 func Handler(ep Endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var query string
@@ -140,24 +132,12 @@ func Handler(ep Endpoint) http.Handler {
 			writeError(w, r, CodeParse, "missing query")
 			return
 		}
-		// The per-query header probe is skipped for endpoints whose
-		// Epoch is itself a network round trip (a Handler proxying a
-		// Client would otherwise double upstream traffic); the explicit
-		// /epoch probe still forwards for them.
-		var epoch uint64
-		epochKnown := false
-		if _, remote := ep.(remoteEpoched); !remote {
-			epoch, epochKnown = epochOf(r.Context(), ep)
-		}
 		res, err := ep.Query(r.Context(), query)
 		if err != nil {
 			writeError(w, r, codeForError(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/sparql-results+json")
-		if epochKnown {
-			w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
-		}
 		_ = json.NewEncoder(w).Encode(toJSONResults(res))
 	})
 }
@@ -190,12 +170,6 @@ func epochOf(ctx context.Context, ep Endpoint) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// remoteEpoched marks Epoched implementations whose Epoch call costs a
-// network round trip rather than an atomic load.
-type remoteEpoched interface{ epochViaNetwork() }
-
-func (c *Client) epochViaNetwork() {}
 
 // Client is an Endpoint talking to a remote SPARQL HTTP endpoint.
 // Queries are retried per the client's RetryPolicy — see NewClient.

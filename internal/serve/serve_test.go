@@ -153,6 +153,60 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
+// runDurable opens the data dir (seeding it the first time), serves it
+// through serve.Run on a free port, and waits until /healthz answers as
+// this endpoint. freeAddr's port is free only when it is probed: when
+// another listener takes it before Run binds, Run returns without
+// serving (closing the store), and runDurable reopens the dir on a
+// fresh port. A /healthz answer from some other server on the port is
+// not taken for this one.
+func runDurable(ctx context.Context, t *testing.T, dir string) (base string, done <-chan error) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		db, err := serve.Open(dir, "always", 0, seedSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := endpoint.NewLocal("durable", db.Store(), endpoint.Limits{CacheBytes: endpoint.DefaultCacheBytes})
+		addr := freeAddr(t)
+		ran := make(chan error, 1)
+		go func() { ran <- serve.Run(ctx, addr, serve.Mux(ep, db, nil), db) }()
+		base = "http://" + addr
+		err = awaitDurable(t, base, ran)
+		if err == nil {
+			return base, ran
+		}
+		if attempt == 3 {
+			t.Fatalf("Run never served on a free port: %v", err)
+		}
+		t.Logf("Run on %s returned before serving (%v); retrying on a fresh port", addr, err)
+	}
+}
+
+// awaitDurable polls base/healthz until it names the endpoint
+// "durable", and returns Run's error if Run returns first.
+func awaitDurable(t *testing.T, base string, ran <-chan error) error {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-ran:
+			return fmt.Errorf("Run returned: %w", err)
+		default:
+		}
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			continue
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(body), `"endpoint":"durable"`) {
+			return nil
+		}
+	}
+	t.Fatal("Run never started serving")
+	return nil
+}
+
 // TestDurableRunAndShutdownSnapshot serves a durable store through Run:
 // /add moves /epoch and /sparql sees the new triple. Cancelling Run's
 // context while writers are in flight drains them before the shutdown
@@ -160,27 +214,9 @@ func freeAddr(t *testing.T) string {
 // and nothing left to replay.
 func TestDurableRunAndShutdownSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	db, err := serve.Open(dir, "always", 0, seedSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := endpoint.NewLocal("durable", db.Store(), endpoint.Limits{CacheBytes: endpoint.DefaultCacheBytes})
-	addr := freeAddr(t)
-	base := "http://" + addr
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- serve.Run(ctx, addr, serve.Mux(ep, db, nil), db) }()
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if resp, err := http.Get(base + "/healthz"); err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Run never started serving")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	base, done := runDurable(ctx, t, dir)
 
 	if code, body := sparqlGet(t, base, newFactQuery); code != http.StatusOK || strings.Contains(body, "new fact") {
 		t.Fatalf("/sparql before /add = %d %s", code, body)

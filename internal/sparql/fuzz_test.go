@@ -90,12 +90,12 @@ var fuzzSeedQueries = []string{
 
 // FuzzParse is the parser's crash-and-round-trip battery. For any
 // input: Parse must not panic. For inputs Parse accepts, the canonical
-// serialization (Query.String, the form the endpoint result cache keys
-// on) must re-parse, and re-serializing the re-parse must reproduce it
-// byte-for-byte — String is a fixed point after one canonicalization.
-// If that ever breaks, two textually different spellings of one query
-// could alias distinct cache entries, or a cached key could fail to
-// re-parse on a remote endpoint.
+// serialization (Query.String, the text /run hands back as a
+// suggestion) must re-parse, and re-serializing the re-parse must
+// reproduce it byte-for-byte — String is a fixed point after one
+// canonicalization. If that ever breaks, a suggested query could fail
+// to parse when a client sends it back, or send back a different
+// text, and so a different result-cache key, each time.
 func FuzzParse(f *testing.F) {
 	for _, q := range fuzzSeedQueries {
 		f.Add(q)
