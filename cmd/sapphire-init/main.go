@@ -26,6 +26,7 @@ import (
 	"os"
 	"time"
 
+	"sapphire"
 	"sapphire/internal/bootstrap"
 	"sapphire/internal/endpoint"
 	"sapphire/internal/serve"
@@ -97,7 +98,7 @@ func main() {
 			log.Fatalf("open data: %v", err)
 		}
 		loadStart := time.Now()
-		local, err := bootstrap.NewWarehouseFromNTriples(*data, f)
+		local, err := sapphire.NewEndpointFromNTriples(*data, f, sapphire.Limits{})
 		f.Close()
 		if err != nil {
 			log.Fatalf("bulk load failed: %v", err)

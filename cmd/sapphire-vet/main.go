@@ -45,10 +45,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// uncheckedPkg scopes the unchecked analyzer to the durability path:
+// uncheckedPkgs scopes the unchecked analyzer to the durability path,
+// the store's data directory and the saved initialization cache:
 // ignored Close/Sync errors there swallow fsync failures. Repo-wide it
 // would flood on idiomatic deferred body.Close() calls.
-const uncheckedPkg = "internal/store/persist"
+var uncheckedPkgs = []string{"internal/store/persist", "internal/bootstrap"}
 
 // callerModule is the nested module whose code and tests count as
 // callers for testonly: the benchmark drives internal API and cannot
@@ -119,8 +120,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	count := 0
 	for _, pkg := range pkgs {
 		analyzers := analysis.All()
-		if strings.HasSuffix(pkg.PkgPath, "/"+uncheckedPkg) {
-			analyzers = append(analyzers, analysis.Unchecked)
+		for _, p := range uncheckedPkgs {
+			if strings.HasSuffix(pkg.PkgPath, "/"+p) {
+				analyzers = append(analyzers, analysis.Unchecked)
+			}
 		}
 		diags, err := analysis.Run(m, pkg, analyzers)
 		if err != nil {

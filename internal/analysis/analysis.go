@@ -19,7 +19,8 @@
 //     declared Code* constants, and every declared code must appear in
 //     a status/client mapping switch (internal/endpoint/errors.go).
 //   - unchecked: an ignored Close or Sync error on the durability path
-//     is a silent durability hole (internal/store/persist).
+//     is a silent durability hole (internal/store/persist,
+//     internal/bootstrap).
 //   - testonly: an exported name under internal/ that no non-test file
 //     of the module references is API only tests reach; it runs over
 //     the whole Module, not one package.

@@ -6,7 +6,7 @@ import (
 )
 
 // Unchecked is the errcheck-style audit for the durability path
-// (internal/store/persist): a Close or Sync whose error result is
+// (internal/store/persist, and internal/bootstrap's cache file): a Close or Sync whose error result is
 // discarded swallows the very failure the WAL/snapshot machinery
 // exists to surface — an fsync error that nobody sees is a silent
 // durability hole (docs/ARCHITECTURE.md "Durability"). The analyzer

@@ -298,8 +298,15 @@ func (b *Bins) ScanSubstring(pattern string, lo, hi, p, limit int) []string {
 		return nil
 	}
 	sel := b.Select(lo, hi)
-	matches := b.parallelScan(sel, p, func(l string) bool {
-		return strings.Contains(l, pattern)
+	matches := fanOut(sel, p, func(ts []Task) (local []string) {
+		for _, task := range ts {
+			for _, l := range sel[task.Bin][task.From:task.To] {
+				if strings.Contains(l, pattern) {
+					local = append(local, l)
+				}
+			}
+		}
+		return local
 	})
 	sortShortestFirst(matches)
 	if limit > 0 && len(matches) > limit {
@@ -326,63 +333,42 @@ func (b *Bins) SearchSimilar(target string, lo, hi, p int, theta float64, m simi
 		m, bound = similarity.JaroWinkler, similarity.NewJaroWinklerBound(target)
 	}
 	sel := append(b.Select(lo, hi), b.selectTier(treeTier, lo, hi)...)
-	tasks := AssignTasks(sel, p)
-	results := make([][]SimilarityMatch, len(tasks))
-	var wg sync.WaitGroup
-	for wi, ts := range tasks {
-		wg.Add(1)
-		go func(wi int, ts []Task) {
-			defer wg.Done()
-			var local []SimilarityMatch
-			for _, task := range ts {
-				for _, l := range sel[task.Bin][task.From:task.To] {
-					// The slack absorbs rounding in the bound.
-					if bound.Max(l) < theta-1e-9 {
-						continue
-					}
-					if s := m(target, l); s >= theta {
-						local = append(local, SimilarityMatch{l, s})
-					}
+	out := fanOut(sel, p, func(ts []Task) (local []SimilarityMatch) {
+		for _, task := range ts {
+			for _, l := range sel[task.Bin][task.From:task.To] {
+				// The slack absorbs rounding in the bound.
+				if bound.Max(l) < theta-1e-9 {
+					continue
+				}
+				if s := m(target, l); s >= theta {
+					local = append(local, SimilarityMatch{l, s})
 				}
 			}
-			results[wi] = local
-		}(wi, ts)
-	}
-	wg.Wait()
-	out := slices.Concat(results...)
+		}
+		return local
+	})
 	slices.SortFunc(out, func(x, y SimilarityMatch) int {
 		return cmp.Or(cmp.Compare(y.Score, x.Score), strings.Compare(x.Literal, y.Literal))
 	})
 	return out
 }
 
-// parallelScan runs pred over the selected bins using Algorithm 1 task
-// assignment and returns matching literals.
-func (b *Bins) parallelScan(sel [][]string, p int, pred func(string) bool) []string {
+// fanOut is Algorithm 1's fan-out: it assigns the literals of sel to p
+// workers, runs scan on each worker's tasks in its own goroutine, and
+// concatenates the results in worker order.
+func fanOut[T any](sel [][]string, p int, scan func([]Task) []T) []T {
 	tasks := AssignTasks(sel, p)
-	results := make([][]string, len(tasks))
+	results := make([][]T, len(tasks))
 	var wg sync.WaitGroup
 	for wi, ts := range tasks {
 		wg.Add(1)
-		go func(wi int, ts []Task) {
+		go func() {
 			defer wg.Done()
-			var local []string
-			for _, task := range ts {
-				for _, l := range sel[task.Bin][task.From:task.To] {
-					if pred(l) {
-						local = append(local, l)
-					}
-				}
-			}
-			results[wi] = local
-		}(wi, ts)
+			results[wi] = scan(ts)
+		}()
 	}
 	wg.Wait()
-	var out []string
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out
+	return slices.Concat(results...)
 }
 
 func sortShortestFirst(ls []string) { slices.SortFunc(ls, shortestFirst) }

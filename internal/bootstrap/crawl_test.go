@@ -5,8 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,9 +91,10 @@ func digestRows(h hash.Hash, res *sparql.Results) {
 }
 
 // TestInitializeCrawlPinned pins what the §5 crawl computes on the
-// benchmark corpus: the ordered rows of Q1, Q3, Q4 and every Q8 page
-// it issues, the saved cache byte for byte (its Duration zeroed), and
-// the counts the benchmark's per-layer rows report. An evaluator change
+// benchmark corpus: every query text it sends, in order, the ordered
+// rows of Q1, Q3, Q4 and every Q8 page it issues, the saved cache byte
+// for byte (its Duration zeroed), and the counts the benchmark's
+// per-layer rows report. An evaluator change
 // that moves any answer the crawl sees, or their order, fails here.
 func TestInitializeCrawlPinned(t *testing.T) {
 	ctx := context.Background()
@@ -129,6 +133,16 @@ func TestInitializeCrawlPinned(t *testing.T) {
 		t.Errorf("Q1/Q3/Q4/Q8 rows digest = %s, want %s", got, wantRows)
 	}
 
+	qh := sha256.New()
+	for _, q := range rec.queries {
+		io.WriteString(qh, q)
+		qh.Write([]byte{0})
+	}
+	const wantQueries = "af2ebcf8e9f15630fd6640d39d5abc7f3f402c357e7d882c648ba05bfb39e363"
+	if got := hex.EncodeToString(qh.Sum(nil)); got != wantQueries {
+		t.Errorf("query-sequence digest = %s, want %s", got, wantQueries)
+	}
+
 	c.Stats.Duration = 0
 	var saved bytes.Buffer
 	if err := c.Save(&saved); err != nil {
@@ -137,6 +151,104 @@ func TestInitializeCrawlPinned(t *testing.T) {
 	const wantCache = "d467a737fd7d1c31a40c880e960a219d241bc504caed2b99f40a2ee1398db81a"
 	if sum := sha256.Sum256(saved.Bytes()); hex.EncodeToString(sum[:]) != wantCache {
 		t.Errorf("Cache.Save digest = %x, want %s", sum, wantCache)
+	}
+}
+
+// TestCrawlCountsQueriesSent pins the counting rule of both drivers: a
+// query is counted in LiteralQueries (Q6/Q7, Q9) or SignificanceQueries
+// (Q8, Q10) exactly when the endpoint receives it, whether it came back,
+// timed out or was the last before the budget ran out; a page the
+// budget refused is not counted.
+func TestCrawlCountsQueriesSent(t *testing.T) {
+	d := datagen.Generate(datagen.SmallConfig())
+	type driver func(context.Context, endpoint.Endpoint, Config) (*Cache, error)
+	for _, tc := range []struct {
+		name     string
+		init     driver
+		budget   int
+		timeouts int // every nth query times out; 0 for none
+	}{
+		{"initialize/budget", Initialize, 25, 0},
+		{"initialize/timeouts", Initialize, 0, 4},
+		{"initialize/budget+timeouts", Initialize, 20, 3},
+		{"warehouse/budget", InitializeWarehouse, 2, 0},
+		{"warehouse/timeouts", InitializeWarehouse, 0, 2},
+		{"warehouse/budget+timeouts", InitializeWarehouse, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ep endpoint.Endpoint = endpoint.NewLocal("small", d.Store, endpoint.Limits{})
+			if tc.timeouts > 0 {
+				ep = endpoint.NewFlaky(ep, tc.timeouts, 0, 1)
+			}
+			rec := &recordingEndpoint{Endpoint: ep}
+			cfg := DefaultConfig()
+			cfg.QueryBudget = tc.budget
+			c, err := tc.init(context.Background(), rec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, sig := 0, 0
+			for _, q := range rec.queries {
+				switch {
+				case strings.Contains(q, "COUNT(?subject)") || strings.Contains(q, "COUNT(?s1)"):
+					sig++
+				case strings.Contains(q, "OFFSET"):
+					lit++
+				}
+			}
+			s := c.Stats
+			if s.QueriesIssued != len(rec.queries) || s.LiteralQueries != lit || s.SignificanceQueries != sig {
+				t.Errorf("counted %d queries (literal %d, significance %d); endpoint received %d (literal %d, significance %d)",
+					s.QueriesIssued, s.LiteralQueries, s.SignificanceQueries, len(rec.queries), lit, sig)
+			}
+			if tc.budget > 0 && !s.BudgetExhausted {
+				t.Errorf("budget %d not exhausted after %d queries", tc.budget, s.QueriesIssued)
+			}
+		})
+	}
+}
+
+// failingEndpoint fails one query text with a hard error.
+type failingEndpoint struct {
+	endpoint.Endpoint
+	fail string
+}
+
+func (f failingEndpoint) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if q == f.fail {
+		return nil, errors.New("connection reset")
+	}
+	return f.Endpoint.Query(ctx, q)
+}
+
+// TestInitializeHardFailures: a query that fails with an error other
+// than a timeout or a rejection fails Initialize, as a hard Q1, Q2 or
+// Q4 failure does. On a dataset without a class hierarchy that includes
+// Q3, which once left a cache with no literals and a nil error, and the
+// crawl's Q6/Q7 and Q8 pages.
+func TestInitializeHardFailures(t *testing.T) {
+	s := store.New()
+	typ, name := rdf.NewIRI(rdf.RDFType), rdf.NewIRI("http://x/name")
+	for i := 0; i < 30; i++ {
+		subj := rdf.NewIRI(fmt.Sprintf("http://x/e%d", i))
+		s.MustAdd(rdf.NewTriple(subj, typ, rdf.NewIRI("http://x/Thing")))
+		s.MustAdd(rdf.NewTriple(subj, name, rdf.NewLangLiteral(fmt.Sprintf("entity %d", i), "en")))
+	}
+	cfg := DefaultConfig()
+	for _, q := range []string{
+		QueryTypesByFrequency,
+		QueryLiteralsByClass("http://x/Thing", "http://x/name", cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
+		QuerySignificantLiterals("http://x/Thing", "http://x/name", cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
+	} {
+		rec := &recordingEndpoint{Endpoint: failingEndpoint{endpoint.NewLocal("flat", s, endpoint.Limits{}), q}}
+		c, err := Initialize(context.Background(), rec, cfg)
+		if !slices.Contains(rec.queries, q) {
+			t.Fatalf("the crawl never sent\n%s", q)
+		}
+		if err == nil || !strings.Contains(err.Error(), "connection reset") {
+			t.Errorf("Initialize failing\n%s\n= cache with %d literals, error %v; want the query's error",
+				q, c.Stats.LiteralCount, err)
+		}
 	}
 }
 

@@ -29,9 +29,6 @@ type Config struct {
 	// SuffixTreeCapacity caps the literals indexed in the suffix tree
 	// (paper: 40K significant literals for DBpedia).
 	SuffixTreeCapacity int
-	// TopPredicates limits literal retrieval to the most frequent
-	// literal predicates; 0 means all.
-	TopPredicates int
 }
 
 // DefaultConfig returns the paper's parameters scaled to simulation size.
@@ -42,7 +39,6 @@ func DefaultConfig() Config {
 		PageSize:           500,
 		QueryBudget:        0,
 		SuffixTreeCapacity: 2000,
-		TopPredicates:      0,
 	}
 }
 
@@ -152,93 +148,169 @@ type initializer struct {
 	sig      map[string]int      // lexical form → significance score
 }
 
+// errBudget ends a run once QueryBudget queries have been sent: every
+// later query would be refused, so the cache is built from what the run
+// has so far.
+var errBudget = errors.New("bootstrap: query budget spent")
+
 // Initialize runs the Section 5 procedure against an endpoint and builds
 // the cache. Endpoint timeouts are survived by descending the class
 // hierarchy; the query budget, when set, bounds total endpoint load.
 func Initialize(ctx context.Context, ep endpoint.Endpoint, cfg Config) (*Cache, error) {
+	return run(ctx, ep, cfg, (*initializer).crawl)
+}
+
+// run is the driver both initializations share: Q1, then collect, which
+// fills the literals and their significance, then the indexes.
+func run(ctx context.Context, ep endpoint.Endpoint, cfg Config, collect func(*initializer) error) (*Cache, error) {
 	start := time.Now()
-	init := &initializer{
+	in := &initializer{
 		ctx:      ctx,
 		ep:       ep,
 		cfg:      cfg,
 		literals: make(map[string]rdf.Term),
 		sig:      make(map[string]int),
 	}
-	preds, err := init.fetchPredicates()
-	if err != nil {
+	preds, err := in.column(QueryPredicatesByFrequency, "p")
+	if err == nil {
+		err = collect(in)
+	}
+	if err != nil && !errors.Is(err, errBudget) {
 		return nil, err
 	}
-	litPreds, err := init.fetchLiteralPredicates()
-	if err != nil {
-		return nil, err
-	}
-	hier, err := init.fetchHierarchy()
-	if err != nil {
-		return nil, err
-	}
-	init.stats.UsedHierarchy = hier != nil
-	classes := init.classOrder(hier)
-	init.collectLiterals(litPreds, hier, classes)
-	init.collectSignificance(litPreds, hier, classes)
-	c := init.buildCache(ep.Name(), preds)
+	c := in.buildCache(ep.Name(), preds)
 	c.Stats.Duration = time.Since(start)
 	return c, nil
 }
 
-// query issues one SPARQL query, counting it against the budget and
-// recording timeouts. A nil result with nil error means the budget is
-// exhausted.
-func (in *initializer) query(q string) (*sparql.Results, error) {
+// query sends one query, counting it in QueriesIssued and, when kind is
+// not nil, in *kind: a query is counted exactly when it is sent. A
+// timeout or a rejection is counted in Timeouts and answers nil, nil,
+// which the caller survives by descending or skipping. Once the budget
+// is spent query sends nothing and returns errBudget.
+func (in *initializer) query(q string, kind *int) (*sparql.Results, error) {
 	if in.cfg.QueryBudget > 0 && in.stats.QueriesIssued >= in.cfg.QueryBudget {
 		in.stats.BudgetExhausted = true
-		return nil, nil
+		return nil, errBudget
 	}
 	in.stats.QueriesIssued++
-	res, err := in.ep.Query(in.ctx, q)
-	if err != nil {
-		if errors.Is(err, endpoint.ErrTimeout) || errors.Is(err, endpoint.ErrRejected) {
-			in.stats.Timeouts++
-			return nil, nil // survivable: caller descends or skips
-		}
-		return nil, err
+	if kind != nil {
+		*kind++
 	}
-	return res, nil
+	res, err := in.ep.Query(in.ctx, q)
+	if errors.Is(err, endpoint.ErrTimeout) || errors.Is(err, endpoint.ErrRejected) {
+		in.stats.Timeouts++
+		return nil, nil
+	}
+	return res, err
 }
 
-func (in *initializer) fetchPredicates() ([]rdf.Term, error) {
-	res, err := in.query(QueryPredicatesByFrequency)
+// column sends q and returns its column v, nil when q timed out.
+func (in *initializer) column(q, v string) ([]rdf.Term, error) {
+	res, err := in.query(q, nil)
 	if err != nil || res == nil {
 		return nil, err
 	}
-	out := make([]rdf.Term, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		out = append(out, row["p"])
+	out := make([]rdf.Term, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = row[v]
 	}
-	in.stats.PredicateCount = len(out)
 	return out, nil
 }
 
-func (in *initializer) fetchLiteralPredicates() ([]rdf.Term, error) {
-	res, err := in.query(QueryLiteralPredicates)
-	if err != nil || res == nil {
-		return nil, err
+// pages is the one place a crawl page is issued. It sends page(offset)
+// for offsets 0, PageSize, 2·PageSize, … counted in *kind, folds every
+// row with add, and stops at a short page. It reports whether every
+// page came back: a timeout or a rejection ends it early with false.
+func (in *initializer) pages(kind *int, add func(sparql.Binding), page func(offset int) string) (bool, error) {
+	for offset := 0; ; offset += in.cfg.PageSize {
+		res, err := in.query(page(offset), kind)
+		if err != nil || res == nil {
+			return false, err
+		}
+		for _, row := range res.Rows {
+			add(row)
+		}
+		if len(res.Rows) < in.cfg.PageSize {
+			return true, nil
+		}
 	}
-	var out []rdf.Term
-	for _, row := range res.Rows {
-		p := row["p"]
+}
+
+// addLiteral folds a Q6/Q7 or Q9 row: its literal ?o is cached.
+func (in *initializer) addLiteral(row sparql.Binding) {
+	if o := row["o"]; o.IsLiteral() {
+		in.literals[o.Value] = o
+	}
+}
+
+// addSignificance folds a Q8 or Q10 row: a literal keeps the highest
+// ?frequency (Definition 1) any page gave it.
+func (in *initializer) addSignificance(row sparql.Binding) {
+	o, n := row["o"], atoiSafe(row["frequency"].Value)
+	if o.IsLiteral() && n > in.sig[o.Value] {
+		in.sig[o.Value] = n
+	}
+}
+
+// crawl is Section 5's collect step. Q4 and its Q5 probes name the
+// literal predicates and Q2 the classes (Q3 without a hierarchy); then
+// one class walk per literal predicate pages Q6/Q7, and one more walk
+// pages Q8 over every literal predicate, a class succeeding when all
+// its pages came back.
+func (in *initializer) crawl() error {
+	cands, err := in.column(QueryLiteralPredicates, "p")
+	if err != nil {
+		return err
+	}
+	var preds []rdf.Term
+	for _, p := range cands {
 		// Q5 probe: keep only predicates with usable literals.
-		probe, err := in.query(QueryPredicateProbe(p.Value, in.cfg.Language, in.cfg.MaxLiteralLength))
+		probe, err := in.query(QueryPredicateProbe(p.Value, in.cfg.Language, in.cfg.MaxLiteralLength), nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if probe != nil && len(probe.Rows) > 0 {
-			out = append(out, p)
-		}
-		if in.cfg.TopPredicates > 0 && len(out) >= in.cfg.TopPredicates {
-			break
+			preds = append(preds, p)
 		}
 	}
-	return out, nil
+	hier, err := in.fetchHierarchy()
+	if err != nil {
+		return err
+	}
+	in.stats.UsedHierarchy = hier != nil
+	if hier == nil {
+		// Without a hierarchy every Q3 class is a root with no subclass.
+		roots, err := in.column(QueryTypesByFrequency, "o")
+		if err != nil {
+			return err
+		}
+		hier = &classHierarchy{roots: roots}
+	}
+	cfg := in.cfg
+	for _, pred := range preds {
+		err := hier.walk(func(class rdf.Term) (bool, error) {
+			return in.pages(&in.stats.LiteralQueries, in.addLiteral, func(offset int) string {
+				return QueryLiteralsByClass(class.Value, pred.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
+			})
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return hier.walk(func(class rdf.Term) (bool, error) {
+		ok := true
+		for _, pred := range preds {
+			done, err := in.pages(&in.stats.SignificanceQueries, in.addSignificance, func(offset int) string {
+				return QuerySignificantLiterals(class.Value, pred.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
+			})
+			if err != nil {
+				return false, err
+			}
+			ok = ok && done
+		}
+		return ok, nil
+	})
 }
 
 // classHierarchy is the RDFS class tree from Q2 that initialization
@@ -253,12 +325,9 @@ type classHierarchy struct {
 // The roots are the parentless classes, then, in term order, each class
 // they do not reach: a subclass cycle with no way in still gets walked.
 func (in *initializer) fetchHierarchy() (*classHierarchy, error) {
-	res, err := in.query(QueryClassHierarchy)
-	if err != nil || res == nil {
+	res, err := in.query(QueryClassHierarchy, nil)
+	if err != nil || res == nil || len(res.Rows) == 0 {
 		return nil, err
-	}
-	if len(res.Rows) == 0 {
-		return nil, nil
 	}
 	h := &classHierarchy{children: make(map[rdf.Term][]rdf.Term)}
 	parents := make(map[rdf.Term]int) // every class, with its parent count
@@ -282,174 +351,44 @@ func (in *initializer) fetchHierarchy() (*classHierarchy, error) {
 		}
 	}
 	reached := make(map[rdf.Term]bool)
-	mark := func(c rdf.Term, _ int) bool {
+	mark := func(c rdf.Term) (bool, error) {
 		reached[c] = true
-		return true
+		return false, nil
 	}
-	h.walk(mark)
+	_ = h.walk(mark) // mark never fails
 	for _, c := range classes {
 		if !reached[c] {
 			h.roots = append(h.roots, c)
-			h.walk(mark)
+			_ = h.walk(mark)
 		}
 	}
 	return h, nil
 }
 
-// walk visits classes breadth-first from the roots. Returning false from
-// fn prunes that class's subtree (the paper skips subclasses once a class
-// query succeeds). Each class is visited at most once even in DAGs and
-// cycles.
-func (h *classHierarchy) walk(fn func(class rdf.Term, depth int) bool) {
-	type item struct {
-		class rdf.Term
-		depth int
-	}
-	queue := make([]item, 0, len(h.roots))
-	for _, r := range h.roots {
-		queue = append(queue, item{r, 0})
-	}
+// walk is the one class walker. It visits classes breadth-first from
+// the roots, each at most once even in DAGs and cycles. A visit that
+// succeeds (true) prunes the class's subtree, since the paper skips the
+// subclasses once a class query succeeds; one that fails descends into
+// them. The walk ends at the first error.
+func (h *classHierarchy) walk(visit func(class rdf.Term) (bool, error)) error {
+	queue := slices.Clone(h.roots)
 	seen := make(map[rdf.Term]struct{})
 	for len(queue) > 0 {
-		it := queue[0]
+		c := queue[0]
 		queue = queue[1:]
-		if _, dup := seen[it.class]; dup {
+		if _, dup := seen[c]; dup {
 			continue
 		}
-		seen[it.class] = struct{}{}
-		if !fn(it.class, it.depth) {
-			continue
-		}
-		for _, c := range h.children[it.class] {
-			queue = append(queue, item{c, it.depth + 1})
-		}
-	}
-}
-
-// classOrder returns the flat class list for the no-hierarchy fallback:
-// rdf:type objects by frequency (Q3).
-func (in *initializer) classOrder(hier *classHierarchy) []rdf.Term {
-	if hier != nil {
-		return nil
-	}
-	res, err := in.query(QueryTypesByFrequency)
-	if err != nil || res == nil {
-		return nil
-	}
-	out := make([]rdf.Term, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		out = append(out, row["o"])
-	}
-	return out
-}
-
-// collectLiterals implements the literal retrieval walk: per predicate,
-// descend the hierarchy from the roots; a timeout descends to the
-// subclasses, success prunes the subtree.
-func (in *initializer) collectLiterals(litPreds []rdf.Term, hier *classHierarchy, classes []rdf.Term) {
-	for _, pred := range litPreds {
-		if in.stats.BudgetExhausted {
-			return
-		}
-		if hier != nil {
-			hier.walk(func(class rdf.Term, _ int) bool {
-				if in.stats.BudgetExhausted {
-					return false
-				}
-				ok := in.pagedLiterals(class, pred)
-				// Success prunes (returning false stops descent); a
-				// timeout descends into subclasses.
-				return !ok
-			})
-			continue
-		}
-		for _, class := range classes {
-			if in.stats.BudgetExhausted {
-				return
-			}
-			in.pagedLiterals(class, pred)
-		}
-	}
-}
-
-// pagedLiterals pulls all pages of Q6/Q7 for one (class, predicate) pair.
-// It reports whether retrieval succeeded (no timeout).
-func (in *initializer) pagedLiterals(class, pred rdf.Term) bool {
-	for offset := 0; ; offset += in.cfg.PageSize {
-		q := QueryLiteralsByClass(class.Value, pred.Value, in.cfg.Language, in.cfg.MaxLiteralLength, in.cfg.PageSize, offset)
-		in.stats.LiteralQueries++
-		res, err := in.query(q)
+		seen[c] = struct{}{}
+		ok, err := visit(c)
 		if err != nil {
-			return false
+			return err
 		}
-		if res == nil {
-			// Timeout or budget: caller descends the hierarchy.
-			return false
-		}
-		for _, row := range res.Rows {
-			o := row["o"]
-			if o.IsLiteral() {
-				in.literals[o.Value] = o
-			}
-		}
-		if len(res.Rows) < in.cfg.PageSize {
-			return true
+		if !ok {
+			queue = append(queue, h.children[c]...)
 		}
 	}
-}
-
-// collectSignificance runs the Q8 walk accumulating Definition 1 scores.
-func (in *initializer) collectSignificance(litPreds []rdf.Term, hier *classHierarchy, classes []rdf.Term) {
-	walk := func(class rdf.Term) bool {
-		if in.stats.BudgetExhausted {
-			return false
-		}
-		return in.pagedSignificance(class, litPreds)
-	}
-	if hier != nil {
-		hier.walk(func(class rdf.Term, _ int) bool {
-			ok := walk(class)
-			return !ok
-		})
-		return
-	}
-	for _, class := range classes {
-		walk(class)
-	}
-}
-
-// pagedSignificance pulls Q8 pages for one class across the literal
-// predicates, reporting success.
-func (in *initializer) pagedSignificance(class rdf.Term, litPreds []rdf.Term) bool {
-	allOK := true
-	for _, pred := range litPreds {
-		for offset := 0; ; offset += in.cfg.PageSize {
-			q := QuerySignificantLiterals(class.Value, pred.Value, in.cfg.Language, in.cfg.MaxLiteralLength, in.cfg.PageSize, offset)
-			in.stats.SignificanceQueries++
-			res, err := in.query(q)
-			if err != nil || res == nil {
-				allOK = false
-				break
-			}
-			for _, row := range res.Rows {
-				o := row["o"]
-				n := 0
-				if f, ok := row["frequency"]; ok {
-					n = atoiSafe(f.Value)
-				}
-				if o.IsLiteral() && n > in.sig[o.Value] {
-					in.sig[o.Value] = n
-				}
-			}
-			if len(res.Rows) < in.cfg.PageSize {
-				break
-			}
-		}
-		if in.stats.BudgetExhausted {
-			return false
-		}
-	}
-	return allOK
+	return nil
 }
 
 func atoiSafe(s string) int {
@@ -496,6 +435,7 @@ func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 	for i, r := range ranked {
 		significant[i] = r.lex
 	}
+	in.stats.PredicateCount = len(preds)
 	in.stats.LiteralCount = len(in.literals)
 	in.stats.SignificantCount = len(ranked)
 	c.Stats = in.stats

@@ -2,7 +2,9 @@ package bootstrap
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sapphire/internal/datagen"
@@ -242,24 +244,36 @@ func TestHierarchy(t *testing.T) {
 		t.Fatalf("roots = %v, want [Person Place]", h.roots)
 	}
 
-	// walk visits roots at depth 0 and children one deeper.
-	depths := make(map[rdf.Term]int)
-	h.walk(func(c rdf.Term, d int) bool {
-		depths[c] = d
-		return true
+	// walk visits breadth-first: the roots, then their children in
+	// term order, then theirs; a failed visit (false) descends.
+	var order []string
+	h.walk(func(c rdf.Term) (bool, error) {
+		order = append(order, c.Value[len("http://x/"):])
+		return false, nil
 	})
-	if len(depths) != 6 || depths[iri("Person")] != 0 || depths[iri("Senator")] != 2 {
-		t.Errorf("walk depths = %v", depths)
+	if got, want := strings.Join(order, " "), "Person Place MovieDirector Politician City Senator"; got != want {
+		t.Errorf("walk order = %s, want %s", got, want)
 	}
 
-	// Pruning: refuse to descend below Person.
+	// Pruning: a success at Person skips everything under it.
 	visited := 0
-	h.walk(func(c rdf.Term, d int) bool {
+	h.walk(func(c rdf.Term) (bool, error) {
 		visited++
-		return c != iri("Person")
+		return c == iri("Person"), nil
 	})
 	if visited != 3 { // Person, Place, City — nothing under Person
 		t.Errorf("pruned walk visited %d classes, want 3", visited)
+	}
+
+	// The first error ends the walk and is returned.
+	boom := errors.New("boom")
+	visited = 0
+	err := h.walk(func(rdf.Term) (bool, error) {
+		visited++
+		return false, boom
+	})
+	if err != boom || visited != 1 {
+		t.Errorf("walk after an error: err %v, visited %d; want boom, 1", err, visited)
 	}
 }
 
@@ -267,9 +281,9 @@ func TestHierarchyEmpty(t *testing.T) {
 	if h := hierarchyOf(t); h != nil {
 		t.Errorf("dataset without subClassOf has hierarchy %+v", h)
 	}
-	(&classHierarchy{}).walk(func(rdf.Term, int) bool {
+	(&classHierarchy{}).walk(func(rdf.Term) (bool, error) {
 		t.Error("walk visited a class in an empty hierarchy")
-		return true
+		return false, nil
 	})
 }
 
@@ -280,9 +294,9 @@ func TestHierarchyCycleSafe(t *testing.T) {
 		t.Fatalf("roots = %v, want [A]", h.roots)
 	}
 	n := 0
-	h.walk(func(rdf.Term, int) bool {
+	h.walk(func(rdf.Term) (bool, error) {
 		n++
-		return n < 100
+		return n >= 100, nil
 	})
 	if n != 3 {
 		t.Errorf("walk visited %d classes, want each of A, B, C once", n)

@@ -90,11 +90,11 @@ func (c *Cache) SaveFile(path string) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := c.Save(tmp); err != nil {
-		tmp.Close()
+		_ = tmp.Close()
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+		_ = tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
@@ -103,11 +103,15 @@ func (c *Cache) SaveFile(path string) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // saveJSON writes the raw JSON body.

@@ -5,6 +5,14 @@
 // class hierarchy and paginating with LIMIT/OFFSET. The retrieved data is
 // indexed into a suffix tree (significant literals + all predicates) and
 // residual length bins for the Predictive User Model.
+//
+// Initialize and InitializeWarehouse are one driver, run: Q1, a collect
+// step, then the indexes. Initialize's collect walks the classes (one
+// walker, classHierarchy.walk) and pages Q6/Q7 and Q8; the warehouse's
+// pages Q9 and Q10. Every page goes through one loop, pages, and every
+// query through query, which counts a query in QueriesIssued and in its
+// kind (LiteralQueries, SignificanceQueries) exactly when it is sent: a
+// timed-out or rejected query counts, one the budget refused does not.
 package bootstrap
 
 import "fmt"

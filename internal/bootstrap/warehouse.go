@@ -2,38 +2,9 @@ package bootstrap
 
 import (
 	"context"
-	"io"
-	"time"
 
 	"sapphire/internal/endpoint"
-	"sapphire/internal/rdf"
-	"sapphire/internal/store"
 )
-
-// NewWarehouse builds an unlimited local endpoint over the triples — the
-// warehousing architecture of Appendix A, where the dataset lives with
-// Sapphire instead of behind a public endpoint. Loading goes through the
-// store's staged bulk-load path: terms are interned and triples buffered
-// as ID tuples, then the indexes are built and sorted in one commit, so
-// warehouse construction stays linear at millions of triples.
-func NewWarehouse(name string, triples []rdf.Triple) (*endpoint.Local, error) {
-	st := store.New()
-	if err := st.AddAll(triples); err != nil {
-		return nil, err
-	}
-	return endpoint.NewLocal(name, st, endpoint.Limits{}), nil
-}
-
-// NewWarehouseFromNTriples streams an N-Triples document into a local
-// warehouse endpoint via store.LoadNTriples, never materializing the
-// whole document as a []rdf.Triple.
-func NewWarehouseFromNTriples(name string, r io.Reader) (*endpoint.Local, error) {
-	st := store.New()
-	if err := store.LoadNTriples(st, r); err != nil {
-		return nil, err
-	}
-	return endpoint.NewLocal(name, st, endpoint.Limits{}), nil
-}
 
 // InitializeWarehouse runs the warehousing-architecture variant of
 // initialization described at the end of Appendix A: when the datasets
@@ -42,62 +13,15 @@ func NewWarehouseFromNTriples(name string, r io.Reader) (*endpoint.Local, error)
 // the two straight-line queries Q9 (all filtered literals) and Q10 (all
 // significant literals), paginated only to bound result-set size.
 func InitializeWarehouse(ctx context.Context, ep endpoint.Endpoint, cfg Config) (*Cache, error) {
-	start := time.Now()
-	init := &initializer{
-		ctx:      ctx,
-		ep:       ep,
-		cfg:      cfg,
-		literals: make(map[string]rdf.Term),
-		sig:      make(map[string]int),
-	}
-	preds, err := init.fetchPredicates()
-	if err != nil {
-		return nil, err
-	}
-	// Q9: literals, paginated.
-	for offset := 0; ; offset += cfg.PageSize {
-		res, err := init.query(QueryWarehouseLiterals(cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset))
-		if err != nil {
-			return nil, err
+	return run(ctx, ep, cfg, func(in *initializer) error {
+		if _, err := in.pages(&in.stats.LiteralQueries, in.addLiteral, func(offset int) string {
+			return QueryWarehouseLiterals(cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
+		}); err != nil {
+			return err
 		}
-		if res == nil {
-			break // budget exhausted
-		}
-		init.stats.LiteralQueries++
-		for _, row := range res.Rows {
-			if o := row["o"]; o.IsLiteral() {
-				init.literals[o.Value] = o
-			}
-		}
-		if len(res.Rows) < cfg.PageSize {
-			break
-		}
-	}
-	// Q10: significance, paginated.
-	for offset := 0; ; offset += cfg.PageSize {
-		res, err := init.query(QueryWarehouseSignificant(cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset))
-		if err != nil {
-			return nil, err
-		}
-		if res == nil {
-			break
-		}
-		init.stats.SignificanceQueries++
-		for _, row := range res.Rows {
-			o := row["o"]
-			n := 0
-			if f, ok := row["frequency"]; ok {
-				n = atoiSafe(f.Value)
-			}
-			if o.IsLiteral() && n > init.sig[o.Value] {
-				init.sig[o.Value] = n
-			}
-		}
-		if len(res.Rows) < cfg.PageSize {
-			break
-		}
-	}
-	c := init.buildCache(ep.Name(), preds)
-	c.Stats.Duration = time.Since(start)
-	return c, nil
+		_, err := in.pages(&in.stats.SignificanceQueries, in.addSignificance, func(offset int) string {
+			return QueryWarehouseSignificant(cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
+		})
+		return err
+	})
 }

@@ -8,7 +8,6 @@ import (
 
 	"sapphire/internal/datagen"
 	"sapphire/internal/endpoint"
-	"sapphire/internal/rdf"
 )
 
 func TestWarehouseInitialization(t *testing.T) {
@@ -127,51 +126,5 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("future version accepted")
-	}
-}
-
-func TestNewWarehouseFromNTriples(t *testing.T) {
-	doc := `# bulk-load smoke document
-<http://x/alice> <http://x/knows> <http://x/bob> .
-<http://x/alice> <http://x/name> "Alice"@en .
-<http://x/alice> <http://x/knows> <http://x/bob> .
-<http://x/bob> <http://x/name> "Bob"@en .
-`
-	ep, err := NewWarehouseFromNTriples("dump", strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ep.Store().Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3 (duplicate line deduplicated)", got)
-	}
-	res, err := ep.Query(context.Background(),
-		`SELECT ?o WHERE { <http://x/alice> <http://x/knows> ?o . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
-	}
-	if _, err := NewWarehouseFromNTriples("bad", strings.NewReader("<oops\n")); err == nil {
-		t.Fatal("malformed document accepted")
-	}
-}
-
-func TestNewWarehouse(t *testing.T) {
-	d := datagen.Generate(datagen.SmallConfig())
-	var triples []rdf.Triple
-	d.Store.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(tr rdf.Triple) bool {
-		triples = append(triples, tr)
-		return true
-	})
-	ep, err := NewWarehouse("wh", triples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.Store().Len() != d.Store.Len() {
-		t.Fatalf("warehouse Len = %d, want %d", ep.Store().Len(), d.Store.Len())
-	}
-	if _, err := InitializeWarehouse(context.Background(), ep, DefaultConfig()); err != nil {
-		t.Fatal(err)
 	}
 }

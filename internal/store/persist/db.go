@@ -33,7 +33,12 @@ const (
 	manifestPrefix = "manifest-"
 	manifestSuffix = ".json"
 	tmpSuffix      = ".tmp"
+	lockName       = "LOCK"
 )
+
+// ErrLocked reports a data directory that another DB holds open, in
+// this process or another.
+var ErrLocked = errors.New("persist: data directory is locked by another open DB")
 
 func snapName(gen uint64) string { return fmt.Sprintf("snap-%016x%s", gen, snapSuffix) }
 func walName(gen uint64) string  { return fmt.Sprintf("wal-%016x%s", gen, walSuffix) }
@@ -136,10 +141,11 @@ type Options struct {
 	// triples have been logged to the current WAL. 0 disables automatic
 	// snapshots (explicit Snapshot calls still work).
 	SnapshotEvery int
-	// KeepGenerations is how many trailing generations survive snapshot
-	// cleanup. Minimum (and default) 2: the newest plus one fallback.
-	KeepGenerations int
 }
+
+// keepGenerations is how many trailing generations survive snapshot
+// cleanup: the newest plus one fallback.
+const keepGenerations = 2
 
 // RecoveryInfo reports what Open reconstructed.
 type RecoveryInfo struct {
@@ -183,6 +189,9 @@ type DB struct {
 
 	stopSync chan struct{}
 	syncDone chan struct{}
+	// lock holds the data directory's LOCK file, nil on an injected FS
+	// or a platform without flock.
+	lock *os.File
 }
 
 // Open recovers (or initializes) durable state in dir and returns a
@@ -196,19 +205,19 @@ func Open(dir string, opts Options) (*DB, RecoveryInfo, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
-	if opts.KeepGenerations < 2 {
-		opts.KeepGenerations = 2
-	}
-	fs := opts.FS
-	if fs == nil {
+	db := &DB{fs: opts.FS, opts: opts}
+	if db.fs == nil {
 		var err error
-		if fs, err = NewOSFS(dir); err != nil {
+		if db.fs, err = NewOSFS(dir); err != nil {
+			return nil, RecoveryInfo{}, err
+		}
+		if db.lock, err = lockDir(dir); err != nil {
 			return nil, RecoveryInfo{}, err
 		}
 	}
-	db := &DB{fs: fs, opts: opts}
 	info, err := db.recover()
 	if err != nil {
+		_ = db.unlock()
 		return nil, info, err
 	}
 	if opts.Fsync == FsyncInterval {
@@ -566,7 +575,7 @@ func (db *DB) snapshotLocked() (store.SnapshotInfo, error) {
 	return sinfo, nil
 }
 
-// cleanupLocked removes generations older than KeepGenerations, plus
+// cleanupLocked removes generations older than keepGenerations, plus
 // snapshot files orphaned by crashed snapshot attempts. Best-effort:
 // cleanup failures never fail the snapshot that triggered them.
 func (db *DB) cleanupLocked() {
@@ -575,8 +584,8 @@ func (db *DB) cleanupLocked() {
 		return
 	}
 	var cutoff uint64
-	if db.gen >= uint64(db.opts.KeepGenerations) {
-		cutoff = db.gen - uint64(db.opts.KeepGenerations) + 1
+	if db.gen >= keepGenerations {
+		cutoff = db.gen - keepGenerations + 1
 	}
 	for _, name := range names {
 		if g, ok := parseGen(name, "snap-", snapSuffix); ok && g < cutoff {
@@ -639,6 +648,19 @@ func (db *DB) Close() error {
 		}
 		db.wal = nil
 	}
+	if uerr := db.unlock(); uerr != nil && err == nil {
+		err = uerr
+	}
+	return err
+}
+
+// unlock releases the data directory's LOCK file.
+func (db *DB) unlock() error {
+	if db.lock == nil {
+		return nil
+	}
+	err := db.lock.Close()
+	db.lock = nil
 	return err
 }
 

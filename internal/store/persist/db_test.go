@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -399,7 +402,7 @@ func TestSnapshotEvery(t *testing.T) {
 
 func TestGenerationCleanup(t *testing.T) {
 	fs := NewMemFS()
-	db, _ := mustOpen(t, fs, Options{Fsync: FsyncAlways, KeepGenerations: 2})
+	db, _ := mustOpen(t, fs, Options{Fsync: FsyncAlways})
 	for g := 0; g < 5; g++ {
 		if err := db.AddAll(batch(fmt.Sprintf("g%d", g), 20)); err != nil {
 			t.Fatal(err)
@@ -505,6 +508,67 @@ func TestOSFS(t *testing.T) {
 	}
 	if got := dumpStore(t, db2.Store()); got != want {
 		t.Fatal("on-disk restart lost state")
+	}
+}
+
+// TestOpenLocksDir pins the data directory lock: while one DB holds a
+// directory open, a second Open fails with ErrLocked and leaves every
+// file as it was, including a *.tmp that recovery would remove (it may
+// be a manifest the first opener is about to rename into place). Once
+// the first DB is closed the directory opens again.
+func TestOpenLocksDir(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddAll(batch("held", 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	pending := filepath.Join(dir, manifestName(2)+tmpSuffix)
+	if err := os.WriteFile(pending, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := listing()
+
+	if db2, _, err := Open(dir, Options{Fsync: FsyncAlways}); !errors.Is(err, ErrLocked) {
+		if db2 != nil {
+			db2.Close()
+		}
+		t.Fatalf("second Open: err %v, want ErrLocked", err)
+	}
+	if after := listing(); !maps.Equal(after, before) {
+		t.Errorf("second Open changed the directory:\nbefore %q\nafter  %q", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, info, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer db2.Close()
+	if info.Triples != 10 {
+		t.Errorf("reopen recovered %d triples, want 10", info.Triples)
 	}
 }
 

@@ -327,7 +327,11 @@ func (c *Client) Run(ctx context.Context, query string) (*Results, []Suggestion,
 // Loading goes through the store's staged bulk-load path, so building
 // endpoints over large datasets stays linear in the number of triples.
 func NewMemoryEndpoint(name string, triples []Triple) (*endpoint.Local, error) {
-	return bootstrap.NewWarehouse(name, triples)
+	st := store.New()
+	if err := st.AddAll(triples); err != nil {
+		return nil, err
+	}
+	return endpoint.NewLocal(name, st, Limits{}), nil
 }
 
 // NewEndpointFromNTriples builds an in-process endpoint from an

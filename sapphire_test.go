@@ -96,12 +96,20 @@ func TestClientMultipleEndpointsMergedCache(t *testing.T) {
 	d := datagen.Generate(datagen.SmallConfig())
 	ep1 := endpoint.NewLocal("main", d.Store, endpoint.Limits{})
 	// Second endpoint with a disjoint mini-dataset.
-	nt := strings.NewReader(`<http://other.org/e1> <http://other.org/hasCuriosity> "A distinct curio"@en .
+	nt := strings.NewReader(`# a comment line
+<http://other.org/e1> <http://other.org/hasCuriosity> "A distinct curio"@en .
 <http://other.org/e1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://other.org/Curio> .
+<http://other.org/e1> <http://other.org/hasCuriosity> "A distinct curio"@en .
 `)
 	ep2, err := NewEndpointFromNTriples("other", nt, Limits{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := ep2.Store().Len(); got != 2 {
+		t.Fatalf("Len = %d, want 2 (duplicate line deduplicated)", got)
+	}
+	if _, err := NewEndpointFromNTriples("bad", strings.NewReader("<oops\n"), Limits{}); err == nil {
+		t.Fatal("malformed document accepted")
 	}
 	c := New(Defaults())
 	ctx := context.Background()
@@ -150,9 +158,15 @@ func TestClientOverHTTP(t *testing.T) {
 }
 
 func TestNewMemoryEndpoint(t *testing.T) {
-	triples, err := NewMemoryEndpoint("t", nil)
-	if err != nil || triples == nil {
-		t.Fatalf("empty endpoint: %v", err)
+	d := datagen.Generate(datagen.SmallConfig())
+	for _, triples := range [][]Triple{nil, d.Store.MatchSlice(Term{}, Term{}, Term{})} {
+		ep, err := NewMemoryEndpoint("t", triples)
+		if err != nil {
+			t.Fatalf("%d triples: %v", len(triples), err)
+		}
+		if got := ep.Store().Len(); got != len(triples) {
+			t.Errorf("Len = %d, want %d", got, len(triples))
+		}
 	}
 	bad := []Triple{{}}
 	if _, err := NewMemoryEndpoint("t", bad); err == nil {
