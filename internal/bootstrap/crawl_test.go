@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -221,11 +223,10 @@ func (f failingEndpoint) Query(ctx context.Context, q string) (*sparql.Results, 
 	return f.Endpoint.Query(ctx, q)
 }
 
-// TestInitializeHardFailures: a query that fails with an error other
-// than a timeout or a rejection fails Initialize, as a hard Q1, Q2 or
-// Q4 failure does. On a dataset without a class hierarchy that includes
-// Q3, which once left a cache with no literals and a nil error, and the
-// crawl's Q6/Q7 and Q8 pages.
+// TestInitializeHardFailures: a Q1–Q4 query that fails with an error
+// other than a timeout or a rejection fails Initialize. On a dataset
+// without a class hierarchy that includes Q3, which once left a cache
+// with no literals and a nil error.
 func TestInitializeHardFailures(t *testing.T) {
 	s := store.New()
 	typ, name := rdf.NewIRI(rdf.RDFType), rdf.NewIRI("http://x/name")
@@ -234,20 +235,84 @@ func TestInitializeHardFailures(t *testing.T) {
 		s.MustAdd(rdf.NewTriple(subj, typ, rdf.NewIRI("http://x/Thing")))
 		s.MustAdd(rdf.NewTriple(subj, name, rdf.NewLangLiteral(fmt.Sprintf("entity %d", i), "en")))
 	}
-	cfg := DefaultConfig()
-	for _, q := range []string{
-		QueryTypesByFrequency,
-		QueryLiteralsByClass("http://x/Thing", "http://x/name", cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
-		QuerySignificantLiterals("http://x/Thing", "http://x/name", cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
-	} {
+	for _, q := range []string{QueryPredicatesByFrequency, QueryClassHierarchy, QueryTypesByFrequency, QueryLiteralPredicates} {
 		rec := &recordingEndpoint{Endpoint: failingEndpoint{endpoint.NewLocal("flat", s, endpoint.Limits{}), q}}
-		c, err := Initialize(context.Background(), rec, cfg)
+		_, err := Initialize(context.Background(), rec, DefaultConfig())
 		if !slices.Contains(rec.queries, q) {
 			t.Fatalf("the crawl never sent\n%s", q)
 		}
 		if err == nil || !strings.Contains(err.Error(), "connection reset") {
-			t.Errorf("Initialize failing\n%s\n= cache with %d literals, error %v; want the query's error",
-				q, c.Stats.LiteralCount, err)
+			t.Errorf("Initialize failing\n%s\n= error %v; want the query's error", q, err)
+		}
+	}
+}
+
+// TestInitializeDescendsPastFailedPage: over HTTP a public endpoint
+// often answers an overlong query with a 504, which the client does not
+// type as a timeout. A Q6/Q7 or Q8 page that fails that way is a failed
+// visit, as a timeout is: the walk descends into the subclasses and
+// Initialize succeeds with their literals.
+func TestInitializeDescendsPastFailedPage(t *testing.T) {
+	s := store.New()
+	typ := rdf.NewIRI(rdf.RDFType)
+	person, agent := rdf.NewIRI("http://x/Person"), rdf.NewIRI("http://x/Agent")
+	name, knows := rdf.NewIRI("http://x/name"), rdf.NewIRI("http://x/knows")
+	s.MustAdd(rdf.NewTriple(person, typ, rdf.NewIRI("http://www.w3.org/2002/07/owl#Class")))
+	s.MustAdd(rdf.NewTriple(person, rdf.NewIRI("http://www.w3.org/2000/01/rdf-schema#subClassOf"), agent))
+	for i := 0; i < 30; i++ {
+		subj := rdf.NewIRI(fmt.Sprintf("http://x/e%d", i))
+		s.MustAdd(rdf.NewTriple(subj, typ, person))
+		s.MustAdd(rdf.NewTriple(subj, name, rdf.NewLangLiteral(fmt.Sprintf("entity %d", i), "en")))
+		s.MustAdd(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/e%d", (i+1)%30)), knows, subj))
+	}
+	cfg := DefaultConfig()
+	page := func(class rdf.Term) []string {
+		return []string{
+			QueryLiteralsByClass(class.Value, name.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
+			QuerySignificantLiterals(class.Value, name.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
+		}
+	}
+	failed := page(agent)
+	inner := endpoint.Handler(endpoint.NewLocal("remote", s, endpoint.Limits{}))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if slices.Contains(failed, r.FormValue("query")) {
+			http.Error(w, "gateway timeout", http.StatusGatewayTimeout)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	rec := &recordingEndpoint{Endpoint: endpoint.NewClient(srv.URL, endpoint.WithRetryPolicy(endpoint.RetryPolicy{MaxAttempts: 1}))}
+	c, err := Initialize(context.Background(), rec, cfg)
+	if err != nil {
+		t.Fatalf("Initialize with a 504 page: %v", err)
+	}
+	for _, q := range append(failed, page(person)...) {
+		if !slices.Contains(rec.queries, q) {
+			t.Errorf("the crawl never sent\n%s", q)
+		}
+	}
+	if c.Stats.LiteralCount != 30 || c.Stats.SignificantCount == 0 {
+		t.Errorf("cached %d literals, %d significant; want the 30 Person names, some significant",
+			c.Stats.LiteralCount, c.Stats.SignificantCount)
+	}
+}
+
+// TestInitializeRejectsPageSize: a page size below 1 fails both
+// drivers before any query is sent; a LIMIT 0 page is never short, so
+// the page loop would re-send it until the budget or deadline ran out.
+func TestInitializeRejectsPageSize(t *testing.T) {
+	d := datagen.Generate(datagen.SmallConfig())
+	for _, init := range []func(context.Context, endpoint.Endpoint, Config) (*Cache, error){Initialize, InitializeWarehouse} {
+		for _, size := range []int{0, -1} {
+			rec := &recordingEndpoint{Endpoint: endpoint.NewLocal("small", d.Store, endpoint.Limits{})}
+			cfg := DefaultConfig()
+			cfg.PageSize = size
+			cfg.QueryBudget = 200
+			if _, err := init(context.Background(), rec, cfg); err == nil || len(rec.queries) != 0 {
+				t.Errorf("page size %d: error %v after %d queries; want an error before any query", size, err, len(rec.queries))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bootstrap
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -163,6 +164,10 @@ func Initialize(ctx context.Context, ep endpoint.Endpoint, cfg Config) (*Cache, 
 // run is the driver both initializations share: Q1, then collect, which
 // fills the literals and their significance, then the indexes.
 func run(ctx context.Context, ep endpoint.Endpoint, cfg Config, collect func(*initializer) error) (*Cache, error) {
+	if cfg.PageSize < 1 {
+		// A LIMIT 0 page is never short, so pages would re-send it.
+		return nil, fmt.Errorf("bootstrap: page size %d, want at least 1", cfg.PageSize)
+	}
 	start := time.Now()
 	in := &initializer{
 		ctx:      ctx,
@@ -221,7 +226,8 @@ func (in *initializer) column(q, v string) ([]rdf.Term, error) {
 // pages is the one place a crawl page is issued. It sends page(offset)
 // for offsets 0, PageSize, 2·PageSize, … counted in *kind, folds every
 // row with add, and stops at a short page. It reports whether every
-// page came back: a timeout or a rejection ends it early with false.
+// page came back: a timeout or a rejection ends it early with false,
+// and any other error ends it with that error.
 func (in *initializer) pages(kind *int, add func(sparql.Binding), page func(offset int) string) (bool, error) {
 	for offset := 0; ; offset += in.cfg.PageSize {
 		res, err := in.query(page(offset), kind)
@@ -258,6 +264,11 @@ func (in *initializer) addSignificance(row sparql.Binding) {
 // one class walk per literal predicate pages Q6/Q7, and one more walk
 // pages Q8 over every literal predicate, a class succeeding when all
 // its pages came back.
+//
+// A page that failed with any error but a spent budget or a finished
+// context is a failed visit, as a timeout is, so the walk descends into
+// the subclasses: over HTTP an overlong query often comes back as an
+// untyped 500, 502 or 504, or as the client's own per-attempt deadline.
 func (in *initializer) crawl() error {
 	cands, err := in.column(QueryLiteralPredicates, "p")
 	if err != nil {
@@ -288,9 +299,16 @@ func (in *initializer) crawl() error {
 		hier = &classHierarchy{roots: roots}
 	}
 	cfg := in.cfg
+	classPages := func(kind *int, add func(sparql.Binding), page func(offset int) string) (bool, error) {
+		done, err := in.pages(kind, add, page)
+		if err != nil && !errors.Is(err, errBudget) && in.ctx.Err() == nil {
+			return false, nil
+		}
+		return done, err
+	}
 	for _, pred := range preds {
 		err := hier.walk(func(class rdf.Term) (bool, error) {
-			return in.pages(&in.stats.LiteralQueries, in.addLiteral, func(offset int) string {
+			return classPages(&in.stats.LiteralQueries, in.addLiteral, func(offset int) string {
 				return QueryLiteralsByClass(class.Value, pred.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
 			})
 		})
@@ -301,7 +319,7 @@ func (in *initializer) crawl() error {
 	return hier.walk(func(class rdf.Term) (bool, error) {
 		ok := true
 		for _, pred := range preds {
-			done, err := in.pages(&in.stats.SignificanceQueries, in.addSignificance, func(offset int) string {
+			done, err := classPages(&in.stats.SignificanceQueries, in.addSignificance, func(offset int) string {
 				return QuerySignificantLiterals(class.Value, pred.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
 			})
 			if err != nil {
