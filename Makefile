@@ -9,7 +9,8 @@
 #                         against the reference, the Jaro-Winkler kernel,
 #                         the residual-bin trigram index, the two-tier
 #                         similarity search, the completion suffix
-#                         array and WAL replay (same jobs CI runs)
+#                         array, WAL replay and the RDF text reader (CI
+#                         runs this target)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
@@ -53,15 +54,38 @@ loc:
 race:
 	$(GO) test -race ./internal/store/ ./internal/store/persist/ ./internal/sparql/ ./internal/endpoint/ ./internal/federation/ ./internal/pum/ ./internal/steiner/ ./internal/serve/ ./internal/bins/
 
+# Each target runs 30 s; CI runs this same list. The oracle of each:
 fuzz:
+# The parser's canonical form re-parses, and is a fixed point.
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
+# For every pair of labeled terms the rank labels decide, the label
+# order's sign equals the ORDER BY comparator's.
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzOrderLabelsAgreeWithComparator' -fuzztime=30s
+# On generated graphs and aggregate queries the grouping sink returns
+# the reference evaluator's rows, in its order, byte for byte, or its
+# error.
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzAggregateAgreesWithReference' -fuzztime=30s
+# The ASCII kernel equals the rune path bit for bit, the score is in
+# [0, 1], and the θ bound is never below the score.
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
+# The trigram index answers what Algorithm 1's scan answers, same
+# literals in the same order, over a table with a fuzzed tree tier
+# neither returns, and neither panics.
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSubstring' -fuzztime=30s
+# The bound-pruned similarity search over both tiers equals a plain
+# Jaro-Winkler scan of the tree and residual literals, scores bit for
+# bit.
 	$(GO) test ./internal/bins/ -run '^$$' -fuzz 'FuzzSearchSimilar' -fuzztime=30s
+# Brute-force sorted suffixes; the suffix array returns the same
+# strings in the same order at every limit.
 	$(GO) test ./internal/suffixtree/ -run '^$$' -fuzz 'FuzzSuffixSearch' -fuzztime=30s
+# Replaying arbitrary WAL bytes never panics, and replaying only the
+# committed prefix it reports rebuilds the same store.
 	$(GO) test ./internal/store/persist/ -run '^$$' -fuzz 'FuzzReplayWAL' -fuzztime=30s
+# RDF text (N-Triples, Turtle, the /add body) never panics the
+# reader, every triple it returns is valid, and every triple the
+# writer can express writes and reads back as itself.
+	$(GO) test ./internal/rdf/ -run '^$$' -fuzz 'FuzzReader' -fuzztime=30s
 
 crashtest:
 	SAPPHIRE_CRASH_SEEDS=512 $(GO) test ./internal/store/persist/ -run 'TestCrashRecoveryProperty' -v -timeout=30m

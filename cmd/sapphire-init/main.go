@@ -36,7 +36,7 @@ import (
 func main() {
 	var (
 		url       = flag.String("endpoint", "", "SPARQL endpoint URL (this or -data required)")
-		data      = flag.String("data", "", "local N-Triples file to bulk-load as a warehouse endpoint instead of querying a URL")
+		data      = flag.String("data", "", "local N-Triples or Turtle file to bulk-load as a warehouse endpoint instead of querying a URL")
 		lang      = flag.String("lang", "en", "literal language to cache")
 		maxLen    = flag.Int("max-literal-length", 80, "literal length cap")
 		pageSize  = flag.Int("page-size", 500, "LIMIT for paginated retrieval")

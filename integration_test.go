@@ -125,8 +125,8 @@ func TestFederationWithFlakyMember(t *testing.T) {
 	}
 }
 
-// TestTurtleEndpointEndToEnd loads a Turtle dataset through the facade
-// and runs the interactive loop on it.
+// TestTurtleEndpointEndToEnd loads a Turtle dataset through the facade's
+// one streaming constructor and runs the interactive loop on it.
 func TestTurtleEndpointEndToEnd(t *testing.T) {
 	ttl := `
 @prefix x: <http://x/> .
@@ -135,7 +135,7 @@ x:kerouac x:name "Jack Kerouac"@en ; a x:Writer .
 x:ontheroad x:author x:kerouac ; x:name "On the Road"@en ; a x:Book .
 x:doorwide x:author x:kerouac ; x:name "Door Wide Open"@en ; a x:Book .
 `
-	ep, err := NewEndpointFromTurtle("ttl", strings.NewReader(ttl), Limits{})
+	ep, err := NewEndpointFromNTriples("ttl", strings.NewReader(ttl), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,9 @@ func statusForCode(code string) int {
 	return http.StatusInternalServerError
 }
 
-// codeForError classifies an Endpoint.Query failure into a wire code.
-func codeForError(err error) string {
+// CodeForError classifies a query failure into a wire code: the one
+// classification of Handler and of the web API routes.
+func CodeForError(err error) string {
 	switch {
 	case errors.Is(err, ErrTimeout):
 		return CodeTimeout
@@ -130,10 +131,12 @@ func acceptsJSON(r *http.Request) bool {
 	return false
 }
 
-// writeError emits one error response: the JSON envelope for clients
+// WriteError emits one error response: the JSON envelope for clients
 // that accept JSON, the legacy plain-text body otherwise. The status
 // code is the same either way, so status-based clients keep working.
-func writeError(w http.ResponseWriter, r *http.Request, code, message string) {
+// Every route of the SPARQL protocol and of the web API answers errors
+// through it.
+func WriteError(w http.ResponseWriter, r *http.Request, code, message string) {
 	status := statusForCode(code)
 	if !acceptsJSON(r) {
 		http.Error(w, message, status)

@@ -110,7 +110,7 @@ func Handler(ep Endpoint) http.Handler {
 			ct := r.Header.Get("Content-Type")
 			if strings.HasPrefix(ct, "application/x-www-form-urlencoded") {
 				if err := r.ParseForm(); err != nil {
-					writeError(w, r, bodyErrCode(err), err.Error())
+					WriteError(w, r, bodyErrCode(err), err.Error())
 					return
 				}
 				query = r.PostForm.Get("query")
@@ -119,22 +119,22 @@ func Handler(ep Endpoint) http.Handler {
 				// POST; unknown content types read the same way.
 				body, err := io.ReadAll(r.Body)
 				if err != nil {
-					writeError(w, r, bodyErrCode(err), err.Error())
+					WriteError(w, r, bodyErrCode(err), err.Error())
 					return
 				}
 				query = string(body)
 			}
 		default:
-			writeError(w, r, CodeMethod, "method not allowed; GET ?query= or POST a query")
+			WriteError(w, r, CodeMethod, "method not allowed; GET ?query= or POST a query")
 			return
 		}
 		if strings.TrimSpace(query) == "" {
-			writeError(w, r, CodeParse, "missing query")
+			WriteError(w, r, CodeParse, "missing query")
 			return
 		}
 		res, err := ep.Query(r.Context(), query)
 		if err != nil {
-			writeError(w, r, codeForError(err), err.Error())
+			WriteError(w, r, CodeForError(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/sparql-results+json")
@@ -160,7 +160,7 @@ func serveEpoch(w http.ResponseWriter, r *http.Request, ep Endpoint) {
 		fmt.Fprintf(w, "%d", e)
 		return
 	}
-	writeError(w, r, CodeUnsupported, "endpoint does not report epochs")
+	WriteError(w, r, CodeUnsupported, "endpoint does not report epochs")
 }
 
 // epochOf reads an endpoint's epoch when it reports one.

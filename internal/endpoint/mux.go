@@ -26,7 +26,7 @@ func NewMux(ep Endpoint) *http.ServeMux {
 	mux.Handle("/sparql", Handler(ep))
 	mux.HandleFunc("/epoch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, r, CodeMethod, "GET /epoch")
+			WriteError(w, r, CodeMethod, "GET /epoch")
 			return
 		}
 		serveEpoch(w, r, ep)
@@ -52,18 +52,19 @@ type TripleBatcher interface {
 	AddAll(triples []rdf.Triple) error
 }
 
-// MaxAddBytes bounds the N-Triples body AddHandler accepts per POST.
+// MaxAddBytes bounds the RDF body AddHandler accepts per POST.
 const MaxAddBytes = 64 << 20
 
-// AddHandler accepts N-Triples in the POST body and applies them as one
-// batch through the TripleBatcher — with persist.DB behind it the batch
-// is WAL-logged with a commit marker, so a crash mid-add keeps either
-// all of the batch or none of it. Errors use the structured envelope
-// when the request accepts JSON, like every other route.
+// AddHandler accepts N-Triples or Turtle in the POST body (rdf.Reader
+// reads both) and applies the triples as one batch through the
+// TripleBatcher — with persist.DB behind it the batch is WAL-logged
+// with a commit marker, so a crash mid-add keeps either all of the
+// batch or none of it. Errors use the structured envelope when the
+// request accepts JSON, like every other route.
 func AddHandler(db TripleBatcher) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, r, CodeMethod, "POST N-Triples to /add")
+			WriteError(w, r, CodeMethod, "POST N-Triples or Turtle to /add")
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, MaxAddBytes)
@@ -75,13 +76,13 @@ func AddHandler(db TripleBatcher) http.HandlerFunc {
 				break
 			}
 			if err != nil {
-				writeError(w, r, bodyErrCode(err), err.Error())
+				WriteError(w, r, bodyErrCode(err), err.Error())
 				return
 			}
 			triples = append(triples, tr)
 		}
 		if err := db.AddAll(triples); err != nil {
-			writeError(w, r, CodeInternal, err.Error())
+			WriteError(w, r, CodeInternal, err.Error())
 			return
 		}
 		fmt.Fprintf(w, "added %d triples\n", len(triples))

@@ -231,7 +231,7 @@ func (f *Federation) epochFingerprint(ctx context.Context) string {
 func (f *Federation) Query(ctx context.Context, query string) (*sparql.Results, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("federation: %w: %v", endpoint.ErrParse, err)
 	}
 	return f.Eval(ctx, q)
 }

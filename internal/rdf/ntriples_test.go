@@ -2,13 +2,14 @@ package rdf
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 )
 
-func TestReaderBasic(t *testing.T) {
-	doc := `
+// ntBasicDoc holds one statement of each N-Triples term form.
+var ntBasicDoc = `
 # a comment
 <http://s> <http://p> <http://o> .
 <http://s> <http://p> "literal" .
@@ -17,7 +18,9 @@ func TestReaderBasic(t *testing.T) {
 <http://s> <http://p> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .
 _:b0 <http://p> "from blank" .
 `
-	triples, err := readAll(NewReader(strings.NewReader(doc)))
+
+func TestReaderBasic(t *testing.T) {
+	triples, err := readAll(NewReader(strings.NewReader(ntBasicDoc)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,22 +38,24 @@ _:b0 <http://p> "from blank" .
 	}
 }
 
+// ntBadDocs are N-Triples statements that must not read.
+var ntBadDocs = []string{
+	`<http://s> <http://p> .`,                     // missing object
+	`<http://s> <http://p> <http://o>`,            // missing dot
+	`<http://s> <http://p> <http://o> . trailing`, // garbage
+	`"lit" <http://p> <http://o> .`,               // literal subject
+	`<http://s> "lit" <http://o> .`,               // literal predicate
+	`<http://s> <http://p> "unterminated .`,       // unterminated literal
+	`<http://s> <http://p> "bad\qescape" .`,       // bad escape
+	`<http://s> <http://p> "x"@ .`,                // empty lang
+	`<> <http://p> <http://o> .`,                  // empty IRI
+	`<http://s <http://p> <http://o> .`,           // unterminated IRI
+	`_: <http://p> <http://o> .`,                  // empty blank label
+	`<http://s> <http://p> "x"^^bad .`,            // datatype not IRI
+}
+
 func TestReaderErrors(t *testing.T) {
-	bad := []string{
-		`<http://s> <http://p> .`,                     // missing object
-		`<http://s> <http://p> <http://o>`,            // missing dot
-		`<http://s> <http://p> <http://o> . trailing`, // garbage
-		`"lit" <http://p> <http://o> .`,               // literal subject
-		`<http://s> "lit" <http://o> .`,               // literal predicate
-		`<http://s> <http://p> "unterminated .`,       // unterminated literal
-		`<http://s> <http://p> "bad\qescape" .`,       // bad escape
-		`<http://s> <http://p> "x"@ .`,                // empty lang
-		`<> <http://p> <http://o> .`,                  // empty IRI
-		`<http://s <http://p> <http://o> .`,           // unterminated IRI
-		`_: <http://p> <http://o> .`,                  // empty blank label
-		`<http://s> <http://p> "x"^^bad .`,            // datatype not IRI
-	}
-	for _, doc := range bad {
+	for _, doc := range ntBadDocs {
 		if _, err := parseTriple(doc); err == nil {
 			t.Errorf("parseTriple(%q) succeeded, want error", doc)
 		}
@@ -131,7 +136,15 @@ func readAll(r *Reader) ([]Triple, error) {
 }
 
 // parseTriple parses a single N-Triples statement such as
-// `<s> <p> "o"@en .`.
+// `<s> <p> "o"@en .`: the one triple, and the error reading on to the
+// end reports.
 func parseTriple(s string) (Triple, error) {
-	return parseTripleLine(strings.TrimSpace(s), 1)
+	triples, err := readAll(NewReader(strings.NewReader(s)))
+	if err != nil {
+		return Triple{}, err
+	}
+	if len(triples) != 1 {
+		return Triple{}, fmt.Errorf("%d triples, want 1", len(triples))
+	}
+	return triples[0], nil
 }

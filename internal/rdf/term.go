@@ -1,6 +1,8 @@
 // Package rdf implements the RDF data model used throughout Sapphire:
-// terms (IRIs, literals, blank nodes), triples, vocabulary constants, and
-// an N-Triples reader/writer.
+// terms (IRIs, literals, blank nodes), triples, vocabulary constants, an
+// N-Triples writer (Term.String), and one streaming reader for RDF text,
+// Turtle and N-Triples alike, whose quoted-string scanner the SPARQL
+// lexer shares.
 //
 // The representation is deliberately compact: a Term is a small value type
 // so that triples can be stored and compared cheaply in the in-memory

@@ -7,15 +7,15 @@ import (
 
 func parseTTL(t *testing.T, src string) []Triple {
 	t.Helper()
-	triples, err := ParseTurtle(strings.NewReader(src))
+	triples, err := readAll(NewReader(strings.NewReader(src)))
 	if err != nil {
-		t.Fatalf("ParseTurtle: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	return triples
 }
 
-func TestTurtleBasic(t *testing.T) {
-	ttl := `
+// ttlBasicDoc uses prefixes, 'a', a predicate list and a bare integer.
+var ttlBasicDoc = `
 @prefix dbo: <http://dbpedia.org/ontology/> .
 @prefix dbr: <http://dbpedia.org/resource/> .
 
@@ -26,7 +26,9 @@ dbr:Jack_Kerouac a dbo:Writer ;
 dbr:On_the_Road dbo:author dbr:Jack_Kerouac ;
     dbo:numberOfPages 320 .
 `
-	triples := parseTTL(t, ttl)
+
+func TestTurtleBasic(t *testing.T) {
+	triples := parseTTL(t, ttlBasicDoc)
 	if len(triples) != 5 {
 		t.Fatalf("triples = %d, want 5", len(triples))
 	}
@@ -60,8 +62,9 @@ x:stevens x:instrument x:guitar, x:piano, x:drums .
 	}
 }
 
-func TestTurtleMixedListsAndComments(t *testing.T) {
-	ttl := `
+// ttlMixedDoc mixes object and predicate lists, comments, a dangling ';',
+// a boolean and a decimal.
+var ttlMixedDoc = `
 @prefix x: <http://x/> . # namespace
 # a whole-line comment
 x:a x:p1 "v1" ;   # trailing comment
@@ -70,7 +73,9 @@ x:a x:p1 "v1" ;   # trailing comment
 x:b x:p1 true .
 x:c x:p1 -2.5 .
 `
-	triples := parseTTL(t, ttl)
+
+func TestTurtleMixedListsAndComments(t *testing.T) {
+	triples := parseTTL(t, ttlMixedDoc)
 	if len(triples) != 5 {
 		t.Fatalf("triples = %d, want 5", len(triples))
 	}
@@ -133,21 +138,23 @@ x:a x:p 'single quoted' .
 	}
 }
 
+// ttlBadDocs are Turtle documents that must not read, by what is wrong.
+var ttlBadDocs = map[string]string{
+	"undefined prefix":    `x:a x:p x:b .`,
+	"literal subject":     `@prefix x: <http://x/> . "lit" x:p x:b .`,
+	"literal predicate":   `@prefix x: <http://x/> . x:a "lit" x:b .`,
+	"missing terminator":  `@prefix x: <http://x/> . x:a x:p x:b`,
+	"unterminated iri":    `@prefix x: <http://x/ .`,
+	"unterminated string": `@prefix x: <http://x/> . x:a x:p "open .`,
+	"base unsupported":    `@base <http://x/> .`,
+	"bad escape":          `@prefix x: <http://x/> . x:a x:p "\q" .`,
+	"empty blank label":   `@prefix x: <http://x/> . _: x:p x:b .`,
+}
+
 func TestTurtleErrors(t *testing.T) {
-	bad := map[string]string{
-		"undefined prefix":    `x:a x:p x:b .`,
-		"literal subject":     `@prefix x: <http://x/> . "lit" x:p x:b .`,
-		"literal predicate":   `@prefix x: <http://x/> . x:a "lit" x:b .`,
-		"missing terminator":  `@prefix x: <http://x/> . x:a x:p x:b`,
-		"unterminated iri":    `@prefix x: <http://x/ .`,
-		"unterminated string": `@prefix x: <http://x/> . x:a x:p "open .`,
-		"base unsupported":    `@base <http://x/> .`,
-		"bad escape":          `@prefix x: <http://x/> . x:a x:p "\q" .`,
-		"empty blank label":   `@prefix x: <http://x/> . _: x:p x:b .`,
-	}
-	for name, src := range bad {
-		if _, err := ParseTurtle(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: ParseTurtle succeeded, want error", name)
+	for name, src := range ttlBadDocs {
+		if _, err := readAll(NewReader(strings.NewReader(src))); err == nil {
+			t.Errorf("%s: Read succeeded, want error", name)
 		}
 	}
 }

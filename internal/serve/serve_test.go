@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -363,6 +364,53 @@ func TestServerStack(t *testing.T) {
 	after, _ := getStats(t, srv.URL)
 	if got, want := after.Serving.Endpoints[0].Epoch, before.Serving.Endpoints[0].Epoch+1; got != want {
 		t.Errorf("member epoch after /add = %d, want %d", got, want)
+	}
+}
+
+// TestServerParseError sends the sapphire-server shape a query that does
+// not parse: the federated /sparql answers 400 "parse", as a member's
+// /sparql does, and endpoint.Client types the error as ErrParse after
+// one attempt instead of retrying a 500.
+func TestServerParseError(t *testing.T) {
+	st := store.New()
+	if err := seedSmall(st); err != nil {
+		t.Fatal(err)
+	}
+	client := sapphire.New(sapphire.Defaults())
+	if err := client.RegisterEndpoint(context.Background(), endpoint.NewLocal("member", st, endpoint.Limits{})); err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int64
+	mux := serve.Mux(client, nil, client)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	const bad = `SELECT ?x WHERE { ?x`
+
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/sparql?query="+url.QueryEscape(bad), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"code":"parse"`) {
+		t.Errorf("/sparql = %d %s, want 400 with code parse", resp.StatusCode, body)
+	}
+
+	requests.Store(0)
+	_, err = endpoint.NewClient(srv.URL+"/sparql").Query(context.Background(), bad)
+	if !errors.Is(err, endpoint.ErrParse) {
+		t.Errorf("client error = %v, want ErrParse", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("client sent %d requests, want 1", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"sapphire/internal/rdf"
 )
 
 // tokenKind enumerates lexical token classes.
@@ -104,10 +106,11 @@ func (lx *lexer) next() (token, error) {
 		lx.i += j + 1
 		return token{kind: tokIRI, text: iri, pos: start}, nil
 	case c == '"' || c == '\'':
-		s, err := lx.stringLit(c)
+		s, n, err := rdf.ScanString(lx.src[lx.i:])
 		if err != nil {
-			return token{}, err
+			return token{}, lx.errf("string literal: %v", err)
 		}
+		lx.i += n
 		return token{kind: tokString, text: s, pos: start}, nil
 	case c == '@':
 		lx.i++
@@ -274,48 +277,6 @@ func (lx *lexer) pnameLocal() string {
 		break
 	}
 	return lx.src[start:lx.i]
-}
-
-func (lx *lexer) stringLit(quote byte) (string, error) {
-	lx.i++ // opening quote
-	var b strings.Builder
-	for lx.i < len(lx.src) {
-		c := lx.src[lx.i]
-		if c == quote {
-			lx.i++
-			return b.String(), nil
-		}
-		if c == '\\' {
-			lx.i++
-			if lx.i >= len(lx.src) {
-				return "", lx.errf("dangling escape")
-			}
-			switch lx.src[lx.i] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\'':
-				b.WriteByte('\'')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return "", lx.errf("unsupported escape \\%c", lx.src[lx.i])
-			}
-			lx.i++
-			continue
-		}
-		if c == '\n' {
-			return "", lx.errf("newline in string literal")
-		}
-		b.WriteByte(c)
-		lx.i++
-	}
-	return "", lx.errf("unterminated string literal")
 }
 
 func (lx *lexer) number() (token, error) {

@@ -138,6 +138,29 @@ func TestParseLiteralForms(t *testing.T) {
 	}
 }
 
+// TestParseStringEscapes reads the string escapes SPARQL shares with
+// Turtle: UCHAR as well as ECHAR, and a raw line break is an error.
+func TestParseStringEscapes(t *testing.T) {
+	q, err := Parse(`SELECT ?s WHERE { ?s <http://x/name> "Caf\u00E9"@en . ?s <http://x/q> 'tab\there' . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := q.Where[0].O.Term, rdf.NewLangLiteral("Caf\u00e9", "en"); got != want {
+		t.Errorf("UCHAR: got %v, want %v", got, want)
+	}
+	if got := q.Where[1].O.Term.Value; got != "tab\there" {
+		t.Errorf("ECHAR: got %q", got)
+	}
+	for _, src := range []string{
+		"SELECT ?s WHERE { ?s ?p \"a\nb\" }",
+		`SELECT ?s WHERE { ?s ?p "\uD800" }`,
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
 func TestParseSelectStar(t *testing.T) {
 	q, err := Parse(`SELECT * WHERE { ?s ?p ?o }`)
 	if err != nil {

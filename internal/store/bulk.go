@@ -162,13 +162,13 @@ func (s *Store) commitBatch(tv termView, batch [][3]ID) int {
 // each commit still amortizes its key-slice sorts over a large batch.
 const loadCommitEvery = 1 << 20
 
-// LoadNTriples streams an N-Triples document into s through a
-// BulkLoader without materializing the document as a []rdf.Triple:
-// triples are staged in chunks as they parse (12 bytes each once
-// interned) and committed every loadCommitEvery triples, so peak
-// loader memory stays bounded no matter the dump size. This is the
-// ingestion path for large dumps; both the public facade and the
-// bootstrap warehouse builders route through it.
+// LoadNTriples streams an N-Triples or Turtle document (rdf.Reader
+// reads both) into s through a BulkLoader without materializing the
+// document as a []rdf.Triple: triples are staged in chunks as they
+// parse (12 bytes each once interned) and committed every
+// loadCommitEvery triples, so peak loader memory stays bounded no
+// matter the dump size. This is the ingestion path for large dumps;
+// the public facade and cmd/sapphire-init route through it.
 func LoadNTriples(s *Store, r io.Reader) error {
 	const chunk = 8192
 	l := NewBulkLoader(s)

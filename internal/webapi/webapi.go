@@ -7,6 +7,11 @@
 //	POST /query    (SPARQL body)   federated execution
 //	POST /suggest  (SPARQL body)   QSM suggestions
 //	POST /run      (SPARQL body)   answers + suggestions
+//
+// Errors follow the SPARQL routes' protocol (endpoint.WriteError): the
+// status by code — 400 parse, 503 timeout, 429 rejected, 413 too_large,
+// 405 method, 500 internal — and the JSON envelope when the request
+// accepts JSON.
 package webapi
 
 import (
@@ -35,7 +40,7 @@ func Handler(client *sapphire.Client) http.Handler {
 		}
 		res, err := client.Query(r.Context(), query)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			endpoint.WriteError(w, r, endpoint.CodeForError(err), err.Error())
 			return
 		}
 		writeJSON(w, ResultsJSON(res))
@@ -47,7 +52,7 @@ func Handler(client *sapphire.Client) http.Handler {
 		}
 		sugs, err := client.Suggest(r.Context(), query)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			endpoint.WriteError(w, r, endpoint.CodeForError(err), err.Error())
 			return
 		}
 		writeJSON(w, SuggestionsJSON(sugs))
@@ -59,7 +64,7 @@ func Handler(client *sapphire.Client) http.Handler {
 		}
 		res, sugs, err := client.Run(r.Context(), query)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			endpoint.WriteError(w, r, endpoint.CodeForError(err), err.Error())
 			return
 		}
 		writeJSON(w, map[string]any{
@@ -72,17 +77,17 @@ func Handler(client *sapphire.Client) http.Handler {
 
 func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST the SPARQL query as the request body", http.StatusMethodNotAllowed)
+		endpoint.WriteError(w, r, endpoint.CodeMethod, "POST the SPARQL query as the request body")
 		return "", false
 	}
 	// Not a silent LimitReader: a query cut short can parse as another.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, endpoint.MaxQueryBytes))
 	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		endpoint.WriteError(w, r, endpoint.CodeTooLarge, err.Error())
 		return "", false
 	}
 	if err != nil || len(strings.TrimSpace(string(body))) == 0 {
-		http.Error(w, "empty query", http.StatusBadRequest)
+		endpoint.WriteError(w, r, endpoint.CodeParse, "empty query")
 		return "", false
 	}
 	return string(body), true

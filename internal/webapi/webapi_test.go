@@ -203,3 +203,50 @@ func TestErrorPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestErrorProtocol checks that the web API answers errors as the SPARQL
+// routes do: a member's timeout during /run is 503, not a caller's 400,
+// and a request that accepts JSON gets the envelope with its code.
+func TestErrorProtocol(t *testing.T) {
+	d := datagen.Generate(datagen.SmallConfig())
+	client := sapphire.New(sapphire.Defaults())
+	member := endpoint.NewLocal("tight", d.Store, endpoint.Limits{MaxIntermediateRows: 1})
+	if err := client.RegisterEndpoint(context.Background(), member); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(client))
+	defer srv.Close()
+	query := `SELECT ?s ?n WHERE { ?s <http://dbpedia.org/ontology/name> ?n . }`
+	for _, c := range []struct{ route, body, accept, code string }{
+		{"/run", query, "", ""},
+		{"/run", query, "application/json", endpoint.CodeTimeout},
+		{"/query", query, "application/json", endpoint.CodeTimeout},
+		{"/suggest", "garbage", "application/json", endpoint.CodeParse},
+		{"/run", " ", "application/json", endpoint.CodeParse},
+	} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+c.route, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", c.accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Error struct{ Code string } `json:"error"`
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := http.StatusServiceUnavailable
+		if c.code == endpoint.CodeParse {
+			want = http.StatusBadRequest
+		}
+		if resp.StatusCode != want {
+			t.Errorf("%s %q: status %d, want %d: %s", c.route, c.body, resp.StatusCode, want, body)
+		}
+		if c.accept != "" && (json.Unmarshal(body, &env) != nil || env.Error.Code != c.code) {
+			t.Errorf("%s %q: body %s, want the envelope with code %q", c.route, c.body, body, c.code)
+		}
+	}
+}

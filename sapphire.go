@@ -292,7 +292,7 @@ func (c *Client) Suggest(ctx context.Context, query string) ([]Suggestion, error
 	if m == nil {
 		return nil, fmt.Errorf("sapphire: no endpoints registered")
 	}
-	q, err := sparql.Parse(query)
+	q, err := parse(query)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +307,7 @@ func (c *Client) Run(ctx context.Context, query string) (*Results, []Suggestion,
 	if m == nil {
 		return nil, nil, fmt.Errorf("sapphire: no endpoints registered")
 	}
-	q, err := sparql.Parse(query)
+	q, err := parse(query)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -320,6 +320,16 @@ func (c *Client) Run(ctx context.Context, query string) (*Results, []Suggestion,
 		return res, nil, err
 	}
 	return res, sugs, nil
+}
+
+// parse parses a query, typing a syntax error as endpoint.ErrParse so
+// that it reaches an HTTP caller as a 400 "parse".
+func parse(query string) (*sparql.Query, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, fmt.Errorf("sapphire: %w: %v", endpoint.ErrParse, err)
+	}
+	return q, nil
 }
 
 // NewMemoryEndpoint builds an in-process endpoint over the given triples
@@ -335,26 +345,12 @@ func NewMemoryEndpoint(name string, triples []Triple) (*endpoint.Local, error) {
 }
 
 // NewEndpointFromNTriples builds an in-process endpoint from an
-// N-Triples document, applying the given limits (use zero Limits for
-// none). The document is streamed through the store's bulk loader, so
-// it is never materialized as a whole.
+// N-Triples or Turtle document, applying the given limits (use zero
+// Limits for none). The document is streamed through the store's bulk
+// loader, so it is never materialized as a whole.
 func NewEndpointFromNTriples(name string, r io.Reader, limits Limits) (*endpoint.Local, error) {
 	st := store.New()
 	if err := store.LoadNTriples(st, r); err != nil {
-		return nil, err
-	}
-	return endpoint.NewLocal(name, st, limits), nil
-}
-
-// NewEndpointFromTurtle builds an in-process endpoint from a Turtle
-// document (the serialization most public RDF dumps use).
-func NewEndpointFromTurtle(name string, r io.Reader, limits Limits) (*endpoint.Local, error) {
-	triples, err := rdf.ParseTurtle(r)
-	if err != nil {
-		return nil, err
-	}
-	st := store.New()
-	if err := st.AddAll(triples); err != nil {
 		return nil, err
 	}
 	return endpoint.NewLocal(name, st, limits), nil
