@@ -203,7 +203,10 @@ func (r *Reader) term(object bool) (Term, error) {
 	return NewIRI(iri), err
 }
 
-// iri reads an IRI in angle brackets. UCHAR is its only escape.
+// iri reads an IRI in angle brackets. UCHAR is its only escape, and it
+// may not stand for a character IRIREF forbids: an IRI read here never
+// holds '>', so one pasted between angle brackets into query text ends
+// where it should.
 func (r *Reader) iri() (string, error) {
 	if r.s[r.i] != '<' {
 		return "", r.errf("expected '<'")
@@ -238,7 +241,9 @@ func (r *Reader) pname() (string, error) {
 	return ns + local, nil
 }
 
-// literal reads a quoted string and its language tag or datatype.
+// literal reads a quoted string and its language tag or datatype. Its
+// strings are copied out of the line, so a stored literal does not keep
+// its whole source line alive.
 func (r *Reader) literal() (Term, error) {
 	lex, n, err := ScanString(r.s[r.i:])
 	if err != nil {
@@ -255,7 +260,7 @@ func (r *Reader) literal() (Term, error) {
 		if r.i == start {
 			return Term{}, r.errf("empty language tag")
 		}
-		return NewLangLiteral(lex, r.s[start:r.i]), nil
+		return NewLangLiteral(strings.Clone(lex), strings.Clone(r.s[start:r.i])), nil
 	case strings.HasPrefix(rest, "^^"):
 		r.i += 2
 		if err := r.skipIn(); err != nil {
@@ -267,9 +272,9 @@ func (r *Reader) literal() (Term, error) {
 		} else {
 			dt, err = r.pname()
 		}
-		return NewTypedLiteral(lex, dt), err
+		return NewTypedLiteral(strings.Clone(lex), strings.Clone(dt)), err
 	}
-	return NewLiteral(lex), nil
+	return NewLiteral(strings.Clone(lex)), nil
 }
 
 // number reads a bare integer or decimal.
@@ -402,9 +407,11 @@ func ScanString(s string) (string, int, error) {
 const echarNames, echarValues = `tbnrf"'\`, "\t\b\n\r\f\"'\\"
 
 // unescape decodes s[1:] up to the first unescaped end byte, UCHAR
-// escapes always and ECHAR escapes when echar is set. It returns the
-// value and the number of bytes up to and including end. When no escape
-// or line break comes before end, the value is a substring of s.
+// escapes always and ECHAR escapes when echar is set; without ECHAR, as
+// in an IRI, a UCHAR may not stand for a character IRIREF forbids. It
+// returns the value and the number of bytes up to and including end.
+// When no escape or line break comes before end, the value is a
+// substring of s.
 func unescape(s string, end byte, echar bool) (string, int, error) {
 	if j := strings.IndexByte(s[1:], end) + 1; j > 0 {
 		if v := s[1:j]; strings.IndexByte(v, '\\') < 0 && strings.IndexByte(v, '\n') < 0 && strings.IndexByte(v, '\r') < 0 {
@@ -423,6 +430,9 @@ func unescape(s string, end byte, echar bool) (string, int, error) {
 			r, n := escape(s[i:], echar)
 			if n == 0 {
 				return "", 0, fmt.Errorf("invalid escape %q", s[i:min(i+2, len(s))])
+			}
+			if !echar && (r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r)) {
+				return "", 0, fmt.Errorf("escape %q stands for a character IRIREF forbids", s[i:i+n])
 			}
 			b = utf8.AppendRune(append(b, s[from:i]...), r)
 			i += n
