@@ -83,8 +83,8 @@ fuzz:
 # committed prefix it reports rebuilds the same store.
 	$(GO) test ./internal/store/persist/ -run '^$$' -fuzz 'FuzzReplayWAL' -fuzztime=30s
 # RDF text (N-Triples, Turtle, the /add body) never panics the
-# reader, every triple it returns is valid, and every triple the
-# writer can express writes and reads back as itself.
+# reader, every triple it returns is valid, and every triple it
+# returns writes and reads back as itself.
 	$(GO) test ./internal/rdf/ -run '^$$' -fuzz 'FuzzReader' -fuzztime=30s
 
 crashtest:

@@ -95,9 +95,7 @@ func TestReaderLongLine(t *testing.T) {
 // FuzzReader is the battery of the one RDF text decoder: N-Triples
 // dumps, Turtle documents and POST /add bodies all read through Reader.
 // For any input Read must not panic, and every triple it returns must
-// be Valid. Writer and reader are inverse: a returned triple whose
-// terms Triple.String can express — every IRI free of the characters
-// IRIREF forbids, every blank label of name characters only — writes
+// be Valid. Writer and reader are inverse: every returned triple writes
 // as one N-Triples line that reads back as the same triple.
 func FuzzReader(f *testing.F) {
 	seeds := []string{ntBasicDoc, ttlBasicDoc, ttlMixedDoc,
