@@ -9,8 +9,9 @@
 #                         against the reference, the Jaro-Winkler kernel,
 #                         the residual-bin trigram index, the two-tier
 #                         similarity search, the completion suffix
-#                         array, WAL replay and the RDF text reader (CI
-#                         runs this target)
+#                         array, WAL replay, the RDF text reader and
+#                         the term grammar both sides share (CI runs
+#                         this target)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make crashtest      - long crash-recovery fault-injection sweep (512 random
 #                         offsets per fault mode on top of the strided sweep;
@@ -86,6 +87,10 @@ fuzz:
 # reader, every triple it returns is valid, and every triple it
 # returns writes and reads back as itself.
 	$(GO) test ./internal/rdf/ -run '^$$' -fuzz 'FuzzReader' -fuzztime=30s
+# Every IRI and literal the RDF reader returns, written by Term.String,
+# parses back as itself in every SPARQL triple-pattern position it may
+# hold, and the crawl's Q5, Q6 and Q8 built from its IRIs parse.
+	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzTermText' -fuzztime=30s
 
 crashtest:
 	SAPPHIRE_CRASH_SEEDS=512 $(GO) test ./internal/store/persist/ -run 'TestCrashRecoveryProperty' -v -timeout=30m

@@ -268,8 +268,8 @@ func TestInitializeDescendsPastFailedPage(t *testing.T) {
 	cfg := DefaultConfig()
 	page := func(class rdf.Term) []string {
 		return []string{
-			QueryLiteralsByClass(class.Value, name.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
-			QuerySignificantLiterals(class.Value, name.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
+			QueryLiteralsByClass(class, name, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
+			QuerySignificantLiterals(class, name, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, 0),
 		}
 	}
 	failed := page(agent)
@@ -296,6 +296,32 @@ func TestInitializeDescendsPastFailedPage(t *testing.T) {
 	if c.Stats.LiteralCount != 30 || c.Stats.SignificantCount == 0 {
 		t.Errorf("cached %d literals, %d significant; want the 30 Person names, some significant",
 			c.Stats.LiteralCount, c.Stats.SignificantCount)
+	}
+}
+
+// TestCrawlClassMustReadBack: a class IRI the crawl writes into Q6
+// must lex back as the IRI. The relative <1abc> once loaded and made
+// every Q6/Q8 page a parse error, which the walk takes as a failed
+// visit, so Initialize cached nothing and said nothing; now the
+// document fails to load. The same document with an absolute class
+// caches its one literal.
+func TestCrawlClassMustReadBack(t *testing.T) {
+	doc := func(class string) string {
+		return "<http://x/s> <" + rdf.RDFType + "> <" + class + "> .\n" +
+			"<http://x/s> <http://x/name> \"Sam\"@en .\n" +
+			"<http://x/t> <http://x/knows> <http://x/s> .\n"
+	}
+	var pe *rdf.ParseError
+	if err := store.LoadNTriples(store.New(), strings.NewReader(doc("1abc"))); !errors.As(err, &pe) {
+		t.Errorf("loading a document whose class is <1abc>: %v, want a *rdf.ParseError", err)
+	}
+	s := store.New()
+	if err := store.LoadNTriples(s, strings.NewReader(doc("http://x/C"))); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Initialize(context.Background(), endpoint.NewLocal("tiny", s, endpoint.Limits{}), DefaultConfig())
+	if err != nil || c.Stats.LiteralCount != 1 {
+		t.Fatalf("Initialize: %v, %+v; want 1 literal", err, c)
 	}
 }
 

@@ -253,9 +253,9 @@ func (in *initializer) addLiteral(row sparql.Binding) {
 // addSignificance folds a Q8 or Q10 row: a literal keeps the highest
 // ?frequency (Definition 1) any page gave it.
 func (in *initializer) addSignificance(row sparql.Binding) {
-	o, n := row["o"], atoiSafe(row["frequency"].Value)
-	if o.IsLiteral() && n > in.sig[o.Value] {
-		in.sig[o.Value] = n
+	o, freq := row["o"], row["frequency"]
+	if n, _ := freq.NumericValue(); o.IsLiteral() && int(n) > in.sig[o.Value] {
+		in.sig[o.Value] = int(n)
 	}
 }
 
@@ -277,7 +277,7 @@ func (in *initializer) crawl() error {
 	var preds []rdf.Term
 	for _, p := range cands {
 		// Q5 probe: keep only predicates with usable literals.
-		probe, err := in.query(QueryPredicateProbe(p.Value, in.cfg.Language, in.cfg.MaxLiteralLength), nil)
+		probe, err := in.query(QueryPredicateProbe(p, in.cfg.Language, in.cfg.MaxLiteralLength), nil)
 		if err != nil {
 			return err
 		}
@@ -309,7 +309,7 @@ func (in *initializer) crawl() error {
 	for _, pred := range preds {
 		err := hier.walk(func(class rdf.Term) (bool, error) {
 			return classPages(&in.stats.LiteralQueries, in.addLiteral, func(offset int) string {
-				return QueryLiteralsByClass(class.Value, pred.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
+				return QueryLiteralsByClass(class, pred, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
 			})
 		})
 		if err != nil {
@@ -320,7 +320,7 @@ func (in *initializer) crawl() error {
 		ok := true
 		for _, pred := range preds {
 			done, err := classPages(&in.stats.SignificanceQueries, in.addSignificance, func(offset int) string {
-				return QuerySignificantLiterals(class.Value, pred.Value, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
+				return QuerySignificantLiterals(class, pred, cfg.Language, cfg.MaxLiteralLength, cfg.PageSize, offset)
 			})
 			if err != nil {
 				return false, err
@@ -407,17 +407,6 @@ func (h *classHierarchy) walk(visit func(class rdf.Term) (bool, error)) error {
 		}
 	}
 	return nil
-}
-
-func atoiSafe(s string) int {
-	n := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0
-		}
-		n = n*10 + int(r-'0')
-	}
-	return n
 }
 
 // buildCache puts the SuffixTreeCapacity most significant literals in

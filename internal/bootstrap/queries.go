@@ -15,10 +15,16 @@
 // timed-out or rejected query counts, one the budget refused does not.
 package bootstrap
 
-import "fmt"
+import (
+	"fmt"
+
+	"sapphire/internal/rdf"
+)
 
 // The queries below are the Appendix A templates Q1–Q10 verbatim modulo
-// whitespace; placeholders are filled by the driver.
+// whitespace; placeholders are filled by the driver. A class or predicate
+// goes in as an rdf.Term and is written by Term.String, the one writer
+// whose output the SPARQL lexer reads back as the same term.
 
 // QueryPredicatesByFrequency is Q1.
 const QueryPredicatesByFrequency = `SELECT DISTINCT ?p (COUNT(*) AS ?frequency)
@@ -53,10 +59,10 @@ ORDER BY DESC(?frequency)`
 
 // QueryPredicateProbe is Q5: does this predicate have any literal in the
 // target language under the length cap?
-func QueryPredicateProbe(pred string, lang string, maxLen int) string {
+func QueryPredicateProbe(pred rdf.Term, lang string, maxLen int) string {
 	return fmt.Sprintf(`SELECT DISTINCT ?o
 WHERE {
-  ?s <%s> ?o .
+  ?s %s ?o .
   FILTER (isliteral(?o) && lang(?o) = '%s' && strlen(str(?o)) < %d)
 }
 LIMIT 1`, pred, lang, maxLen)
@@ -66,11 +72,11 @@ LIMIT 1`, pred, lang, maxLen)
 // class of the hierarchy, paginated (the paper's Q6 plus the LIMIT/OFFSET
 // of Q7, which it applies "to increase the likelihood that this query
 // will succeed").
-func QueryLiteralsByClass(class, pred, lang string, maxLen, limit, offset int) string {
+func QueryLiteralsByClass(class, pred rdf.Term, lang string, maxLen, limit, offset int) string {
 	return fmt.Sprintf(`SELECT DISTINCT ?o
 WHERE {
-  ?s a <%s> .
-  ?s <%s> ?o .
+  ?s a %s .
+  ?s %s ?o .
   FILTER (isliteral(?o) && lang(?o) = '%s' && strlen(str(?o)) < %d)
 }
 LIMIT %d
@@ -80,12 +86,12 @@ OFFSET %d`, class, pred, lang, maxLen, limit, offset)
 // QuerySignificantLiterals is Q8: literals ranked by the incoming-edge
 // count of the entity they describe (Definition 1), per class and
 // predicate, paginated.
-func QuerySignificantLiterals(class, pred, lang string, maxLen, limit, offset int) string {
+func QuerySignificantLiterals(class, pred rdf.Term, lang string, maxLen, limit, offset int) string {
 	return fmt.Sprintf(`SELECT DISTINCT ?o (COUNT(?subject) AS ?frequency)
 WHERE {
-  ?s a <%s> .
+  ?s a %s .
   ?subject ?p ?s .
-  ?s <%s> ?o .
+  ?s %s ?o .
   FILTER (lang(?o) = '%s' && strlen(str(?o)) < %d)
 }
 GROUP BY ?o

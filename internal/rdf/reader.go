@@ -2,12 +2,9 @@ package rdf
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -27,12 +24,14 @@ const maxLine = 4 << 20
 // Reader reads RDF text one triple at a time: Turtle, and N-Triples as
 // its subset with one statement per line and no abbreviations. It
 // accepts @prefix and PREFIX declarations, prefixed names, 'a' for
-// rdf:type, predicate lists (';') and object lists (','), IRIs, blank
-// node labels, '…' and "…" strings with their escapes, language tags,
-// datatypes, bare integers, decimals and booleans, and # comments. This
-// is the subset real-world dataset dumps use; @base, blank-node property
-// lists, collections and long strings are not supported. A token never
-// spans lines, and the Reader holds one line at a time.
+// rdf:type, predicate lists (';') and object lists (','), absolute IRIs,
+// blank node labels, '…' and "…" strings with their escapes, language
+// tags, datatypes, bare numbers (integers, decimals and doubles with an
+// exponent) and booleans, and # comments, each term through the scanner
+// the SPARQL lexer uses. This is the subset real-world dataset dumps
+// use; @base, relative IRIs, blank-node property lists, collections and
+// long strings are not supported. A token never spans lines, and the
+// Reader holds one line at a time.
 type Reader struct {
 	br         *bufio.Reader
 	buf        []byte
@@ -129,7 +128,7 @@ func (r *Reader) prefix() error {
 	if err := r.skipIn(); err != nil {
 		return err
 	}
-	ns, err := r.iri()
+	ns, err := r.scan("IRI", ScanIRI)
 	if err != nil {
 		return err
 	}
@@ -175,7 +174,7 @@ func (r *Reader) verb() error {
 func (r *Reader) term(object bool) (Term, error) {
 	switch c := r.s[r.i]; {
 	case c == '<':
-		iri, err := r.iri()
+		iri, err := r.scan("IRI", ScanIRI)
 		return NewIRI(iri), err
 	case c == '_':
 		if !strings.HasPrefix(r.s[r.i:], "_:") {
@@ -192,8 +191,14 @@ func (r *Reader) term(object bool) (Term, error) {
 			return Term{}, r.errf("literal not allowed here")
 		}
 		return r.literal()
-	case object && (c == '+' || c == '-' || isDigit(c)):
-		return r.number()
+	case object && (c == '+' || c == '-' || c == '.' || isDigit(c)):
+		t, n, err := ScanNumber(r.s[r.i:])
+		if err != nil {
+			return Term{}, r.errf("%v", err)
+		}
+		r.i += n
+		t.Value = strings.Clone(t.Value)
+		return t, nil
 	case object && r.keyword("true"):
 		return NewTypedLiteral("true", XSDBoolean), nil
 	case object && r.keyword("false"):
@@ -203,23 +208,15 @@ func (r *Reader) term(object bool) (Term, error) {
 	return NewIRI(iri), err
 }
 
-// iri reads an IRI in angle brackets. UCHAR is its only escape, and it
-// may not stand for a character IRIREF forbids: an IRI read here never
-// holds '>', so one pasted between angle brackets into query text ends
-// where it should.
-func (r *Reader) iri() (string, error) {
-	if r.s[r.i] != '<' {
-		return "", r.errf("expected '<'")
-	}
-	iri, n, err := unescape(r.s[r.i:], '>', false)
+// scan runs one of the term scanners at the read offset and moves past
+// the term it read.
+func (r *Reader) scan(what string, f func(string) (string, int, error)) (string, error) {
+	v, n, err := f(r.s[r.i:])
 	if err != nil {
-		return "", r.errf("IRI: %v", err)
+		return "", r.errf("%s: %v", what, err)
 	}
 	r.i += n
-	if iri == "" {
-		return "", r.errf("empty IRI")
-	}
-	return iri, nil
+	return v, nil
 }
 
 // pname reads a prefixed name and expands it.
@@ -245,22 +242,14 @@ func (r *Reader) pname() (string, error) {
 // strings are copied out of the line, so a stored literal does not keep
 // its whole source line alive.
 func (r *Reader) literal() (Term, error) {
-	lex, n, err := ScanString(r.s[r.i:])
+	lex, err := r.scan("string", ScanString)
 	if err != nil {
-		return Term{}, r.errf("string: %v", err)
+		return Term{}, err
 	}
-	r.i += n
 	switch rest := r.s[r.i:]; {
 	case strings.HasPrefix(rest, "@"):
-		r.i++
-		start := r.i
-		for r.i < len(r.s) && (isDigit(r.s[r.i]) || r.s[r.i] == '-' || isLetter(r.s[r.i])) {
-			r.i++
-		}
-		if r.i == start {
-			return Term{}, r.errf("empty language tag")
-		}
-		return NewLangLiteral(strings.Clone(lex), strings.Clone(r.s[start:r.i])), nil
+		lang, err := r.scan("language tag", ScanLangTag)
+		return NewLangLiteral(strings.Clone(lex), strings.Clone(lang)), err
 	case strings.HasPrefix(rest, "^^"):
 		r.i += 2
 		if err := r.skipIn(); err != nil {
@@ -268,7 +257,7 @@ func (r *Reader) literal() (Term, error) {
 		}
 		var dt string
 		if r.s[r.i] == '<' {
-			dt, err = r.iri()
+			dt, err = r.scan("datatype IRI", ScanIRI)
 		} else {
 			dt, err = r.pname()
 		}
@@ -277,45 +266,11 @@ func (r *Reader) literal() (Term, error) {
 	return NewLiteral(strings.Clone(lex)), nil
 }
 
-// number reads a bare integer or decimal.
-func (r *Reader) number() (Term, error) {
-	start := r.i
-	if c := r.s[r.i]; c == '+' || c == '-' {
-		r.i++
-	}
-	digits, dot := r.i, false
-	for r.i < len(r.s) {
-		c := r.s[r.i]
-		if c == '.' && !dot && r.i+1 < len(r.s) && isDigit(r.s[r.i+1]) {
-			dot = true
-		} else if !isDigit(c) {
-			break
-		}
-		r.i++
-	}
-	if r.i == digits {
-		return Term{}, r.errf("malformed number")
-	}
-	if dot {
-		return NewTypedLiteral(r.s[start:r.i], XSDDouble), nil
-	}
-	return NewTypedLiteral(r.s[start:r.i], XSDInteger), nil
-}
-
-// name reads letters, digits, '_' and '-', with '.' inside but not at
-// the end: the local part of a prefixed name, or a blank node label.
+// name reads a name (ScanName): the local part of a prefixed name, or a
+// blank node label.
 func (r *Reader) name() string {
 	start := r.i
-	for r.i < len(r.s) {
-		c, size := utf8.DecodeRuneInString(r.s[r.i:])
-		if c == '.' {
-			c, _ = utf8.DecodeRuneInString(r.s[r.i+1:])
-		}
-		if !isNameChar(c) {
-			break
-		}
-		r.i += size
-	}
+	r.i += ScanName(r.s[r.i:])
 	return r.s[start:r.i]
 }
 
@@ -392,92 +347,4 @@ func (r *Reader) errf(format string, args ...any) error {
 	return &ParseError{Line: r.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// ScanString decodes the quoted string that opens s, whose first byte is
-// its quote, ' or ". It decodes the escapes the Turtle, N-Triples and
-// SPARQL grammars define: ECHAR (\t \b \n \r \f \" \' \\) and UCHAR
-// (\uXXXX, \UXXXXXXXX). A raw line break inside it is an error. It
-// returns the value and the number of bytes the quoted form spans, both
-// quotes included; a string with no escape is a substring of s.
-func ScanString(s string) (string, int, error) {
-	return unescape(s, s[0], true)
-}
-
-// echarNames and echarValues are ECHAR's table: the byte after '\' and
-// the byte it stands for.
-const echarNames, echarValues = `tbnrf"'\`, "\t\b\n\r\f\"'\\"
-
-// unescape decodes s[1:] up to the first unescaped end byte, UCHAR
-// escapes always and ECHAR escapes when echar is set; without ECHAR, as
-// in an IRI, a UCHAR may not stand for a character IRIREF forbids. It
-// returns the value and the number of bytes up to and including end.
-// When no escape or line break comes before end, the value is a
-// substring of s.
-func unescape(s string, end byte, echar bool) (string, int, error) {
-	if j := strings.IndexByte(s[1:], end) + 1; j > 0 {
-		if v := s[1:j]; strings.IndexByte(v, '\\') < 0 && strings.IndexByte(v, '\n') < 0 && strings.IndexByte(v, '\r') < 0 {
-			return v, j + 1, nil
-		}
-	}
-	var b []byte
-	from := 1 // the first byte not yet copied into b
-	for i := 1; i < len(s); {
-		switch c := s[i]; c {
-		case end:
-			return string(append(b, s[from:i]...)), i + 1, nil
-		case '\n', '\r':
-			return "", 0, fmt.Errorf("line break before closing %q", end)
-		case '\\':
-			r, n := escape(s[i:], echar)
-			if n == 0 {
-				return "", 0, fmt.Errorf("invalid escape %q", s[i:min(i+2, len(s))])
-			}
-			if !echar && (r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r)) {
-				return "", 0, fmt.Errorf("escape %q stands for a character IRIREF forbids", s[i:i+n])
-			}
-			b = utf8.AppendRune(append(b, s[from:i]...), r)
-			i += n
-			from = i
-		default:
-			i++
-		}
-	}
-	return "", 0, errors.New("missing closing " + strconv.QuoteRune(rune(end)))
-}
-
-// escape decodes the escape sequence that opens s, UCHAR always and
-// ECHAR when echar is set. It returns the rune and the sequence's
-// length, or a length of 0 when the sequence is invalid.
-func escape(s string, echar bool) (rune, int) {
-	if len(s) < 2 {
-		return 0, 0
-	}
-	n := 6
-	switch s[1] {
-	case 'u':
-	case 'U':
-		n = 10
-	default:
-		if k := strings.IndexByte(echarNames, s[1]); echar && k >= 0 {
-			return rune(echarValues[k]), 2
-		}
-		return 0, 0
-	}
-	if len(s) < n {
-		return 0, 0
-	}
-	v, err := strconv.ParseUint(s[2:n], 16, 32)
-	if err != nil || !utf8.ValidRune(rune(v)) {
-		return 0, 0
-	}
-	return rune(v), n
-}
-
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isLetter(c byte) bool { return c|0x20 >= 'a' && c|0x20 <= 'z' }
-
-func isNameChar(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}

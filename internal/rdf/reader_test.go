@@ -78,6 +78,109 @@ func TestScanString(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsTermsQueriesCannotHold: the reader returns only
+// terms the SPARQL lexer reads back. A relative IRI (no scheme, so '<'
+// before it would read as less-than in a query) and a language tag
+// that does not open with a letter are each a *ParseError.
+func TestReaderRejectsTermsQueriesCannotHold(t *testing.T) {
+	for _, doc := range []string{
+		`<1abc> <http://p> <http://o> .`,
+		`<-x> <http://p> <http://o> .`,
+		`<?x> <http://p> <http://o> .`,
+		`<$x> <http://p> <http://o> .`,
+		`<http://s> <http://p> "x"@-en .`,
+	} {
+		_, err := parseTriple(doc)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 1 {
+			t.Errorf("%q: error %v, want a *ParseError at line 1", doc, err)
+		}
+	}
+}
+
+func TestScanIRI(t *testing.T) {
+	cases := []struct {
+		in, val string
+		n       int
+	}{
+		{`<http://x/a> rest`, "http://x/a", 12},
+		{`<urn:isbn:1>`, "urn:isbn:1", 12},
+		{`<x-y.z+1:b>`, "x-y.z+1:b", 11},
+		{`<http://x/Caf\u00E9>`, "http://x/Café", 20},
+	}
+	for _, c := range cases {
+		val, n, err := ScanIRI(c.in)
+		if err != nil || val != c.val || n != c.n {
+			t.Errorf("ScanIRI(%q) = %q, %d, %v; want %q, %d", c.in, val, n, err, c.val, c.n)
+		}
+	}
+	for _, in := range []string{`<>`, `<abc>`, `<1a:b>`, `<:b>`, `<http://x`, `<http://x y>`,
+		`<http://x"y>`, `<http://x{y>`, `<http://x\u0020>`, `<http://x\n>`, `http://x>`} {
+		if _, _, err := ScanIRI(in); err == nil {
+			t.Errorf("ScanIRI(%q) succeeded, want error", in)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = ScanIRI(`<http://x/no/escape>`) }); allocs != 0 {
+		t.Errorf("an IRI with no escape allocates %v times, want 0", allocs)
+	}
+}
+
+func TestScanLangTag(t *testing.T) {
+	cases := []struct {
+		in, tag string
+		n       int
+	}{
+		{`@en .`, "en", 3},
+		{`@en-GB`, "en-GB", 6},
+		{`@de-CH-1996 `, "de-CH-1996", 11},
+		{`@en-`, "en", 3},
+		{`@en_US`, "en", 3},
+	}
+	for _, c := range cases {
+		tag, n, err := ScanLangTag(c.in)
+		if err != nil || tag != c.tag || n != c.n {
+			t.Errorf("ScanLangTag(%q) = %q, %d, %v; want %q, %d", c.in, tag, n, err, c.tag, c.n)
+		}
+	}
+	for _, in := range []string{`@`, `@-en`, `@1en`, `@ en`} {
+		if _, _, err := ScanLangTag(in); err == nil {
+			t.Errorf("ScanLangTag(%q) succeeded, want error", in)
+		}
+	}
+}
+
+func TestScanNumber(t *testing.T) {
+	cases := []struct {
+		in, lex, dt string
+	}{
+		{"42 .", "42", XSDInteger},
+		{"-7,", "-7", XSDInteger},
+		{"+3", "+3", XSDInteger},
+		{"1. ", "1", XSDInteger},
+		{"2.5.", "2.5", XSDDecimal},
+		{"-.5", "-.5", XSDDecimal},
+		{".5", ".5", XSDDecimal},
+		{"1e3", "1e3", XSDDouble},
+		{"1E-3;", "1E-3", XSDDouble},
+		{"1.e3", "1.e3", XSDDouble},
+		{"-2.5e+10", "-2.5e+10", XSDDouble},
+		{".5e1", ".5e1", XSDDouble},
+		{"1e", "1", XSDInteger},
+		{"1e+x", "1", XSDInteger},
+	}
+	for _, c := range cases {
+		lit, n, err := ScanNumber(c.in)
+		if err != nil || lit != NewTypedLiteral(c.lex, c.dt) || n != len(c.lex) {
+			t.Errorf("ScanNumber(%q) = %v, %d, %v; want %q typed %s", c.in, lit, n, err, c.lex, c.dt)
+		}
+	}
+	for _, in := range []string{"", "+", "-x", ".", "-.", ".e3"} {
+		if _, _, err := ScanNumber(in); err == nil {
+			t.Errorf("ScanNumber(%q) succeeded, want error", in)
+		}
+	}
+}
+
 // TestReaderLongLine checks the line bound: a line of 4 MiB reads, and
 // one byte more is a ParseError, not a silent truncation.
 func TestReaderLongLine(t *testing.T) {

@@ -1,8 +1,11 @@
 // Package rdf implements the RDF data model used throughout Sapphire:
 // terms (IRIs, literals, blank nodes), triples, vocabulary constants, an
 // N-Triples writer (Term.String), and one streaming reader for RDF text,
-// Turtle and N-Triples alike, whose quoted-string scanner the SPARQL
-// lexer shares.
+// Turtle and N-Triples alike. It owns the term grammar: the reader and
+// the SPARQL lexer read IRIs, quoted strings, language tags and numbers
+// through its scanners (ScanIRI, ScanString, ScanLangTag, ScanNumber).
+// Only absolute IRIs read; bare numbers read with or without an
+// exponent, decimals typed xsd:decimal and doubles xsd:double.
 //
 // The representation is deliberately compact: a Term is a small value type
 // so that triples can be stored and compared cheaply in the in-memory

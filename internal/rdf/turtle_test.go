@@ -63,7 +63,7 @@ x:stevens x:instrument x:guitar, x:piano, x:drums .
 }
 
 // ttlMixedDoc mixes object and predicate lists, comments, a dangling ';',
-// a boolean and a decimal.
+// a boolean, a decimal and a double.
 var ttlMixedDoc = `
 @prefix x: <http://x/> . # namespace
 # a whole-line comment
@@ -72,18 +72,25 @@ x:a x:p1 "v1" ;   # trailing comment
     .
 x:b x:p1 true .
 x:c x:p1 -2.5 .
+x:d x:p1 1e3 .
 `
 
 func TestTurtleMixedListsAndComments(t *testing.T) {
 	triples := parseTTL(t, ttlMixedDoc)
-	if len(triples) != 5 {
-		t.Fatalf("triples = %d, want 5", len(triples))
+	if len(triples) != 6 {
+		t.Fatalf("triples = %d, want 6", len(triples))
 	}
 	if triples[3].O.Datatype != XSDBoolean {
 		t.Errorf("boolean literal: %v", triples[3].O)
 	}
-	if triples[4].O.Datatype != XSDDouble || triples[4].O.Value != "-2.5" {
+	// Turtle §6.5 types a bare number by its form: DECIMAL is
+	// xsd:decimal, and only a DOUBLE, which has an exponent, is
+	// xsd:double.
+	if triples[4].O != NewTypedLiteral("-2.5", XSDDecimal) {
 		t.Errorf("decimal literal: %v", triples[4].O)
+	}
+	if triples[5].O != NewTypedLiteral("1e3", XSDDouble) {
+		t.Errorf("double literal: %v", triples[5].O)
 	}
 }
 

@@ -16,10 +16,11 @@ const (
 	// OWLThing is the conventional root of OWL class hierarchies.
 	OWLThing = "http://www.w3.org/2002/07/owl#Thing"
 
-	// XSDString, XSDInteger, XSDDouble, XSDBoolean, XSDDate are the
-	// datatype IRIs the SPARQL evaluator understands natively.
+	// XSDString, XSDInteger, XSDDecimal, XSDDouble, XSDBoolean, XSDDate
+	// are the datatype IRIs the SPARQL evaluator understands natively.
 	XSDString  = "http://www.w3.org/2001/XMLSchema#string"
 	XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"
+	XSDDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
 	XSDDouble  = "http://www.w3.org/2001/XMLSchema#double"
 	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
 	XSDDate    = "http://www.w3.org/2001/XMLSchema#date"

@@ -64,7 +64,7 @@ func (v Value) EffectiveBool() (bool, error) {
 			switch v.Term.Datatype {
 			case rdf.XSDBoolean:
 				return v.Term.Value == "true" || v.Term.Value == "1", nil
-			case rdf.XSDInteger, rdf.XSDDouble:
+			case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble:
 				f, err := strconv.ParseFloat(v.Term.Value, 64)
 				if err != nil {
 					return false, fmt.Errorf("sparql: non-numeric literal %q", v.Term.Value)
@@ -150,9 +150,9 @@ type NumExpr struct{ V float64 }
 func (e NumExpr) Eval(Binding) (Value, error) { return numVal(e.V), nil }
 
 // String formats the constant in plain decimal ('f'), never scientific
-// notation: the canonical query form must re-parse, and the lexer's
-// number production has no exponent syntax (1e+06 would not lex). The
-// -1 precision keeps the shortest representation that round-trips.
+// notation, so the canonical query form of a constant does not change
+// with its size. The -1 precision keeps the shortest representation
+// that round-trips.
 func (e NumExpr) String() string { return strconv.FormatFloat(e.V, 'f', -1, 64) }
 
 // ExprVars implements Expr.
@@ -333,7 +333,7 @@ func isNumericValue(v Value) bool {
 	}
 	if v.Kind == ValTerm && v.Term.IsLiteral() {
 		switch v.Term.Datatype {
-		case rdf.XSDInteger, rdf.XSDDouble:
+		case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble:
 			return true
 		}
 	}

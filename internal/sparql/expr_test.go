@@ -179,6 +179,22 @@ func TestEffectiveBooleanValue(t *testing.T) {
 	mustErr(t, "?nan", b)
 }
 
+// TestDecimalIsNumeric: xsd:decimal, the type of a bare 2.5 in Turtle
+// and SPARQL text, is numeric wherever xsd:double is: its effective
+// boolean value is its value's, and equality compares values, not
+// lexical forms.
+func TestDecimalIsNumeric(t *testing.T) {
+	b := bnd()
+	b["dec"] = rdf.NewTypedLiteral("2.5", rdf.XSDDecimal)
+	b["decZero"] = rdf.NewTypedLiteral("0.0", rdf.XSDDecimal)
+	b["decPadded"] = rdf.NewTypedLiteral("02.50", rdf.XSDDecimal)
+	mustTrue(t, "?dec", b)
+	mustFalse(t, "?decZero", b)
+	mustTrue(t, "?decPadded = ?dec", b)
+	mustTrue(t, "?dec = ?dbl", b)
+	mustTrue(t, "?dec < ?num", b)
+}
+
 func TestFunctionArityErrors(t *testing.T) {
 	b := bnd()
 	mustErr(t, "strlen()", b)

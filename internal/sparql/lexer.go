@@ -19,7 +19,7 @@ const (
 	tokIRI                 // <...>
 	tokPName               // prefixed name: dbo:Scientist or dbo:
 	tokString              // "..." or '...'
-	tokNumber              // 42, 3.14, -1
+	tokNumber              // 42, 3.14, -1, 1e3
 	tokLangTag             // @en
 	tokDTSep               // ^^
 	tokLBrace              // {
@@ -81,30 +81,26 @@ func (lx *lexer) next() (token, error) {
 			return token{}, lx.errf("empty variable name")
 		}
 		return token{kind: tokVar, text: name, pos: start}, nil
+	case isDigit(c) || (c == '.' || c == '-') && lx.i+1 < len(lx.src) && isDigit(lx.src[lx.i+1]):
+		_, n, err := rdf.ScanNumber(lx.src[lx.i:])
+		if err != nil {
+			return token{}, lx.errf("%v", err)
+		}
+		lx.i += n
+		return token{kind: tokNumber, text: lx.src[start:lx.i], pos: start}, nil
 	case c == '<':
-		// '<' is ambiguous: IRI open bracket or less-than operator.
-		// Treat it as an operator when followed by '=', whitespace, a
-		// digit, or a variable — i.e. anything that cannot start an IRI
-		// body that closes with '>'.
-		if lx.i+1 < len(lx.src) {
-			nc := lx.src[lx.i+1]
-			if nc == '=' {
-				lx.i += 2
-				return token{kind: tokOp, text: "<=", pos: start}, nil
-			}
-			if nc == ' ' || nc == '\t' || nc == '\n' || nc == '\r' || isDigit(nc) || nc == '?' || nc == '$' || nc == '-' {
-				lx.i++
-				return token{kind: tokOp, text: "<", pos: start}, nil
-			}
+		// '<' opens an IRI exactly when the IRI scanner accepts the text
+		// there; otherwise it is the less-than operator.
+		if iri, n, err := rdf.ScanIRI(lx.src[lx.i:]); err == nil {
+			lx.i += n
+			return token{kind: tokIRI, text: iri, pos: start}, nil
+		}
+		if strings.HasPrefix(lx.src[lx.i:], "<=") {
+			lx.i += 2
+			return token{kind: tokOp, text: "<=", pos: start}, nil
 		}
 		lx.i++
-		j := strings.IndexByte(lx.src[lx.i:], '>')
-		if j < 0 {
-			return token{}, lx.errf("unterminated IRI")
-		}
-		iri := lx.src[lx.i : lx.i+j]
-		lx.i += j + 1
-		return token{kind: tokIRI, text: iri, pos: start}, nil
+		return token{kind: tokOp, text: "<", pos: start}, nil
 	case c == '"' || c == '\'':
 		s, n, err := rdf.ScanString(lx.src[lx.i:])
 		if err != nil {
@@ -113,15 +109,11 @@ func (lx *lexer) next() (token, error) {
 		lx.i += n
 		return token{kind: tokString, text: s, pos: start}, nil
 	case c == '@':
-		lx.i++
-		tag := lx.ident()
-		if tag == "" {
-			return token{}, lx.errf("empty language tag")
+		tag, n, err := rdf.ScanLangTag(lx.src[lx.i:])
+		if err != nil {
+			return token{}, lx.errf("language tag: %v", err)
 		}
-		for lx.i < len(lx.src) && lx.src[lx.i] == '-' {
-			lx.i++
-			tag += "-" + lx.ident()
-		}
+		lx.i += n
 		return token{kind: tokLangTag, text: tag, pos: start}, nil
 	case c == '^':
 		if strings.HasPrefix(lx.src[lx.i:], "^^") {
@@ -151,10 +143,6 @@ func (lx *lexer) next() (token, error) {
 		lx.i++
 		return token{kind: tokStar, pos: start}, nil
 	case c == '.':
-		// Distinguish the triple terminator from a decimal number.
-		if lx.i+1 < len(lx.src) && isDigit(lx.src[lx.i+1]) {
-			return lx.number()
-		}
 		lx.i++
 		return token{kind: tokDot, pos: start}, nil
 	case c == '=':
@@ -191,30 +179,23 @@ func (lx *lexer) next() (token, error) {
 		lx.i++
 		return token{kind: tokOp, text: "+", pos: start}, nil
 	case c == '-':
-		if lx.i+1 < len(lx.src) && isDigit(lx.src[lx.i+1]) {
-			return lx.number()
-		}
 		lx.i++
 		return token{kind: tokOp, text: "-", pos: start}, nil
 	case c == '/':
 		lx.i++
 		return token{kind: tokOp, text: "/", pos: start}, nil
-	case isDigit(c):
-		return lx.number()
 	case isIdentStartAt(lx.src[lx.i:]):
 		name := lx.ident()
 		// Prefixed name: label ':' local. The label may be empty only
 		// via the ':' branch below.
 		if lx.i < len(lx.src) && lx.src[lx.i] == ':' {
-			lx.i++
-			local := lx.pnameLocal()
-			return token{kind: tokPName, text: name + ":" + local, pos: start}, nil
+			lx.i += 1 + rdf.ScanName(lx.src[lx.i+1:])
+			return token{kind: tokPName, text: lx.src[start:lx.i], pos: start}, nil
 		}
 		return token{kind: tokIdent, text: name, pos: start}, nil
 	case c == ':':
-		lx.i++
-		local := lx.pnameLocal()
-		return token{kind: tokPName, text: ":" + local, pos: start}, nil
+		lx.i += 1 + rdf.ScanName(lx.src[lx.i+1:])
+		return token{kind: tokPName, text: lx.src[start:lx.i], pos: start}, nil
 	default:
 		return token{}, lx.errf("unexpected character %q", c)
 	}
@@ -241,15 +222,16 @@ func (lx *lexer) skipWS() {
 }
 
 // ident scans an identifier rune by rune. Decoding real UTF-8 (rather
-// than casting bytes) matters: a stray non-UTF-8 byte must not lex as a
-// Latin-1 letter, because downstream canonicalization (strings.ToLower
-// on function names) would replace it with U+FFFD and the canonical
-// form would no longer re-lex — found by FuzzParse.
+// than casting bytes) matters: a stray non-UTF-8 byte decodes as
+// U+FFFD, which is no letter, instead of lexing as a Latin-1 letter
+// that downstream canonicalization (strings.ToLower on function names)
+// would replace with U+FFFD, so the canonical form would no longer
+// re-lex — found by FuzzParse.
 func (lx *lexer) ident() string {
 	start := lx.i
 	for lx.i < len(lx.src) {
 		r, size := utf8.DecodeRuneInString(lx.src[lx.i:])
-		if (r == utf8.RuneError && size == 1) || !isIdentPart(r) {
+		if !isIdentPart(r) {
 			break
 		}
 		lx.i += size
@@ -257,75 +239,15 @@ func (lx *lexer) ident() string {
 	return lx.src[start:lx.i]
 }
 
-// pnameLocal scans the local part of a prefixed name, which may contain
-// dots as long as they are not terminal.
-func (lx *lexer) pnameLocal() string {
-	start := lx.i
-	for lx.i < len(lx.src) {
-		c, size := utf8.DecodeRuneInString(lx.src[lx.i:])
-		if c == utf8.RuneError && size <= 1 {
-			break
-		}
-		if isIdentPart(c) || c == '-' {
-			lx.i += size
-			continue
-		}
-		if c == '.' && lx.i+1 < len(lx.src) && isIdentPartAt(lx.src[lx.i+1:]) {
-			lx.i++
-			continue
-		}
-		break
-	}
-	return lx.src[start:lx.i]
-}
-
-func (lx *lexer) number() (token, error) {
-	start := lx.i
-	if lx.src[lx.i] == '-' || lx.src[lx.i] == '+' {
-		lx.i++
-	}
-	seenDot := false
-	for lx.i < len(lx.src) {
-		c := lx.src[lx.i]
-		if isDigit(c) {
-			lx.i++
-			continue
-		}
-		if c == '.' && !seenDot && lx.i+1 < len(lx.src) && isDigit(lx.src[lx.i+1]) {
-			seenDot = true
-			lx.i++
-			continue
-		}
-		break
-	}
-	return token{kind: tokNumber, text: lx.src[start:lx.i], pos: start}, nil
-}
-
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
-}
-
-// isIdentStartAt reports whether s opens with a valid identifier rune,
-// decoding UTF-8 properly (an invalid byte is never an ident start).
+// isIdentStartAt reports whether s opens with a letter or '_', decoded
+// as UTF-8 (an invalid byte is never an ident start).
 func isIdentStartAt(s string) bool {
-	r, size := utf8.DecodeRuneInString(s)
-	if r == utf8.RuneError && size <= 1 {
-		return false
-	}
-	return isIdentStart(r)
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsLetter(r) || r == '_'
 }
 
 func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
-
-// isIdentPartAt is isIdentPart over the first properly decoded rune of s.
-func isIdentPartAt(s string) bool {
-	r, size := utf8.DecodeRuneInString(s)
-	if r == utf8.RuneError && size <= 1 {
-		return false
-	}
-	return isIdentPart(r)
 }

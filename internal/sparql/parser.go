@@ -385,16 +385,10 @@ func (p *parser) node(pos position) (Node, error) {
 	case tokVar:
 		p.next()
 		return NewVar(t.text), nil
-	case tokIRI:
+	case tokIRI, tokPName:
 		p.next()
-		return NewTermNode(rdf.NewIRI(t.text)), nil
-	case tokPName:
-		p.next()
-		iri, err := p.expandPName(t.text)
-		if err != nil {
-			return Node{}, err
-		}
-		return NewTermNode(rdf.NewIRI(iri)), nil
+		iri, err := p.iriOf(t)
+		return NewTermNode(rdf.NewIRI(iri)), err
 	case tokIdent:
 		if t.text == "a" && pos == posPredicate {
 			p.next()
@@ -406,47 +400,44 @@ func (p *parser) node(pos position) (Node, error) {
 			return Node{}, p.errf("literal allowed only in object position")
 		}
 		p.next()
-		lex := t.text
-		switch p.cur().kind {
-		case tokLangTag:
-			lang := p.next().text
-			return NewTermNode(rdf.NewLangLiteral(lex, lang)), nil
-		case tokDTSep:
-			p.next()
-			dt := p.cur()
-			switch dt.kind {
-			case tokIRI:
-				p.next()
-				return NewTermNode(rdf.NewTypedLiteral(lex, dt.text)), nil
-			case tokPName:
-				p.next()
-				iri, err := p.expandPName(dt.text)
-				if err != nil {
-					return Node{}, err
-				}
-				return NewTermNode(rdf.NewTypedLiteral(lex, iri)), nil
-			default:
-				return Node{}, p.errf("expected datatype IRI after ^^")
-			}
-		default:
-			return NewTermNode(rdf.NewLiteral(lex)), nil
-		}
+		lit, err := p.literal(t.text)
+		return NewTermNode(lit), err
 	case tokNumber:
 		if pos != posObject {
 			return Node{}, p.errf("numeric literal allowed only in object position")
 		}
 		p.next()
-		if strings.Contains(t.text, ".") {
-			return NewTermNode(rdf.NewTypedLiteral(t.text, rdf.XSDDouble)), nil
-		}
-		return NewTermNode(rdf.NewTypedLiteral(t.text, rdf.XSDInteger)), nil
+		lit, _, err := rdf.ScanNumber(t.text)
+		return NewTermNode(lit), err
 	default:
 		return Node{}, p.errf("unexpected token %q in triple pattern", t.text)
 	}
 }
 
-func (p *parser) expandPName(pname string) (string, error) {
-	parts := strings.SplitN(pname, ":", 2)
+// literal reads the language tag or datatype that may follow the
+// string lex, in a triple pattern or an expression.
+func (p *parser) literal(lex string) (rdf.Term, error) {
+	switch p.cur().kind {
+	case tokLangTag:
+		return rdf.NewLangLiteral(lex, p.next().text), nil
+	case tokDTSep:
+		p.next()
+		if dt := p.cur(); dt.kind == tokIRI || dt.kind == tokPName {
+			p.next()
+			iri, err := p.iriOf(dt)
+			return rdf.NewTypedLiteral(lex, iri), err
+		}
+		return rdf.Term{}, p.errf("expected datatype IRI after ^^, got %q", p.cur().text)
+	}
+	return rdf.NewLiteral(lex), nil
+}
+
+// iriOf returns the IRI an IRI or prefixed-name token names.
+func (p *parser) iriOf(t token) (string, error) {
+	if t.kind == tokIRI {
+		return t.text, nil
+	}
+	parts := strings.SplitN(t.text, ":", 2)
 	ns, ok := p.q.Prefixes[parts[0]]
 	if !ok {
 		return "", p.errf("undefined prefix %q", parts[0])
@@ -693,25 +684,17 @@ func (p *parser) unaryExpr() (Expr, error) {
 		p.next()
 		// A string followed by a language tag or datatype is a literal
 		// constant.
-		switch p.cur().kind {
-		case tokLangTag:
-			lang := p.next().text
-			return ConstExpr{Term: rdf.NewLangLiteral(t.text, lang)}, nil
-		case tokDTSep:
-			p.next()
-			dt, err := p.expect(tokIRI, "datatype IRI")
-			if err != nil {
-				return nil, err
-			}
-			return ConstExpr{Term: rdf.NewTypedLiteral(t.text, dt.text)}, nil
+		lit, err := p.literal(t.text)
+		if err != nil {
+			return nil, err
 		}
-		return StrExpr{V: t.text}, nil
-	case t.kind == tokIRI:
+		if lit.Lang == "" && lit.Datatype == "" {
+			return StrExpr{V: t.text}, nil
+		}
+		return ConstExpr{Term: lit}, nil
+	case t.kind == tokIRI || t.kind == tokPName:
 		p.next()
-		return ConstExpr{Term: rdf.NewIRI(t.text)}, nil
-	case t.kind == tokPName:
-		p.next()
-		iri, err := p.expandPName(t.text)
+		iri, err := p.iriOf(t)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +121,7 @@ func TestParseLiteralForms(t *testing.T) {
 		?s <http://x/age> 42 .
 		?s <http://x/height> 1.85 .
 		?s <http://x/code> "X"^^<http://www.w3.org/2001/XMLSchema#string> .
+		?s <http://x/mass> 1e3 .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +132,16 @@ func TestParseLiteralForms(t *testing.T) {
 	if q.Where[1].O.Term.Datatype != rdf.XSDInteger {
 		t.Errorf("int literal: %v", q.Where[1].O)
 	}
-	if q.Where[2].O.Term.Datatype != rdf.XSDDouble {
-		t.Errorf("double literal: %v", q.Where[2].O)
+	// SPARQL §19.8 types a bare number by its form, as Turtle does: a
+	// DECIMAL is xsd:decimal, a DOUBLE (with an exponent) xsd:double.
+	if q.Where[2].O.Term != rdf.NewTypedLiteral("1.85", rdf.XSDDecimal) {
+		t.Errorf("decimal literal: %v", q.Where[2].O)
 	}
 	if q.Where[3].O.Term.Datatype != rdf.XSDString {
 		t.Errorf("typed literal: %v", q.Where[3].O)
+	}
+	if q.Where[4].O.Term != rdf.NewTypedLiteral("1e3", rdf.XSDDouble) {
+		t.Errorf("double literal: %v", q.Where[4].O)
 	}
 }
 
@@ -295,10 +302,56 @@ func TestParseFilterComparisonAmbiguity(t *testing.T) {
 		`SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER (?a < -5) }`,
 		`SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER (?a <= 10) }`,
 		`SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER (?a > 10 || ?a < 100) }`,
+		`SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER(?a<1&&?a>0) }`,
+		`SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER(?a<=3) }`,
 	} {
 		if _, err := Parse(src); err != nil {
 			t.Errorf("Parse(%q): %v", src, err)
 		}
+	}
+}
+
+// TestLexLessThanOrIRI: '<' opens an IRI exactly when the IRI scanner
+// accepts the text there; anything else is '<' or '<='.
+func TestLexLessThanOrIRI(t *testing.T) {
+	cases := map[string][]token{
+		`<x:y>`:              {{kind: tokIRI, text: "x:y"}},
+		`<http://x/\u00E9>`:  {{kind: tokIRI, text: "http://x/é"}},
+		`<1abc>`:             {{kind: tokOp, text: "<"}, {kind: tokNumber, text: "1"}, {kind: tokIdent, text: "abc"}, {kind: tokOp, text: ">"}},
+		`<?x>`:               {{kind: tokOp, text: "<"}, {kind: tokVar, text: "x"}, {kind: tokOp, text: ">"}},
+		`1e3 -2.5 .5`:        {{kind: tokNumber, text: "1e3"}, {kind: tokNumber, text: "-2.5"}, {kind: tokNumber, text: ".5"}},
+		`"x"@en-GB`:          {{kind: tokString, text: "x"}, {kind: tokLangTag, text: "en-GB"}},
+		`"x"^^<http://x/dt>`: {{kind: tokString, text: "x"}, {kind: tokDTSep}, {kind: tokIRI, text: "http://x/dt"}},
+	}
+	for src, want := range cases {
+		toks, err := lexAll(src)
+		if err != nil {
+			t.Errorf("lexAll(%q): %v", src, err)
+			continue
+		}
+		var got []token
+		for _, tok := range toks[:len(toks)-1] {
+			got = append(got, token{kind: tok.kind, text: tok.text})
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("lexAll(%q) = %v, want %v", src, got, want)
+		}
+	}
+}
+
+// TestParseTypedLiteralInFilter: a literal reads the same in a FILTER
+// as in a triple pattern, a prefixed-name datatype included.
+func TestParseTypedLiteralInFilter(t *testing.T) {
+	q, err := Parse(`PREFIX x: <http://x/> SELECT ?s WHERE { ?s ?p "y"^^x:d . FILTER(?p = "y"^^x:d) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rdf.NewTypedLiteral("y", "http://x/d")
+	if q.Where[0].O.Term != want {
+		t.Errorf("pattern object %v, want %v", q.Where[0].O, want)
+	}
+	if got := q.Filters[0].(BinExpr).R; got != (ConstExpr{Term: want}) {
+		t.Errorf("filter constant %#v, want %v", got, want)
 	}
 }
 
