@@ -80,8 +80,10 @@ fuzz:
 # Brute-force sorted suffixes; the suffix array returns the same
 # strings in the same order at every limit.
 	$(GO) test ./internal/suffixtree/ -run '^$$' -fuzz 'FuzzSuffixSearch' -fuzztime=30s
-# Replaying arbitrary WAL bytes never panics, and replaying only the
-# committed prefix it reports rebuilds the same store.
+# Replaying arbitrary WAL bytes never panics; it fails only on an
+# intact record it cannot decode, whose frame passes its length and
+# CRC checks and whose preceding bytes replay cleanly; and replaying
+# only the committed prefix it reports rebuilds the same store.
 	$(GO) test ./internal/store/persist/ -run '^$$' -fuzz 'FuzzReplayWAL' -fuzztime=30s
 # RDF text (N-Triples, Turtle, the /add body) never panics the
 # reader, every triple it returns is valid, and every triple it

@@ -609,18 +609,28 @@ func (p *parser) addExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().kind == tokOp && (p.cur().text == "+" || p.cur().text == "-") {
-		op := OpAdd
-		if p.next().text == "-" {
-			op = OpSub
+	for {
+		t, op, r := p.cur(), OpSub, Expr(nil)
+		switch {
+		case t.kind == tokOp && (t.text == "+" || t.text == "-"):
+			if p.next().text == "+" {
+				op = OpAdd
+			}
+			r, err = p.mulExpr()
+		case t.kind == tokNumber && t.text[0] == '-':
+			// After an operand a signed number subtracts its unsigned
+			// value: "?a-1*2" is ?a - (1*2) (SPARQL 1.1 rule [116]).
+			if r, err = p.unaryExpr(); err == nil {
+				r, err = p.mulTail(NumExpr{V: -r.(NumExpr).V})
+			}
+		default:
+			return l, nil
 		}
-		r, err := p.mulExpr()
 		if err != nil {
 			return nil, err
 		}
 		l = BinExpr{Op: op, L: l, R: r}
 	}
-	return l, nil
 }
 
 func (p *parser) mulExpr() (Expr, error) {
@@ -628,6 +638,11 @@ func (p *parser) mulExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.mulTail(l)
+}
+
+// mulTail continues a multiplicative chain after its first operand l.
+func (p *parser) mulTail(l Expr) (Expr, error) {
 	for (p.cur().kind == tokOp && p.cur().text == "/") || p.cur().kind == tokStar {
 		op := OpDiv
 		if p.cur().kind == tokStar {

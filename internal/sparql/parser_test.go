@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -379,4 +380,53 @@ func TestQueryVarsOrder(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("Vars = %v, want %v", got, want)
 	}
+}
+
+// TestParseSignedNumberAfterOperand: "?a-1" lexes as ?a and the signed
+// number -1, which after an operand subtracts 1 (SPARQL's
+// NumericLiteralNegative), with a '*' or '/' chain bound to it. It
+// parses and evaluates as "?a - 1" does. A signed number that is not
+// after an operand keeps its sign.
+func TestParseSignedNumberAfterOperand(t *testing.T) {
+	s := buildLibrary(t)
+	const where = `SELECT ?b WHERE { ?b <http://x/pages> ?p . FILTER(%s) } ORDER BY ?b`
+	for signed, spaced := range map[string]string{
+		`?p-300 > 0`:     `?p - 300 > 0`,
+		`?p-2*150 > 0`:   `?p - 2*150 > 0`,
+		`?p-600/2 > 0`:   `?p - 600/2 > 0`,
+		`1-?p+300 > 0`:   `1 - ?p + 300 > 0`,
+		`?p-1.5e2-150>0`: `?p - 1.5e2 - 150 > 0`,
+	} {
+		a, err := Parse(fmt.Sprintf(where, signed))
+		if err != nil {
+			t.Errorf("Parse FILTER(%s): %v", signed, err)
+			continue
+		}
+		b := mustParseQuery(t, fmt.Sprintf(where, spaced))
+		if a.String() != b.String() {
+			t.Errorf("FILTER(%s) reads as\n%s\nwant\n%s", signed, a, b)
+		}
+		ra, rb := eval(t, s, a.String()), eval(t, s, b.String())
+		if fmt.Sprint(ra.Rows) != fmt.Sprint(rb.Rows) {
+			t.Errorf("FILTER(%s) rows %v, want %v", signed, ra.Rows, rb.Rows)
+		}
+	}
+	for src, want := range map[string]string{
+		`SELECT ?s WHERE { ?s <http://x/p> -1 . }`:                   `"-1"^^<http://www.w3.org/2001/XMLSchema#integer>`,
+		`SELECT ?s WHERE { ?s <http://x/p> ?a . FILTER(?a > -1) }`:   `FILTER ((?a > -1))`,
+		`SELECT ?s WHERE { ?s <http://x/p> ?a . FILTER(?a*-1 > 0) }`: `FILTER (((?a * -1) > 0))`,
+	} {
+		if got := mustParseQuery(t, src).String(); !strings.Contains(got, want) {
+			t.Errorf("Parse(%q) = \n%s\nwant it to hold %s", src, got, want)
+		}
+	}
+}
+
+func mustParseQuery(t *testing.T, src string) *Query {
+	t.Helper()
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	return q
 }

@@ -20,10 +20,12 @@ import (
 // tmp-file + fsync + atomic rename — the manifest rename is the commit
 // point of the whole snapshot. Recovery walks manifests newest-first,
 // restores the first generation whose snapshot validates (older
-// generations are the fallback when the newest is corrupt; a snapshot
-// that matches its manifest but does not decode stops recovery), then
+// generations are the fallback when the newest is corrupt), then
 // replays every WAL from that generation forward, truncating torn
-// tails. The generation number is parsed from the manifest *filename*,
+// tails. Intact data this build cannot decode — a snapshot that matches
+// its manifest, a WAL record that passes its length and CRC checks —
+// is never corruption: recovery stops with errUndecodable and changes
+// no file. The generation number is parsed from the manifest *filename*,
 // never its contents: filenames travel through rename calls as strings
 // and cannot be bit-flipped by a torn write the way file bytes can.
 
@@ -198,9 +200,10 @@ type DB struct {
 // ready DB. Recovery never panics on corrupt files: the newest valid
 // generation wins, WAL tails beyond the last intact record are
 // truncated, and a completely empty or hopeless directory yields an
-// empty store. A snapshot that matches its manifest checksum but that
-// this build cannot decode is not corruption: Open returns an error
-// naming its generation and leaves every generation in place.
+// empty store. A snapshot that matches its manifest checksum, or a WAL
+// record that passes its frame checks, but that this build cannot
+// decode is not corruption: Open returns an error naming the file and
+// leaves every file as it was.
 func Open(dir string, opts Options) (*DB, RecoveryInfo, error) {
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
@@ -305,8 +308,11 @@ func (db *DB) recover() (RecoveryInfo, error) {
 	if n := len(manifestGens); n > 0 && manifestGens[n-1] > maxGen {
 		maxGen = manifestGens[n-1]
 	}
+	// Torn tails are truncated only once every WAL has replayed, so a
+	// record that stops recovery leaves every file as it was.
 	var lastWAL uint64
 	haveWAL := false
+	cuts := map[uint64]int64{}
 	for _, g := range walGens {
 		if haveBase && g < baseGen {
 			continue
@@ -319,15 +325,20 @@ func (db *DB) recover() (RecoveryInfo, error) {
 		info.WALTriples += rep.triples
 		if rep.truncated {
 			info.TruncatedWALs++
-			if err := db.fs.Truncate(walName(g), rep.goodBytes); err != nil {
-				return info, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
-			}
+			cuts[g] = rep.goodBytes
 		}
 		if g > maxGen {
 			maxGen = g
 		}
 		if !haveWAL || g > lastWAL {
 			lastWAL, haveWAL = g, true
+		}
+	}
+	for _, g := range walGens {
+		if size, ok := cuts[g]; ok {
+			if err := db.fs.Truncate(walName(g), size); err != nil {
+				return info, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
+			}
 		}
 	}
 
@@ -370,8 +381,9 @@ func (db *DB) recover() (RecoveryInfo, error) {
 	return info, nil
 }
 
-// errUndecodable marks a snapshot that matches its manifest checksum
-// but fails to decode.
+// errUndecodable marks intact data that fails to decode: a snapshot
+// that matches its manifest checksum, or a WAL record that passes its
+// length and CRC checks.
 var errUndecodable = errors.New("intact but undecodable by this build")
 
 // loadGeneration validates and restores one snapshot generation. A

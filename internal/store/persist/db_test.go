@@ -128,29 +128,30 @@ func TestDBSnapshotAndReopen(t *testing.T) {
 	}
 }
 
-// TestReopenLegacyPartitionedSnapshot recovers a data directory whose
-// only generation is store/testdata/legacy8.snap, a snapshot written by
-// an earlier build that partitioned the store into 8 shards, under a
-// manifest that matches it. Recovery must restore it (no fallback) to
-// the N-Triples dump that build produced.
-func TestReopenLegacyPartitionedSnapshot(t *testing.T) {
+// TestOpenRejectsPartitionedSnapshot recovers a data directory whose
+// only generation is store/testdata/legacy8.snap, written by an earlier
+// build that partitioned the store into 8 shards, so it holds 8 index
+// sections, under a manifest that matches it. This build restores one
+// index section only. The snapshot is intact, so Open must fail naming
+// the generation, not fall back to an empty store, and change no file.
+func TestOpenRejectsPartitionedSnapshot(t *testing.T) {
 	snap, err := os.ReadFile("../testdata/legacy8.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("../testdata/legacy8.nt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := NewMemFS()
 	writeGeneration(t, fs, 1, snap)
-	db, info := mustOpen(t, fs, Options{})
-	defer db.Close()
-	if info.Fallback || info.Generation != 1 {
-		t.Fatalf("recovery info %+v, want generation 1 without fallback", info)
+	before := memFiles(fs)
+	db, info, err := Open("", Options{FS: fs})
+	if err == nil {
+		db.Close()
+		t.Fatalf("Open recovered %d triples (fallback %v) from a partitioned snapshot", info.Triples, info.Fallback)
 	}
-	if got := dumpStore(t, db.Store()); got != string(want) {
-		t.Fatalf("recovered dump differs from the writing build's dump:\n%s", got)
+	if !errors.Is(err, errUndecodable) || !strings.Contains(err.Error(), "generation 1") {
+		t.Errorf("error %q does not wrap %q and name generation 1", err, errUndecodable)
+	}
+	if !maps.EqualFunc(memFiles(fs), before, bytes.Equal) {
+		t.Error("Open changed a file")
 	}
 }
 

@@ -15,25 +15,25 @@ import (
 //	magic "SPHRWAL1"
 //	records: u32 payloadLen | u32 crc32c(payload) | payload
 //	payload: u8 op | body
-//	  opAdd    (1): one binary triple — applied immediately on replay.
-//	                Read only: earlier builds wrote it for single-triple
-//	                adds; this build logs every write as a batch.
 //	  opBatch  (2): u32 count | count binary triples — buffered on
 //	                replay, applied only when a commit marker follows.
 //	  opCommit (3): empty — applies all buffered batches atomically
 //	                through the bulk loader.
 //
-// Replay stops at the first record that fails its length or checksum
-// check and truncates the file there: a torn tail disappears, and every
-// record before it is honored. Batch records without a trailing commit
-// marker are discarded too — a bulk load is durable only once its
-// commit marker is on disk, mirroring the in-memory staging contract.
+// Replay tells a torn record from an intact one by its frame alone. A
+// record that fails its length or checksum check is a torn tail: replay
+// stops and truncates the file there, and every record before it is
+// honored. Batch records without a trailing commit marker are discarded
+// too — a bulk load is durable only once its commit marker is on disk,
+// mirroring the in-memory staging contract. A record that passes both
+// checks is intact: it is applied, or, when this build cannot decode it,
+// replay fails with errUndecodable and recovery stops. An intact record
+// is never discarded.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	walMagic = "SPHRWAL1"
 
-	opAdd    = 1
 	opBatch  = 2
 	opCommit = 3
 
@@ -204,7 +204,10 @@ type walReplay struct {
 // replayWAL reads a WAL file and applies its committed prefix to s.
 // It stops at the first torn or corrupt record. A missing or
 // magic-corrupt file replays as empty (goodBytes 0 tells the caller to
-// recreate it). Decoding never panics regardless of file contents.
+// recreate it). An intact record this build cannot decode returns an
+// error wrapping errUndecodable that names the file and the record's
+// offset; the caller must then change nothing. Decoding never panics
+// regardless of file contents.
 func replayWAL(fs FS, name string, s *store.Store) (walReplay, error) {
 	var rep walReplay
 	data, err := readAll(fs, name)
@@ -216,7 +219,6 @@ func replayWAL(fs FS, name string, s *store.Store) (walReplay, error) {
 		return rep, nil
 	}
 	off := int64(len(walMagic))
-	rep.goodBytes = off
 
 	// Batches buffer through a dedicated loader and only reach the
 	// store when their commit marker proves they were fully logged.
@@ -233,57 +235,13 @@ func replayWAL(fs FS, name string, s *store.Store) (walReplay, error) {
 		if crc32.Checksum(payload, castagnoli) != wantCRC {
 			break
 		}
-		ok := true
-		switch payload[0] {
-		case opAdd:
-			tr, n, err := rdf.DecodeTriple(payload[1:])
-			if err != nil || int64(n) != plen-1 {
-				ok = false
-				break
-			}
-			if _, err := s.Add(tr); err != nil {
-				ok = false
-				break
-			}
-			rep.triples++
-		case opBatch:
-			if plen < 5 {
-				ok = false
-				break
-			}
-			count := int(binary.LittleEndian.Uint32(payload[1:]))
-			body := payload[5:]
-			if count > walBatchChunk {
-				ok = false
-				break
-			}
-			for i := 0; i < count && ok; i++ {
-				tr, n, err := rdf.DecodeTriple(body)
-				if err != nil || bl.Add(tr) != nil {
-					ok = false
-					break
-				}
-				body = body[n:]
-			}
-			if len(body) != 0 {
-				ok = false
-			}
-		case opCommit:
-			if plen != 1 {
-				ok = false
-				break
-			}
-			rep.triples += bl.Commit()
-			pendingBytes = off + 8 + plen
-		default:
-			ok = false
-		}
-		if !ok {
-			break
+		if err := decodeRecord(payload, bl); err != nil {
+			return rep, fmt.Errorf("persist: WAL %s record at byte %d is %w: %v", name, off, errUndecodable, err)
 		}
 		rep.records++
 		off += 8 + plen
-		if payload[0] != opBatch {
+		if payload[0] == opCommit {
+			rep.triples += bl.Commit()
 			pendingBytes = off
 		}
 	}
@@ -293,4 +251,41 @@ func replayWAL(fs FS, name string, s *store.Store) (walReplay, error) {
 	rep.goodBytes = pendingBytes
 	rep.truncated = rep.goodBytes != int64(len(data))
 	return rep, nil
+}
+
+// decodeRecord decodes one intact record and stages an opBatch's
+// triples in bl; replayWAL commits them at the opCommit that follows.
+// A record this build does not write is an error.
+func decodeRecord(payload []byte, bl *store.BulkLoader) error {
+	switch payload[0] {
+	case opBatch:
+		if len(payload) < 5 {
+			return fmt.Errorf("batch record of %d bytes", len(payload))
+		}
+		count := binary.LittleEndian.Uint32(payload[1:])
+		if count > walBatchChunk {
+			return fmt.Errorf("batch of %d triples", count)
+		}
+		body := payload[5:]
+		for i := uint32(0); i < count; i++ {
+			tr, n, err := rdf.DecodeTriple(body)
+			if err != nil {
+				return err
+			}
+			if err := bl.Add(tr); err != nil {
+				return err
+			}
+			body = body[n:]
+		}
+		if len(body) != 0 {
+			return fmt.Errorf("%d trailing bytes in batch record", len(body))
+		}
+	case opCommit:
+		if len(payload) != 1 {
+			return fmt.Errorf("commit record with a %d-byte body", len(payload)-1)
+		}
+	default:
+		return fmt.Errorf("unknown op %d", payload[0])
+	}
+	return nil
 }

@@ -15,9 +15,9 @@ import (
 // store, written in the same ID-space representation the staged bulk
 // loader uses, plus the slice of the term dictionary those IDs need.
 //
-// The encoding is *structural*: the shard section carries the three
-// index permutations as CSR-style (key, level-2 key, inner-list) runs,
-// in the term-sorted order the live indexes already maintain. Because
+// The encoding mirrors the live indexes: the index section carries the
+// three index permutations as CSR-style (key, level-2 key, inner-list)
+// runs, in the term-sorted order the live indexes maintain. Because
 // restore preserves dictionary IDs exactly (terms are re-inserted under
 // their snapshotted IDs and the allocator resumes above them), every
 // sorted key slice comes back byte-identical without a single sort or
@@ -36,22 +36,22 @@ import (
 //
 // Wire layout (all integers little-endian):
 //
-//	magic "SPHRSNP1" | u32 version | u64 epoch | u32 shards |
+//	magic "SPHRSNP1" | u32 version | u64 epoch | u32 shards (= 1) |
 //	u64 triples | u32 watermark | u32 terms | u32 crc(header)
 //	sections: u8 kind | u64 payloadLen | payload | u32 crc(payload)
 //	  kind 1 (dict):  terms × (u32 id, binary term — rdf.AppendTerm),
 //	                  strictly ascending in term order
-//	  kind 2 (shard): u32 shardIndex, u64 shardEpoch, u32 size,
+//	  kind 2 (index): u32 index (= 0), u64 epoch, u32 size,
 //	                  3 index blocks (SPO, POS, OSP):
 //	                    u32 nkeys, nkeys × u32 key,
 //	                    per key: u32 n2, n2 × (u32 l2key, u32 innerLen),
 //	                             then the concatenated inner IDs
 //	  kind 0xFF (end): empty payload
 //
-// This build writes shards = 1 and one shard section (index 0). Earlier
-// builds partitioned the store by subject hash and wrote one shard
-// section per partition; such a snapshot still restores, through the
-// packed path (RestoreSnapshotBytes).
+// A snapshot holds one dictionary section, then one index section. The
+// header's shards field and the section's index field are fixed at 1
+// and 0: restore reads exactly what WriteSnapshot writes and rejects
+// any other value or layout as a decode error.
 //
 // Every section payload carries a CRC32C; a flipped bit anywhere in the
 // file surfaces as a decode error, never as a silently wrong store.
@@ -61,7 +61,7 @@ const (
 	snapshotVersion = 1
 
 	sectionDict  = 1
-	sectionShard = 2
+	sectionIndex = 2
 	sectionEnd   = 0xFF
 )
 
@@ -93,7 +93,7 @@ func (s *Store) WriteSnapshot(w io.Writer) (SnapshotInfo, error) {
 	triples := uint64(s.size)
 	watermark := s.dict.next.Load()
 	refs := make([]uint64, (int(watermark)+63)/64)
-	shardBuf := s.appendShardSection(nil, refs)
+	indexBuf := s.appendIndexSection(nil, refs)
 	s.mu.RUnlock()
 
 	// The dictionary is append-only and term slots are immutable, so the
@@ -136,7 +136,7 @@ func (s *Store) WriteSnapshot(w io.Writer) (SnapshotInfo, error) {
 	out = binary.LittleEndian.AppendUint32(out, uint32(terms))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
 	out = appendSection(out, sectionDict, dictPayload)
-	out = append(out, shardBuf...)
+	out = append(out, indexBuf...)
 	out = appendSection(out, sectionEnd, nil)
 
 	info := SnapshotInfo{
@@ -159,11 +159,11 @@ func appendSection(out []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
 }
 
-// appendShardSection encodes the indexes as shard section 0. Caller
+// appendIndexSection encodes the indexes as index section 0. Caller
 // must hold the read lock. Referenced dictionary IDs are recorded in
 // refs (from the SPO permutation, which mentions every position of
 // every triple exactly once).
-func (s *Store) appendShardSection(out []byte, refs []uint64) []byte {
+func (s *Store) appendIndexSection(out []byte, refs []uint64) []byte {
 	var p []byte
 	p = binary.LittleEndian.AppendUint32(p, 0)
 	p = binary.LittleEndian.AppendUint64(p, s.epoch.Load())
@@ -171,7 +171,7 @@ func (s *Store) appendShardSection(out []byte, refs []uint64) []byte {
 	p = appendIndexBlock(p, &s.spo, refs)
 	p = appendIndexBlock(p, &s.pos, nil)
 	p = appendIndexBlock(p, &s.osp, nil)
-	return appendSection(out, sectionShard, p)
+	return appendSection(out, sectionIndex, p)
 }
 
 func appendIndexBlock(p []byte, x *index, refs []uint64) []byte {
@@ -205,16 +205,13 @@ func appendIndexBlock(p []byte, x *index, refs []uint64) []byte {
 }
 
 // RestoreSnapshotBytes rebuilds a store from a snapshot image written
-// by WriteSnapshot. A one-section snapshot takes the fast structural
-// path, which rebuilds every index without sorting because restore
-// preserves dictionary IDs. A snapshot written by an earlier build that
-// partitioned the store (several shard sections) is merged into the one
-// partition through the bulk-commit path instead: its key slices are
-// sorted once, but no term is re-interned.
+// by WriteSnapshot. Every index is rebuilt without sorting, because
+// restore preserves dictionary IDs.
 //
 // Corruption anywhere — bad magic, version, checksum, or truncation —
-// returns an error; RestoreSnapshotBytes never panics on hostile input
-// and never returns a partially restored store.
+// and any layout WriteSnapshot does not write returns an error;
+// RestoreSnapshotBytes never panics on hostile input and never returns
+// a partially restored store.
 func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 	rd := &sreader{b: data}
 	if string(rd.bytes(len(snapshotMagic))) != snapshotMagic {
@@ -224,7 +221,7 @@ func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: unsupported version %d", v)
 	}
 	epoch := rd.u64()
-	snapShards := int(rd.u32())
+	shards := rd.u32()
 	triples := rd.u64()
 	watermark := rd.u32()
 	termCount := int(rd.u32())
@@ -236,20 +233,12 @@ func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 	if crc32.Checksum(data[:headerEnd], castagnoli) != wantCRC {
 		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: header checksum mismatch")
 	}
-	if snapShards < 1 || snapShards > 1<<16 || watermark < 1 {
-		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: implausible header (shards=%d watermark=%d)", snapShards, watermark)
+	if shards != 1 || watermark < 1 {
+		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: implausible header (shards=%d watermark=%d)", shards, watermark)
 	}
 
 	s := New()
-	structural := snapShards == 1
-
-	var (
-		sawDict   bool
-		shardSeen = make([]bool, snapShards)
-		// packed collects the triples of a multi-section snapshot.
-		packed [][3]ID
-		slabs  decodeSlabs
-	)
+	var sawDict, sawIndex bool
 	for {
 		kind := rd.u8()
 		plen := rd.u64()
@@ -275,36 +264,20 @@ func RestoreSnapshotBytes(data []byte) (*Store, SnapshotInfo, error) {
 			if err := s.dict.restore(payload, termCount, watermark); err != nil {
 				return nil, SnapshotInfo{}, err
 			}
-		case sectionShard:
-			if !sawDict {
-				return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: shard section before dictionary")
+		case sectionIndex:
+			if !sawDict || sawIndex {
+				return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: index section out of place")
 			}
-			idx, shardPacked, err := s.restoreShardSection(payload, snapShards, structural, &slabs)
-			if err != nil {
+			sawIndex = true
+			if err := s.restoreIndexSection(payload); err != nil {
 				return nil, SnapshotInfo{}, err
 			}
-			if shardSeen[idx] {
-				return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: duplicate shard section %d", idx)
-			}
-			shardSeen[idx] = true
-			packed = append(packed, shardPacked...)
 		default:
 			return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: unknown section kind %d", kind)
 		}
 	}
-	if !sawDict {
-		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: missing dictionary section")
-	}
-	for i, seen := range shardSeen {
-		if !seen {
-			return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: missing shard section %d", i)
-		}
-	}
-	if !structural {
-		// IDs (and with them term order) are preserved, so the commit
-		// sorts key slices but never re-interns a term. The snapshot
-		// epoch is re-established explicitly.
-		s.commitBatch(s.dict.view(), packed)
+	if !sawIndex {
+		return nil, SnapshotInfo{}, fmt.Errorf("store: snapshot: missing index section")
 	}
 	s.epoch.Store(epoch)
 	if got := s.Len(); uint64(got) != triples {
@@ -390,7 +363,7 @@ func (d *dict) restore(payload []byte, termCount int, watermark ID) error {
 	return nil
 }
 
-// Slab allocators for structural decode. A 1M-triple snapshot expands
+// Slab allocators for index decode. A 1M-triple snapshot expands
 // into millions of inner lists, level-2 key slices, and list headers;
 // allocating each individually makes restore GC-bound and erases the
 // advantage over re-ingesting. Slabs hand out stable sub-slices of
@@ -464,37 +437,24 @@ func (ds *decodeSlabs) takeEntry() *entry {
 	return &ds.entries[len(ds.entries)-1]
 }
 
-// restoreShardSection decodes one shard section. In structural mode
-// (a one-section snapshot) the indexes are rebuilt in place, preserved
-// IDs keeping every key slice term-sorted; otherwise the packed triples
-// are collected for one bulk commit.
-func (s *Store) restoreShardSection(payload []byte, snapShards int, structural bool, slabs *decodeSlabs) (int, [][3]ID, error) {
+// restoreIndexSection decodes the index section, rebuilding the
+// indexes in place: preserved IDs keep every key slice term-sorted.
+func (s *Store) restoreIndexSection(payload []byte) error {
 	rd := &sreader{b: payload}
-	idx := int(rd.u32())
+	idx := rd.u32()
 	rd.u64() // the section's epoch; the header's is the store's
 	size := int(rd.u32())
-	if rd.err != nil || idx < 0 || idx >= snapShards {
-		return 0, nil, fmt.Errorf("store: snapshot: bad shard section header")
+	if rd.err != nil || idx != 0 {
+		return fmt.Errorf("store: snapshot: bad index section header")
 	}
-	if !structural {
-		// Only the SPO block is needed; it enumerates every triple.
-		packed, err := decodePackedTriples(rd, size, slabs)
-		if err != nil {
-			return 0, nil, err
+	var slabs decodeSlabs
+	for _, x := range []*index{&s.spo, &s.pos, &s.osp} {
+		if err := decodeIndexBlock(rd, x, &slabs); err != nil {
+			return err
 		}
-		return idx, packed, nil
-	}
-	if err := decodeIndexBlock(rd, &s.spo, slabs); err != nil {
-		return 0, nil, err
-	}
-	if err := decodeIndexBlock(rd, &s.pos, slabs); err != nil {
-		return 0, nil, err
-	}
-	if err := decodeIndexBlock(rd, &s.osp, slabs); err != nil {
-		return 0, nil, err
 	}
 	if rd.off != len(rd.b) {
-		return 0, nil, fmt.Errorf("store: snapshot: %d trailing bytes in shard section %d", len(rd.b)-rd.off, idx)
+		return fmt.Errorf("store: snapshot: %d trailing bytes in index section", len(rd.b)-rd.off)
 	}
 	// present and size derive from the SPO permutation.
 	s.present = make(map[[3]ID]struct{}, size)
@@ -507,13 +467,13 @@ func (s *Store) restoreShardSection(payload []byte, snapShards int, structural b
 		}
 	}
 	if len(s.present) != size {
-		return 0, nil, fmt.Errorf("store: snapshot: shard %d holds %d triples, section says %d", idx, len(s.present), size)
+		return fmt.Errorf("store: snapshot: index section holds %d triples, says %d", len(s.present), size)
 	}
 	s.size = size
-	return idx, nil, nil
+	return nil
 }
 
-// decodeIndexBlock rebuilds one index permutation structurally: key
+// decodeIndexBlock rebuilds one index permutation as written: key
 // slices are adopted in file order (term-sorted at write time, still
 // term-sorted now because IDs are preserved), inner lists are cut from
 // slabs at exact size, and per-entry totals are recomputed. The hot
@@ -570,29 +530,6 @@ func decodeIndexBlock(rd *sreader, x *index, slabs *decodeSlabs) error {
 		x.m[k] = e
 	}
 	return nil
-}
-
-// decodePackedTriples walks a shard section's SPO block and returns the
-// packed triples, skipping the POS/OSP blocks (the slow path rebuilds
-// them itself).
-func decodePackedTriples(rd *sreader, size int, slabs *decodeSlabs) ([][3]ID, error) {
-	var spo index
-	if err := decodeIndexBlock(rd, &spo, slabs); err != nil {
-		return nil, err
-	}
-	packed := make([][3]ID, 0, size)
-	for _, sb := range spo.keys {
-		e := spo.m[sb]
-		for i, p := range e.keys {
-			for _, o := range *e.lists[i] {
-				packed = append(packed, [3]ID{sb, p, o})
-			}
-		}
-	}
-	if len(packed) != size {
-		return nil, fmt.Errorf("store: snapshot: shard SPO holds %d triples, section says %d", len(packed), size)
-	}
-	return packed, nil
 }
 
 // sreader is a bounds-checked little-endian reader over a byte slice.
